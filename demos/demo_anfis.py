@@ -8,7 +8,7 @@ Run:  python demos/demo_anfis.py
 """
 
 from softdss import tace
-from softdss.anfis import AnfisModel, anfis_train
+from softdss.anfis import AnfisModel, anfis_train, forward_batch
 from softdss.bench import unit_variables
 
 master = tace.normalize(tace.generate(7, 1000))
@@ -35,9 +35,6 @@ for (c0, s0), mf in zip(before, model.inputs[0].mfs):
     c1, s1 = mf.params
     print(f"  ({c0:.3f}, {s0:.3f}) -> ({c1:.3f}, {s1:.3f})")
 
-x = tace.normalize_inputs([500, 30, 60, 4])[0]
-from softdss.anfis import anfis_forward
-
-score, _ = anfis_forward(model, x)
+scores, _ = forward_batch(model, tace.normalize_inputs([500, 30, 60, 4]))
 print(f"\nanchor situation (500 l, 30 min, 60%, 4 pts) -> "
-      f"decision score {float(tace.denormalize_score(score)):.2f} (expert says 5)")
+      f"decision score {float(tace.denormalize_score(scores[0])):.2f} (expert says 5)")

@@ -11,22 +11,19 @@ harness comparing them.
 from .anfis import (
     AnfisModel,
     StepSizeController,
-    anfis_forward,
     anfis_train,
     backprop_epoch,
-    build_regressor_row,
     forward_batch,
     hybrid_epoch,
     premise_gradient,
     update_step_size,
 )
-from .bench import BenchConfig, run_bench
+from .bench import BenchConfig, run_bench, train_paradigm
 from .cart import (
     PrunedEntry,
     TreeNode,
     count_leaves,
     grow,
-    predict,
     predict_batch,
     prune_sequence,
     select_min_cost,
@@ -35,21 +32,16 @@ from .errors import DegenerateCoverageError, SingularSystemError, TrainingDiverg
 from .fuzzy import (
     GaussianMF,
     GBellMF,
-    InferenceResult,
     LinguisticVariable,
     MamdaniModel,
     MamdaniRule,
     TrapezoidMF,
     TriangleMF,
-    firing_strength,
     grid_partition,
-    mamdani_infer,
-    mf_eval,
-    mf_grad,
 )
 from .linalg import RlsState, lse_batch, rls_init, rls_solve, rls_update
 from .mamdani import GaConfig, encode_centers, ga_optimize, gd_tune, wang_mendel
-from .mlp import MlpModel, mlp_forward, mlp_gradient, mlp_init, scg_train
+from .mlp import MlpModel, mlp_forward_batch, mlp_gradient, mlp_init, scg_train
 from .modelio import LoadedModel, load_model, save_model
 from .report import TrainReport
 from .tace import Dataset, Sample, anchor_table, generate, load_csv, normalize, save_csv, split

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateCoverageError, SingularSystemError
 from .fuzzy import LinguisticVariable, grid_partition
-from .linalg import lse_batch, rls_solve
+from .linalg import DEFAULT_GAMMA, lse_batch, rls_solve
 from .report import TrainReport
 
 DEFAULT_STEP_SIZE = 0.01
@@ -178,21 +178,6 @@ def forward_batch(model: AnfisModel, X) -> tuple[np.ndarray, ForwardTrace]:
     return y, ForwardTrace(Xc, memberships, w, wsum, wbar, xa, regressors)
 
 
-def anfis_forward(model: AnfisModel, x) -> tuple[float, ForwardTrace]:
-    """Single-sample forward pass."""
-    y, trace = forward_batch(model, np.atleast_2d(x))
-    return float(y[0]), trace
-
-
-def build_regressor_row(trace: ForwardTrace, index: int = 0) -> np.ndarray:
-    """Least-squares row for one sample: per rule (wbar*x1, ..., wbar*xd, wbar).
-
-    Its dot product with the flattened consequent matrix reproduces the
-    forward output exactly.
-    """
-    return trace.regressors[index]
-
-
 # ---------------------------------------------------------------------------
 # hybrid learning
 # ---------------------------------------------------------------------------
@@ -265,23 +250,18 @@ def _apply_premise_step(model: AnfisModel, grad: np.ndarray, k: float) -> AnfisM
     return model.with_premise_vector(model.premise_vector() - (k / norm) * grad)
 
 
-def _identify_consequents(regressors, y, engine, gamma):
-    if engine == "rls" or regressors.shape[0] < regressors.shape[1]:
+def _identify_consequents(regressors, y):
+    if regressors.shape[0] < regressors.shape[1]:
         # an underdetermined batch is always singular; gamma*I regularizes it
-        return rls_solve(regressors, y, gamma)
+        return rls_solve(regressors, y, DEFAULT_GAMMA)
     try:
         return lse_batch(regressors, y)
     except SingularSystemError:
-        return rls_solve(regressors, y, gamma)
+        return rls_solve(regressors, y, DEFAULT_GAMMA)
 
 
 def hybrid_epoch(
-    model: AnfisModel,
-    X,
-    y,
-    controller: StepSizeController,
-    engine: str = "batch",
-    gamma: float = 1e6,
+    model: AnfisModel, X, y, controller: StepSizeController
 ) -> tuple[AnfisModel, float]:
     """One forward (consequent LSE) plus one backward (premise descent) pass.
 
@@ -292,7 +272,7 @@ def hybrid_epoch(
     if y.shape[0] == 0:
         raise ValueError("training data must be non-empty")
     _, trace = forward_batch(model, X)
-    flat = _identify_consequents(trace.regressors, y, engine, gamma)
+    flat = _identify_consequents(trace.regressors, y)
     model = replace(model, consequents=flat.reshape(model.n_rules, model.n_inputs + 1))
     residuals = trace.regressors @ flat - y
     rmse = float(np.sqrt(np.mean(residuals**2)))
@@ -323,7 +303,6 @@ def anfis_train(
     epochs: int,
     mode: str = "hybrid",
     k0: float = DEFAULT_STEP_SIZE,
-    engine: str = "batch",
     seed: int = 0,
 ) -> tuple[AnfisModel, TrainReport]:
     """Train for a fixed number of epochs in hybrid or backprop-only mode."""
@@ -337,7 +316,7 @@ def anfis_train(
     start = time.perf_counter()
     for _ in range(epochs):
         if mode == "hybrid":
-            model, rmse = hybrid_epoch(model, X, y, controller, engine=engine)
+            model, rmse = hybrid_epoch(model, X, y, controller)
         else:
             model, rmse = backprop_epoch(model, X, y, controller)
         curve.append(rmse)
@@ -346,7 +325,7 @@ def anfis_train(
         # consequents are defined by least squares given the premises; after the
         # last premise step re-identify them so the returned model is coherent
         _, trace = forward_batch(model, X)
-        flat = _identify_consequents(trace.regressors, np.asarray(y, dtype=float), engine, 1e6)
+        flat = _identify_consequents(trace.regressors, np.asarray(y, dtype=float))
         model = replace(model, consequents=flat.reshape(model.n_rules, model.n_inputs + 1))
     pred, _ = forward_batch(model, X)
     final_train = float(np.sqrt(np.mean((pred - np.asarray(y, dtype=float)) ** 2)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,7 @@ class MamdaniSettings:
 
 @dataclass
 class MlpSettings:
-    hidden: dict = field(default_factory=lambda: {"A": 30, "B": 32})
+    hidden: dict = field(default_factory=lambda: {"A": 30, "B": 32})  # units per dataset
     epochs: int = 1000
 
 
@@ -96,16 +96,29 @@ class BenchConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchConfig":
+        check_keys(d, field_names(cls), "config")
         kwargs = dict(d)
         for key, sub in (("anfis", AnfisSettings), ("mamdani", MamdaniSettings),
                          ("mlp", MlpSettings), ("cart", CartSettings)):
             if key in kwargs and isinstance(kwargs[key], dict):
+                check_keys(kwargs[key], field_names(sub), key)
                 kwargs[key] = sub(**kwargs[key])
         if "seeds" in kwargs:
             kwargs["seeds"] = tuple(kwargs["seeds"])
         if "anfis" in kwargs and isinstance(kwargs["anfis"], AnfisSettings):
             kwargs["anfis"] = replace(kwargs["anfis"], shapes=tuple(kwargs["anfis"].shapes))
         return cls(**kwargs)
+
+
+def field_names(settings_cls) -> set[str]:
+    return {f.name for f in fields(settings_cls)}
+
+
+def check_keys(d: dict, allowed, where: str) -> None:
+    """Raise ValueError naming every key of a config dict that is not allowed."""
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
 def unit_variables(mf_count: int, shape: str) -> list[LinguisticVariable]:
@@ -130,6 +143,91 @@ def _rmse(pred, y) -> float:
     return float(np.sqrt(np.mean((np.asarray(pred) - np.asarray(y)) ** 2)))
 
 
+@dataclass
+class Trained:
+    """What `train_paradigm` returns for one run."""
+
+    model: object
+    curve: list        # per-epoch or per-generation values; the prune sequence for CART
+    header: tuple      # curve CSV header; empty for CART, whose ladder writes its own
+    train_rmse: float
+    test_rmse: float | None
+    extras: dict
+
+    def save(self, model_path, curve_path) -> None:
+        if self.header:
+            write_curve_csv(curve_path, self.curve, header=self.header)
+        else:
+            cart_mod.write_relative_error_csv(curve_path, self.curve)
+        save_model(self.model, model_path)
+
+
+def train_paradigm(kind, train, test, settings, seed) -> Trained:
+    """Train one paradigm on normalized (X, y) data; the one training path.
+
+    `kind` is "anfis-<shape>", "mamdani-gd", "mamdani-ga", "mlp" or "cart",
+    and `settings` the matching AnfisSettings, MamdaniSettings, MlpSettings
+    or CartSettings.  For "mlp", `settings.hidden` is this run's unit count,
+    not the per-dataset table.  `test` may be None, and then so is the
+    returned test RMSE.
+    """
+    Xtr, ytr = train
+    epoch_header = ("epoch", "train_rmse")
+    if kind.startswith("anfis-"):
+        model = AnfisModel.grid(unit_variables(settings.mf_count, kind.removeprefix("anfis-")))
+        model, report = anfis_train(
+            model, train, test, settings.epochs, k0=settings.step_size, seed=seed
+        )
+        return Trained(model, report.rmse_per_epoch, epoch_header,
+                       report.final_train_rmse, report.final_test_rmse, {})
+    if kind in ("mamdani-gd", "mamdani-ga"):
+        inputs = unit_variables(settings.input_mfs, "triangle")
+        output = unit_score_variable(settings.output_mfs)
+        base = wang_mendel(Xtr, ytr, inputs, output)
+        extras = {
+            "rule_count": len(base.rules),
+            "untuned_train_rmse": base.rmse(Xtr, ytr),
+            "untuned_test_rmse": None if test is None else base.rmse(*test),
+        }
+        if kind == "mamdani-gd":
+            model, report = gd_tune(
+                base, Xtr, ytr, settings.learning_rate, settings.momentum, settings.gd_epochs
+            )
+            curve, header = report.rmse_per_epoch, epoch_header
+        else:
+            ga_cfg = GaConfig(
+                population=settings.population,
+                generations=settings.generations,
+                mutation_rate=settings.mutation_rate,
+                tournament_size=settings.tournament_size,
+                elite_count=settings.elite_count,
+                seed=seed,
+            )
+            model, curve = ga_optimize(base, Xtr, ytr, ga_cfg)
+            header = ("generation", "best_fitness")
+        test_rmse = None if test is None else model.rmse(*test)
+        return Trained(model, list(curve), header, model.rmse(Xtr, ytr), test_rmse, extras)
+    if kind == "mlp":
+        model = mlp_init(len(tace.FIELDS), settings.hidden, seed=seed)
+        model, report = scg_train(model, train, test, settings.epochs, seed=seed)
+        return Trained(model, report.rmse_per_epoch, epoch_header, report.final_train_rmse,
+                       report.final_test_rmse, {"hidden_units": settings.hidden})
+    if kind == "cart":
+        tree = cart_mod.grow(Xtr, ytr, min_leaf=settings.min_leaf)
+        seq = cart_mod.prune_sequence(
+            tree, Xtr, ytr, folds=settings.folds, seed=seed, min_leaf=settings.min_leaf
+        )
+        best = cart_mod.select_min_cost(seq)
+        test_rmse = None if test is None else _rmse(cart_mod.predict_batch(best, test[0]), test[1])
+        extras = {
+            "terminal_count": cart_mod.count_leaves(best),
+            "full_terminal_count": cart_mod.count_leaves(tree),
+        }
+        return Trained(best, seq, (), _rmse(cart_mod.predict_batch(best, Xtr), ytr),
+                       test_rmse, extras)
+    raise ValueError(f"unknown paradigm {kind!r}")
+
+
 class BenchRunner:
     """Executes the run matrix and assembles report files."""
 
@@ -140,121 +238,32 @@ class BenchRunner:
         self.runs_dir.mkdir(parents=True, exist_ok=True)
         self.runs: list[dict] = []
 
-    # -- individual paradigm runs ------------------------------------------
-
-    def _record(self, paradigm, dataset, seed, fn):
+    def _run(self, paradigm, dataset, seed, settings, train, test) -> None:
+        """Train one matrix cell and write its files; a failure is recorded, not raised."""
         tag = f"{paradigm}_{dataset}_seed{seed}"
         start = time.perf_counter()
         entry = {"paradigm": paradigm, "dataset": dataset, "seed": seed}
         try:
-            entry.update(fn(tag))
+            if paradigm == "mlp":
+                settings = replace(settings, hidden=settings.hidden[dataset])
+            run = train_paradigm(paradigm, train, test, settings, seed)
+            model_path = self.runs_dir / f"{tag}.model.json"
+            curve_path = self.runs_dir / f"{tag}.{'curve' if run.header else 'relerr'}.csv"
+            run.save(model_path, curve_path)
+            entry.update(
+                train_rmse=run.train_rmse,
+                test_rmse=run.test_rmse,
+                model_path=str(model_path),
+                curve_path=str(curve_path),
+            )
+            if run.header:
+                entry["curve"] = run.curve
+            if run.extras:
+                entry["extras"] = run.extras
         except Exception as exc:  # sub-run failures must not kill the matrix
             entry["error"] = f"{type(exc).__name__}: {exc}"
         entry["wall_time"] = time.perf_counter() - start
         self.runs.append(entry)
-        return entry
-
-    def _run_anfis(self, tag, shape, train, test, seed):
-        cfg = self.config.anfis
-        model = AnfisModel.grid(unit_variables(cfg.mf_count, shape))
-        model, report = anfis_train(
-            model, train, test, cfg.epochs, mode="hybrid", k0=cfg.step_size, seed=seed
-        )
-        curve_path = self.runs_dir / f"{tag}.curve.csv"
-        write_curve_csv(curve_path, report.rmse_per_epoch)
-        model_path = self.runs_dir / f"{tag}.model.json"
-        save_model(model, model_path)
-        return {
-            "train_rmse": report.final_train_rmse,
-            "test_rmse": report.final_test_rmse,
-            "curve": report.rmse_per_epoch,
-            "model_path": str(model_path),
-            "curve_path": str(curve_path),
-        }
-
-    def _run_mamdani(self, tag, mode, train, test, seed):
-        cfg = self.config.mamdani
-        inputs = unit_variables(cfg.input_mfs, "triangle")
-        output = unit_score_variable(cfg.output_mfs)
-        Xtr, ytr = train
-        Xte, yte = test
-        base = wang_mendel(Xtr, ytr, inputs, output)
-        extras = {
-            "rule_count": len(base.rules),
-            "untuned_train_rmse": base.rmse(Xtr, ytr),
-            "untuned_test_rmse": base.rmse(Xte, yte),
-        }
-        if mode == "gd":
-            model, report = gd_tune(
-                base, Xtr, ytr, cfg.learning_rate, cfg.momentum, cfg.gd_epochs
-            )
-            curve = report.rmse_per_epoch
-            header = ("epoch", "train_rmse")
-        else:
-            ga_cfg = GaConfig(
-                population=cfg.population,
-                generations=cfg.generations,
-                mutation_rate=cfg.mutation_rate,
-                tournament_size=cfg.tournament_size,
-                elite_count=cfg.elite_count,
-                seed=seed,
-            )
-            model, curve = ga_optimize(base, Xtr, ytr, ga_cfg)
-            header = ("generation", "best_fitness")
-        curve_path = self.runs_dir / f"{tag}.curve.csv"
-        write_curve_csv(curve_path, curve, header=header)
-        model_path = self.runs_dir / f"{tag}.model.json"
-        save_model(model, model_path)
-        return {
-            "train_rmse": model.rmse(Xtr, ytr),
-            "test_rmse": model.rmse(Xte, yte),
-            "curve": list(curve),
-            "model_path": str(model_path),
-            "curve_path": str(curve_path),
-            "extras": extras,
-        }
-
-    def _run_mlp(self, tag, dataset_name, train, test, seed):
-        cfg = self.config.mlp
-        hidden = cfg.hidden[dataset_name]
-        model = mlp_init(len(tace.FIELDS), hidden, seed=seed)
-        model, report = scg_train(model, train, test, cfg.epochs, seed=seed)
-        curve_path = self.runs_dir / f"{tag}.curve.csv"
-        write_curve_csv(curve_path, report.rmse_per_epoch)
-        model_path = self.runs_dir / f"{tag}.model.json"
-        save_model(model, model_path)
-        return {
-            "train_rmse": report.final_train_rmse,
-            "test_rmse": report.final_test_rmse,
-            "curve": report.rmse_per_epoch,
-            "model_path": str(model_path),
-            "curve_path": str(curve_path),
-            "extras": {"hidden_units": hidden},
-        }
-
-    def _run_cart(self, tag, train, test, seed):
-        cfg = self.config.cart
-        Xtr, ytr = train
-        Xte, yte = test
-        tree = cart_mod.grow(Xtr, ytr, min_leaf=cfg.min_leaf)
-        seq = cart_mod.prune_sequence(
-            tree, Xtr, ytr, folds=cfg.folds, seed=seed, min_leaf=cfg.min_leaf
-        )
-        best = cart_mod.select_min_cost(seq)
-        curve_path = self.runs_dir / f"{tag}.relerr.csv"
-        cart_mod.write_relative_error_csv(curve_path, seq)
-        model_path = self.runs_dir / f"{tag}.model.json"
-        save_model(best, model_path)
-        return {
-            "train_rmse": _rmse(cart_mod.predict_batch(best, Xtr), ytr),
-            "test_rmse": _rmse(cart_mod.predict_batch(best, Xte), yte),
-            "model_path": str(model_path),
-            "curve_path": str(curve_path),
-            "extras": {
-                "terminal_count": cart_mod.count_leaves(best),
-                "full_terminal_count": cart_mod.count_leaves(tree),
-            },
-        }
 
     # -- matrix ---------------------------------------------------------------
 
@@ -267,27 +276,11 @@ class BenchRunner:
             for seed in cfg.seeds:
                 tr, te = tace.split(master, frac, seed)
                 train, test = (tr.x, tr.y), (te.x, te.y)
-                for shape in cfg.anfis.shapes:
-                    self._record(
-                        f"anfis-{shape}", ds_name, seed,
-                        lambda tag, s=shape: self._run_anfis(tag, s, train, test, seed),
-                    )
-                self._record(
-                    "mamdani-gd", ds_name, seed,
-                    lambda tag: self._run_mamdani(tag, "gd", train, test, seed),
-                )
-                self._record(
-                    "mamdani-ga", ds_name, seed,
-                    lambda tag: self._run_mamdani(tag, "ga", train, test, seed),
-                )
-                self._record(
-                    "mlp", ds_name, seed,
-                    lambda tag: self._run_mlp(tag, ds_name, train, test, seed),
-                )
-                self._record(
-                    "cart", ds_name, seed,
-                    lambda tag: self._run_cart(tag, train, test, seed),
-                )
+                cells = [(f"anfis-{shape}", cfg.anfis) for shape in cfg.anfis.shapes]
+                cells += [("mamdani-gd", cfg.mamdani), ("mamdani-ga", cfg.mamdani),
+                          ("mlp", cfg.mlp), ("cart", cfg.cart)]
+                for paradigm, settings in cells:
+                    self._run(paradigm, ds_name, seed, settings, train, test)
                 if ds_name == "B" and seed == cfg.seeds[0]:
                     first_predictions = self._collect_predictions(ds_name, seed, test)
         report = self._assemble(master)

@@ -134,14 +134,6 @@ def grow(X, y, min_leaf: int = 5) -> TreeNode:
     return build(np.arange(y.shape[0]))
 
 
-def predict(tree: TreeNode, x) -> float:
-    x = np.asarray(x, dtype=float)
-    node = tree
-    while not node.is_leaf:
-        node = node.left if x[node.split_variable] <= node.threshold else node.right
-    return node.prediction
-
-
 def predict_batch(tree: TreeNode, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.empty(X.shape[0])

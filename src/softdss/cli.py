@@ -13,19 +13,31 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import cart as cart_mod
 from . import tace
-from .anfis import AnfisModel, anfis_train
-from .bench import BenchConfig, run_bench, unit_score_variable, unit_variables
+from .bench import (
+    AnfisSettings,
+    BenchConfig,
+    CartSettings,
+    MamdaniSettings,
+    MlpSettings,
+    check_keys,
+    field_names,
+    run_bench,
+    train_paradigm,
+)
 from .fuzzy import MF_SHAPES
-from .mamdani import GaConfig, ga_optimize, gd_tune, wang_mendel
-from .mlp import mlp_init, scg_train
-from .modelio import load_model, save_model
-from .report import write_curve_csv
+from .modelio import load_model
 
-MODEL_KINDS = ("anfis", "mamdani-gd", "mamdani-ga", "mlp", "cart")
+SETTINGS = {
+    "anfis": AnfisSettings,
+    "mamdani-gd": MamdaniSettings,
+    "mamdani-ga": MamdaniSettings,
+    "mlp": MlpSettings,
+    "cart": CartSettings,
+}
+EPOCH_FIELDS = {"anfis": "epochs", "mamdani-gd": "gd_epochs", "mamdani-ga": "generations",
+                "mlp": "epochs"}
+HIDDEN_UNITS = 30
 
 
 class _UsageError(Exception):
@@ -50,7 +62,7 @@ def _build_parser() -> _Parser:
                      help="write exactly the 11 expert anchor rows")
 
     tr = sub.add_parser("train", help="train one paradigm on a dataset CSV")
-    tr.add_argument("--model", required=True, choices=MODEL_KINDS)
+    tr.add_argument("--model", required=True, choices=tuple(SETTINGS))
     tr.add_argument("--data", required=True)
     tr.add_argument("--test", default=None, help="optional held-out CSV")
     tr.add_argument("--out", required=True, help="model JSON path")
@@ -101,90 +113,48 @@ def _load_normalized(path):
     return data.x, data.y
 
 
-def _cmd_train(args) -> int:
+def _train_settings(args):
+    """The kind's *Settings: --config keys are its field names, --epochs its epoch field.
+
+    `shapes` and the per-dataset `hidden` table are bench-only; `--shape` and
+    the mlp key `hidden_units` take their place.
+    """
     opts = _load_json_arg(args.config)
-    X, y = _load_normalized(args.data)
+    allowed = field_names(SETTINGS[args.model]) - {"shapes", "hidden"}
+    if args.model == "mlp":
+        allowed.add("hidden_units")
+    try:
+        check_keys(opts, allowed, f"{args.model} --config")
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    if args.model == "mlp":
+        opts["hidden"] = opts.pop("hidden_units", HIDDEN_UNITS)
+    if args.epochs is not None:
+        if args.model not in EPOCH_FIELDS:
+            raise _UsageError(f"--epochs does not apply to {args.model}")
+        opts[EPOCH_FIELDS[args.model]] = args.epochs
+    return SETTINGS[args.model](**opts)
+
+
+def _cmd_train(args) -> int:
+    settings = _train_settings(args)
+    kind = f"anfis-{args.shape}" if args.model == "anfis" else args.model
+    train = _load_normalized(args.data)
     test = _load_normalized(args.test) if args.test else None
     out_path = Path(args.out)
     curve_path = out_path.with_suffix(".curve.csv")
-    extras = {}
     start = time.perf_counter()
-
-    if args.model == "anfis":
-        epochs = args.epochs or opts.get("epochs", 15)
-        model = AnfisModel.grid(unit_variables(opts.get("mf_count", 3), args.shape))
-        model, report = anfis_train(
-            model, (X, y), test, epochs,
-            mode=opts.get("mode", "hybrid"),
-            k0=opts.get("step_size", 0.01),
-            seed=args.seed,
-        )
-        curve, header = report.rmse_per_epoch, ("epoch", "train_rmse")
-        train_rmse, test_rmse = report.final_train_rmse, report.final_test_rmse
-    elif args.model in ("mamdani-gd", "mamdani-ga"):
-        inputs = unit_variables(opts.get("input_mfs", 3), "triangle")
-        output = unit_score_variable(opts.get("output_mfs", 3))
-        base = wang_mendel(X, y, inputs, output)
-        extras["rule_count"] = len(base.rules)
-        if args.model == "mamdani-gd":
-            epochs = args.epochs or opts.get("epochs", 10)
-            model, report = gd_tune(
-                base, X, y,
-                learning_rate=opts.get("learning_rate", 0.5),
-                momentum=opts.get("momentum", 0.3),
-                epochs=epochs,
-            )
-            curve, header = report.rmse_per_epoch, ("epoch", "train_rmse")
-        else:
-            ga_cfg = GaConfig(
-                population=opts.get("population", 50),
-                generations=args.epochs or opts.get("generations", 100),
-                mutation_rate=opts.get("mutation_rate", 0.01),
-                tournament_size=opts.get("tournament_size", 3),
-                elite_count=opts.get("elite_count", 1),
-                seed=args.seed,
-            )
-            model, curve = ga_optimize(base, X, y, ga_cfg)
-            header = ("generation", "best_fitness")
-        train_rmse = model.rmse(X, y)
-        test_rmse = model.rmse(*test) if test else None
-    elif args.model == "mlp":
-        epochs = args.epochs or opts.get("epochs", 1000)
-        net = mlp_init(len(tace.FIELDS), opts.get("hidden_units", 30), seed=args.seed)
-        model, report = scg_train(net, (X, y), test, epochs, seed=args.seed)
-        curve, header = report.rmse_per_epoch, ("epoch", "train_rmse")
-        train_rmse, test_rmse = report.final_train_rmse, report.final_test_rmse
-        extras["hidden_units"] = net.hidden_units
-    else:  # cart
-        tree = cart_mod.grow(X, y, min_leaf=opts.get("min_leaf", 5))
-        seq = cart_mod.prune_sequence(
-            tree, X, y,
-            folds=opts.get("folds", 10),
-            seed=args.seed,
-            min_leaf=opts.get("min_leaf", 5),
-        )
-        model = cart_mod.select_min_cost(seq)
-        cart_mod.write_relative_error_csv(curve_path, seq)
-        curve = None
-        train_rmse = float(np.sqrt(np.mean((cart_mod.predict_batch(model, X) - y) ** 2)))
-        test_rmse = (
-            float(np.sqrt(np.mean((cart_mod.predict_batch(model, test[0]) - test[1]) ** 2)))
-            if test else None
-        )
-        extras["terminal_count"] = cart_mod.count_leaves(model)
-
-    if curve is not None:
-        write_curve_csv(curve_path, curve, header=header)
-    save_model(model, out_path)
+    run = train_paradigm(kind, train, test, settings, args.seed)
+    run.save(out_path, curve_path)
     summary = {
         "kind": args.model,
-        "train_rmse": train_rmse,
-        "test_rmse": test_rmse,
+        "train_rmse": run.train_rmse,
+        "test_rmse": run.test_rmse,
         "wall_time": time.perf_counter() - start,
         "seed": args.seed,
         "model_path": str(out_path),
         "curve_path": str(curve_path),
-        "extras": extras,
+        "extras": run.extras,
     }
     print(json.dumps(summary, indent=1, sort_keys=True))
     return 0
@@ -207,7 +177,10 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = BenchConfig.from_dict(_load_json_arg(args.config))
+    try:
+        config = BenchConfig.from_dict(_load_json_arg(args.config))
+    except ValueError as exc:
+        raise _UsageError(f"bench --config: {exc}") from None
     report = run_bench(config, args.out)
     print(json.dumps(
         {

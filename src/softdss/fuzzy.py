@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -265,20 +264,6 @@ MF_SHAPES = {
 MembershipFunction = GaussianMF | GBellMF | TrapezoidMF | TriangleMF
 
 
-def mf_eval(mf: MembershipFunction, x):
-    """Membership degree(s) of x, always in [0, 1]."""
-    return mf.evaluate(x)
-
-
-def mf_grad(mf: MembershipFunction, x):
-    """Analytic partials of mf_eval w.r.t. each shape parameter.
-
-    Piecewise-linear shapes return the one-sided derivative from the left
-    at their kinks.
-    """
-    return mf.gradient(x)
-
-
 def mf_to_dict(mf: MembershipFunction) -> dict:
     return {"shape": mf.shape, "params": [float(p) for p in mf.params]}
 
@@ -397,26 +382,6 @@ def grid_partition(variables) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(v.n_mfs) for v in variables)))
 
 
-def firing_strength(variables, antecedent, x, tnorm: str = "product") -> float:
-    """T-norm of the antecedent's membership degrees at x.
-
-    Product is the default and the only T-norm used anywhere in training;
-    min exists purely as an evaluation-time option.
-    """
-    if tnorm not in ("product", "min"):
-        raise ValueError(f"tnorm must be 'product' or 'min', got {tnorm!r}")
-    degrees = [
-        float(var.mfs[idx].evaluate(var.clip(xi)))
-        for var, idx, xi in zip(variables, antecedent, x)
-    ]
-    if tnorm == "min":
-        return min(degrees)
-    w = 1.0
-    for d in degrees:
-        w *= d
-    return w
-
-
 # ---------------------------------------------------------------------------
 # Mamdani model and inference
 # ---------------------------------------------------------------------------
@@ -432,11 +397,6 @@ class MamdaniRule:
     def __post_init__(self):
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"rule weight must be in [0, 1], got {self.weight}")
-
-
-class InferenceResult(NamedTuple):
-    output: float
-    fired: bool
 
 
 @dataclass
@@ -462,39 +422,15 @@ class MamdaniModel:
     def output_grid(self) -> np.ndarray:
         return np.linspace(self.output.lo, self.output.hi, OUTPUT_GRID_POINTS)
 
-    def activations(self, x, tnorm: str = "product") -> np.ndarray:
-        """Rule weight times T-norm of antecedent degrees, per rule."""
-        return np.array(
-            [
-                r.weight * firing_strength(self.inputs, r.antecedent, x, tnorm)
-                for r in self.rules
-            ]
-        )
-
-    def infer(self, x, tnorm: str = "product") -> InferenceResult:
-        """Crisp output by scaling implication, max aggregation, centroid.
-
-        When no rule fires the midpoint of the output range is returned and
-        the `fired` flag is False.  `tnorm="min"` is an evaluation-time
-        alternative; training always uses the product.
-        """
-        acts = self.activations(x, tnorm)
-        if not np.any(acts > 0):
-            return InferenceResult(self.midpoint, False)
-        grid = self.output_grid()
-        cons = np.stack([self.output.mfs[r.consequent].evaluate(grid) for r in self.rules])
-        agg = (acts[:, None] * cons).max(axis=0)
-        den = agg.sum()
-        if den == 0:
-            return InferenceResult(self.midpoint, False)
-        return InferenceResult(float(agg @ grid / den), True)
-
     def infer_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized inference over a sample matrix.
+        """Crisp outputs by scaling implication, max aggregation, centroid.
 
-        Rules sharing a consequent MF are collapsed through their maximal
-        activation before aggregation, which is exact for the scaling
-        implication.  Returns (outputs, fired_mask).
+        One sample is a one-row batch.  Activation is the rule weight times
+        the product of the antecedent degrees.  Rules sharing a consequent MF
+        are collapsed through their maximal activation before aggregation,
+        which is exact for the scaling implication.  Returns (outputs,
+        fired_mask); a sample no rule fires for gets the midpoint of the
+        output range and a False flag.
         """
         X = np.asarray(X, dtype=float)
         P = X.shape[0]
@@ -544,6 +480,3 @@ class MamdaniModel:
             ],
         )
 
-
-def mamdani_infer(model: MamdaniModel, x) -> InferenceResult:
-    return model.infer(x)

@@ -77,10 +77,6 @@ def mlp_forward_batch(model: MlpModel, X) -> np.ndarray:
     return hidden @ w2 + b2
 
 
-def mlp_forward(model: MlpModel, x) -> float:
-    return float(mlp_forward_batch(model, np.atleast_2d(x))[0])
-
-
 def mlp_loss(model: MlpModel, X, d) -> float:
     """Sum-squared-error objective 1/2 sum (d - y)^2."""
     resid = mlp_forward_batch(model, X) - np.asarray(d, dtype=float)

@@ -9,6 +9,7 @@ exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +80,19 @@ class LoadedModel:
         return predict_normalized(self.model, X)
 
     def predict_score(self, x_physical) -> float:
-        """Crisp decision score in physical units, clipped into the output range."""
-        xn = tace.normalize_inputs(np.atleast_2d(x_physical))
-        yn = float(self.predict_normalized(xn)[0])
+        """Crisp decision score in physical units, clipped into the output range.
+
+        Raises ValueError for a non-finite input value, naming its field, and
+        for a model that yields a non-finite score.
+        """
+        x = np.atleast_2d(np.asarray(x_physical, dtype=float))
+        finite = np.isfinite(x)
+        if not finite.all():
+            field = tace.FIELDS[int(np.argmin(finite.all(axis=0)))]
+            raise ValueError(f"{field} is not finite")
+        yn = float(self.predict_normalized(tace.normalize_inputs(x))[0])
+        if not math.isfinite(yn):
+            raise ValueError(f"{self.kind} model yields a non-finite score ({yn!r})")
         lo, hi = self.output_range
         return float(np.clip(yn * (hi - lo) + lo, lo, hi))
 
@@ -103,10 +114,12 @@ def load_model(path) -> LoadedModel:
         payload = json.load(fh)
     if payload.get("format") != FORMAT_TAG:
         raise ValueError(f"{path}: not a {FORMAT_TAG} file")
-    model = model_from_dict(payload["model"])
-    return LoadedModel(
-        kind=payload["model"]["kind"],
-        model=model,
-        input_ranges=tuple(tuple(r) for r in payload["input_ranges"]),
-        output_range=tuple(payload["output_range"]),
-    )
+    try:
+        return LoadedModel(
+            kind=payload["model"]["kind"],
+            model=model_from_dict(payload["model"]),
+            input_ranges=tuple(tuple(r) for r in payload["input_ranges"]),
+            output_range=tuple(payload["output_range"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: model file lacks field {exc.args[0]!r}") from None

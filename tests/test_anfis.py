@@ -6,10 +6,8 @@ import pytest
 from softdss.anfis import (
     AnfisModel,
     StepSizeController,
-    anfis_forward,
     anfis_train,
     backprop_epoch,
-    build_regressor_row,
     forward_batch,
     hybrid_epoch,
     premise_gradient,
@@ -59,8 +57,8 @@ class TestForward:
         model = small_model(4, 3)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            y, _ = anfis_forward(model, rng.uniform(0, 1, size=4))
-            assert y == 0.0
+            y, _ = forward_batch(model, [rng.uniform(0, 1, size=4)])
+            assert y[0] == 0.0
 
     def test_normalized_strengths_sum_to_one(self):
         model = small_model(3, 3, seed=1)
@@ -71,8 +69,8 @@ class TestForward:
     def test_single_rule_is_linear_consequent(self):
         variables = [LinguisticVariable.uniform(f"x{i}", 0.0, 1.0, 1) for i in range(2)]
         model = AnfisModel.grid(variables, consequents=[[2.0, -1.0, 0.25]])
-        y, _ = anfis_forward(model, [0.3, 0.8])
-        assert y == pytest.approx(2.0 * 0.3 - 1.0 * 0.8 + 0.25, abs=1e-12)
+        y, _ = forward_batch(model, [[0.3, 0.8]])
+        assert y[0] == pytest.approx(2.0 * 0.3 - 1.0 * 0.8 + 0.25, abs=1e-12)
 
     def test_degenerate_coverage_raises_with_index(self):
         variables = [
@@ -93,31 +91,30 @@ class TestForward:
         )
         for _ in range(20):
             x = rng.uniform(0, 1, size=2)
-            y0, _ = anfis_forward(model, x)
-            y1, _ = anfis_forward(permuted, x)
-            assert y1 == pytest.approx(y0, abs=1e-12)
+            y0, _ = forward_batch(model, [x])
+            y1, _ = forward_batch(permuted, [x])
+            assert y1[0] == pytest.approx(y0[0], abs=1e-12)
 
 
 class TestRegressorRow:
     def test_single_rule_row(self):
         variables = [LinguisticVariable.uniform(f"x{i}", 0.0, 4.0, 1) for i in range(2)]
         model = AnfisModel.grid(variables)
-        _, trace = anfis_forward(model, [2.0, 3.0])
-        np.testing.assert_array_equal(build_regressor_row(trace), [2.0, 3.0, 1.0])
+        _, trace = forward_batch(model, [[2.0, 3.0]])
+        np.testing.assert_array_equal(trace.regressors[0], [2.0, 3.0, 1.0])
 
     def test_row_dot_consequents_reproduces_forward(self):
         rng = np.random.default_rng(5)
         model = small_model(3, 2, seed=5)
         for _ in range(100):
             x = rng.uniform(0, 1, size=3)
-            y, trace = anfis_forward(model, x)
-            row = build_regressor_row(trace)
-            assert row @ model.consequents.ravel() == pytest.approx(y, abs=1e-12)
+            y, trace = forward_batch(model, [x])
+            assert trace.regressors[0] @ model.consequents.ravel() == pytest.approx(y[0], abs=1e-12)
 
     def test_full_grid_row_length(self):
         model = small_model(4, 3)
-        _, trace = anfis_forward(model, [0.5, 0.5, 0.5, 0.5])
-        assert build_regressor_row(trace).shape == (405,)
+        _, trace = forward_batch(model, [[0.5, 0.5, 0.5, 0.5]])
+        assert trace.regressors[0].shape == (405,)
 
 
 class TestHybridEpoch:

@@ -7,12 +7,19 @@ from softdss.cart import (
     TreeNode,
     count_leaves,
     grow,
-    predict,
     predict_batch,
     prune_sequence,
     select_min_cost,
     subtree_sse,
 )
+
+
+def walk_predict(tree, x):
+    """Root-to-leaf walk for one sample (test oracle)."""
+    node = tree
+    while not node.is_leaf:
+        node = node.left if x[node.split_variable] <= node.threshold else node.right
+    return node.prediction
 
 
 def brute_force_root_split(X, y, min_leaf):
@@ -116,21 +123,19 @@ class TestGrow:
         X = rng.uniform(size=(40, 2))
         y = rng.uniform(size=40)
         tree = grow(X, y, min_leaf=1)
-        for i in range(40):
-            assert predict(tree, X[i]) == pytest.approx(y[i], abs=1e-12)
+        np.testing.assert_allclose(predict_batch(tree, X), y, rtol=0, atol=1e-12)
 
 
 class TestPredict:
     def test_single_leaf(self):
         leaf = TreeNode(0.7, 10, 0.0)
-        assert predict(leaf, [123.0, -5.0]) == 0.7
+        assert predict_batch(leaf, [123.0, -5.0])[0] == 0.7
 
     def test_step_tree_routing(self):
         x = np.linspace(-1, 1, 40)[:, None]
         y = (x[:, 0] >= 0).astype(float)
         tree = grow(x, y, min_leaf=1)
-        assert predict(tree, [-1.0]) == 0.0
-        assert predict(tree, [1.0]) == 1.0
+        np.testing.assert_array_equal(predict_batch(tree, [[-1.0], [1.0]]), [0.0, 1.0])
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(7)
@@ -140,7 +145,7 @@ class TestPredict:
         Q = rng.uniform(size=(30, 3))
         batch = predict_batch(tree, Q)
         for i in range(30):
-            assert batch[i] == predict(tree, Q[i])
+            assert batch[i] == walk_predict(tree, Q[i])
 
 
 class TestPruneSequence:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from softdss import tace
+from softdss.bench import AnfisSettings, CartSettings, MamdaniSettings, MlpSettings, train_paradigm
 from softdss.cli import main
+from softdss.mlp import mlp_init
 from softdss.modelio import load_model, predict_normalized, save_model
 
 
@@ -106,6 +108,61 @@ class TestTrain:
         assert "line 3" in err
 
 
+    def test_unknown_config_key_is_usage_error(self, data_csv, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "train", "--model", "mamdani-ga", "--data", str(data_csv),
+            "--out", str(tmp_path / "ga.json"), "--config", '{"populaton": 6}',
+        )
+        assert code == 1
+        assert "populaton" in err
+
+    def test_epochs_for_cart_is_usage_error(self, data_csv, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "train", "--model", "cart", "--data", str(data_csv),
+            "--out", str(tmp_path / "cart.json"), "--epochs", "5",
+        )
+        assert code == 1
+        assert "--epochs" in err
+
+
+# (CLI arguments, train_paradigm kind, the settings those arguments stand for)
+TRAIN_CASES = [
+    (["--model", "anfis", "--shape", "trapezoid", "--epochs", "2", "--config", '{"mf_count": 2}'],
+     "anfis-trapezoid", AnfisSettings(epochs=2, mf_count=2)),
+    (["--model", "mamdani-gd", "--epochs", "3", "--config", '{"momentum": 0.1}'],
+     "mamdani-gd", MamdaniSettings(gd_epochs=3, momentum=0.1)),
+    (["--model", "mamdani-ga", "--epochs", "2", "--config", '{"population": 6}'],
+     "mamdani-ga", MamdaniSettings(population=6, generations=2)),
+    (["--model", "mlp", "--epochs", "15", "--config", '{"hidden_units": 4}'],
+     "mlp", MlpSettings(hidden=4, epochs=15)),
+    (["--model", "cart", "--config", '{"folds": 3}'], "cart", CartSettings(folds=3)),
+]
+
+
+@pytest.mark.parametrize("argv,kind,settings", TRAIN_CASES, ids=[c[1] for c in TRAIN_CASES])
+def test_train_writes_what_train_paradigm_trains(argv, kind, settings, data_csv, tmp_path, capsys):
+    out = tmp_path / "cli.json"
+    code, _, _ = run_cli(capsys, "train", *argv, "--data", str(data_csv), "--out", str(out),
+                         "--seed", "2")
+    assert code == 0
+    data = tace.normalize(tace.load_csv(data_csv))
+    run = train_paradigm(kind, (data.x, data.y), None, settings, 2)
+    run.save(tmp_path / "lib.json", tmp_path / "lib.curve.csv")
+    assert out.read_bytes() == (tmp_path / "lib.json").read_bytes()
+    assert (tmp_path / "cli.curve.csv").read_bytes() == (tmp_path / "lib.curve.csv").read_bytes()
+
+
+class TestBenchConfig:
+    @pytest.mark.parametrize("config,key", [
+        ('{"seed": [1]}', "seed"),
+        ('{"anfis": {"epoch": 2}}', "epoch"),
+    ])
+    def test_unknown_key_is_usage_error(self, config, key, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "bench", "--out", str(tmp_path), "--config", config)
+        assert code == 1
+        assert key in err
+
+
 @pytest.fixture(scope="module")
 def cart_model(data_csv, tmp_path_factory):
     path = tmp_path_factory.mktemp("models") / "cart.json"
@@ -135,6 +192,38 @@ class TestPredict:
     def test_wrong_arity_is_usage_error(self, cart_model, capsys):
         code, _, _ = run_cli(capsys, "predict", "--model", str(cart_model), "1,2,3")
         assert code == 1
+
+    def test_non_finite_input_names_field(self, cart_model):
+        loaded = load_model(cart_model)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="weapon"):
+                loaded.predict_score([500, 30, value, 4])
+
+    def test_non_finite_model_score_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        save_model(mlp_init(4, 3, seed=1), path)
+        payload = json.loads(path.read_text())
+        payload["model"]["weights"][0] = float("nan")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="non-finite score"):
+            load_model(path).predict_score([500, 30, 60, 4])
+        code, out, err = run_cli(capsys, "predict", "--model", str(path), "500,30,60,4")
+        assert code == 2
+        assert out == ""
+        assert "non-finite score" in err
+
+    def test_missing_model_field_names_file_and_field(self, tmp_path, capsys):
+        path = tmp_path / "short.json"
+        save_model(mlp_init(4, 3, seed=1), path)
+        payload = json.loads(path.read_text())
+        del payload["model"]["weights"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="weights") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+        code, _, err = run_cli(capsys, "predict", "--model", str(path), "500,30,60,4")
+        assert code == 2
+        assert "ValueError" in err and "weights" in err
 
 
 class TestModelRoundTrip:

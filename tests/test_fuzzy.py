@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from softdss.anfis import AnfisModel, forward_batch
 from softdss.fuzzy import (
     GaussianMF,
     GBellMF,
@@ -13,12 +14,34 @@ from softdss.fuzzy import (
     MamdaniRule,
     TrapezoidMF,
     TriangleMF,
-    firing_strength,
     grid_partition,
-    mamdani_infer,
-    mf_eval,
-    mf_grad,
 )
+
+
+def firing_strengths(variables, x):
+    """Product firing strength of every grid rule at one sample (ANFIS layer 3)."""
+    _, trace = forward_batch(AnfisModel.grid(variables), [x])
+    return dict(zip(grid_partition(variables), trace.w[0]))
+
+
+def reference_infer(model, x):
+    """Mamdani inference rule by rule for one sample (test oracle): (output, fired)."""
+    acts = []
+    for rule in model.rules:
+        w = 1.0
+        for var, idx, xi in zip(model.inputs, rule.antecedent, x):
+            w *= float(var.mfs[idx].evaluate(var.clip(xi)))
+        acts.append(rule.weight * w)
+    acts = np.array(acts)
+    if not np.any(acts > 0):
+        return model.midpoint, False
+    grid = model.output_grid()
+    cons = np.stack([model.output.mfs[r.consequent].evaluate(grid) for r in model.rules])
+    agg = (acts[:, None] * cons).max(axis=0)
+    den = agg.sum()
+    if den == 0:
+        return model.midpoint, False
+    return float(agg @ grid / den), True
 
 
 def finite_difference_grad(mf, x, h=1e-6):
@@ -49,21 +72,21 @@ SHAPES = ("gaussian", "gbell", "trapezoid", "triangle")
 
 class TestEvaluation:
     def test_gaussian_center(self):
-        assert mf_eval(GaussianMF(5.0, 2.0), 5.0) == 1.0
+        assert GaussianMF(5.0, 2.0).evaluate(5.0) == 1.0
 
     def test_triangle_ramp_midpoint(self):
-        assert mf_eval(TriangleMF(0.0, 1.0, 2.0), 0.5) == 0.5
+        assert TriangleMF(0.0, 1.0, 2.0).evaluate(0.5) == 0.5
 
     def test_gbell_center(self):
-        assert mf_eval(GBellMF(2.0, 4.0, 6.0), 6.0) == 1.0
+        assert GBellMF(2.0, 4.0, 6.0).evaluate(6.0) == 1.0
 
     def test_trapezoid_plateau_and_ramps(self):
         mf = TrapezoidMF(0.0, 1.0, 2.0, 4.0)
-        assert mf_eval(mf, 1.5) == 1.0
-        assert mf_eval(mf, 0.5) == 0.5
-        assert mf_eval(mf, 3.0) == 0.5
-        assert mf_eval(mf, -1.0) == 0.0
-        assert mf_eval(mf, 5.0) == 0.0
+        assert mf.evaluate(1.5) == 1.0
+        assert mf.evaluate(0.5) == 0.5
+        assert mf.evaluate(3.0) == 0.5
+        assert mf.evaluate(-1.0) == 0.0
+        assert mf.evaluate(5.0) == 0.0
 
     def test_range_invariant_random_draws(self):
         rng = np.random.default_rng(0)
@@ -86,22 +109,22 @@ class TestEvaluation:
 
 class TestGradients:
     def test_gaussian_center_symmetry(self):
-        grad = mf_grad(GaussianMF(3.0, 1.5), 3.0)
+        grad = GaussianMF(3.0, 1.5).gradient(3.0)
         assert grad[0] == 0.0
 
     def test_gaussian_matches_finite_difference(self):
         mf = GaussianMF(5.0, 2.0)
         np.testing.assert_allclose(
-            mf_grad(mf, 6.0), finite_difference_grad(mf, 6.0), rtol=1e-5
+            mf.gradient(6.0), finite_difference_grad(mf, 6.0), rtol=1e-5
         )
 
     def test_triangle_endpoint_left_sided(self):
         # at the left support endpoint the derivative from the left is zero
-        grad = mf_grad(TriangleMF(0.0, 1.0, 2.0), 0.0)
+        grad = TriangleMF(0.0, 1.0, 2.0).gradient(0.0)
         assert np.all(np.isfinite(grad))
         np.testing.assert_array_equal(grad, [0.0, 0.0, 0.0])
         # at the peak the left-sided (rising) branch applies
-        peak = mf_grad(TriangleMF(0.0, 1.0, 2.0), 1.0)
+        peak = TriangleMF(0.0, 1.0, 2.0).gradient(1.0)
         assert peak[1] == pytest.approx(-1.0)
 
     def test_all_shapes_match_finite_difference(self):
@@ -117,7 +140,7 @@ class TestGradients:
                         continue
                 if shape == "gbell" and abs(x - mf.center) < 1e-3:
                     continue
-                analytic = mf_grad(mf, x)
+                analytic = mf.gradient(x)
                 numeric = finite_difference_grad(mf, x)
                 scale = max(np.abs(numeric).max(), 1e-8)
                 assert np.abs(analytic - numeric).max() <= 1e-4 * max(scale, 1.0)
@@ -209,34 +232,25 @@ class TestFiringStrength:
     def test_product_identity(self):
         variables = self._vars()
         # both inputs at MF centers: degrees (1, 1)
-        assert firing_strength(variables, (1, 1), [0.5, 0.5]) == 1.0
+        assert firing_strengths(variables, [0.5, 0.5])[(1, 1)] == 1.0
 
     def test_annihilator(self):
         variables = self._vars()
-        assert firing_strength(variables, (0, 0), [1.0, 0.5]) == 0.0
+        assert firing_strengths(variables, [1.0, 0.5])[(0, 0)] == 0.0
 
     def test_arithmetic(self):
         v = LinguisticVariable("v", 0.0, 1.0, [TriangleMF(0.0, 0.5, 1.0)])
         w = LinguisticVariable("w", 0.0, 1.0, [TriangleMF(0.0, 0.5, 1.0)])
         # degrees 0.8 and 0.2 multiply to 0.16
-        got = firing_strength([v, w], (0, 0), [0.4, 0.1])
+        got = firing_strengths([v, w], [0.4, 0.1])[(0, 0)]
         assert got == pytest.approx(0.16, abs=1e-12)
 
     def test_monotone_in_member_degree(self):
         variables = self._vars()
         x = [0.3, 0.6]
-        base = firing_strength(variables, (1, 1), x)
+        base = firing_strengths(variables, x)[(1, 1)]
         # moving one coordinate away from its MF center lowers that degree only
-        assert firing_strength(variables, (1, 1), [0.2, 0.6]) <= base
-
-    def test_min_tnorm_evaluation_option(self):
-        v = LinguisticVariable("v", 0.0, 1.0, [TriangleMF(0.0, 0.5, 1.0)])
-        w = LinguisticVariable("w", 0.0, 1.0, [TriangleMF(0.0, 0.5, 1.0)])
-        x = [0.4, 0.1]  # degrees 0.8 and 0.2
-        assert firing_strength([v, w], (0, 0), x, tnorm="min") == pytest.approx(0.2)
-        assert firing_strength([v, w], (0, 0), x) == pytest.approx(0.16)
-        with pytest.raises(ValueError):
-            firing_strength([v, w], (0, 0), x, tnorm="lukasiewicz")
+        assert firing_strengths(variables, [0.2, 0.6])[(1, 1)] <= base
 
 
 class TestMamdaniInference:
@@ -254,23 +268,23 @@ class TestMamdaniInference:
     def test_single_rule_symmetric_consequent(self):
         output = [TriangleMF(0.4, 0.6, 0.8)]
         model = self._model([MamdaniRule((1,), 0, 1.0)], output_mfs=output)
-        result = mamdani_infer(model, [0.5])  # center of middle MF: activation 1
-        assert result.fired
-        assert result.output == pytest.approx(0.6, abs=1e-9)
+        out, fired = model.infer_batch([[0.5]])  # center of middle MF: activation 1
+        assert fired[0]
+        assert out[0] == pytest.approx(0.6, abs=1e-9)
 
     def test_no_rule_fires_returns_midpoint_with_flag(self):
         # triangle MFs leave x=1.0 uncovered by the first MF
         model = self._model([MamdaniRule((0,), 0, 1.0)])
-        result = mamdani_infer(model, [1.0])
-        assert not result.fired
-        assert result.output == pytest.approx(0.5)
+        out, fired = model.infer_batch([[1.0]])
+        assert not fired[0]
+        assert out[0] == pytest.approx(0.5)
 
     def test_two_symmetric_consequents_balance(self):
         output = [TriangleMF(0.1, 0.2, 0.3), TriangleMF(0.7, 0.8, 0.9)]
         rules = [MamdaniRule((1,), 0, 1.0), MamdaniRule((1,), 1, 1.0)]
         model = self._model(rules, output_mfs=output)
-        result = mamdani_infer(model, [0.5])
-        assert result.output == pytest.approx(0.5, abs=1e-3)
+        out, _ = model.infer_batch([[0.5]])
+        assert out[0] == pytest.approx(0.5, abs=1e-3)
 
     def test_output_stays_in_range(self):
         rng = np.random.default_rng(4)
@@ -281,9 +295,8 @@ class TestMamdaniInference:
             for ant in grid_partition(inputs)
         ]
         model = MamdaniModel(inputs=inputs, output=output, rules=rules)
-        for _ in range(300):
-            result = model.infer(rng.uniform(0, 1, size=2))
-            assert 0.0 <= result.output <= 1.0
+        out, _ = model.infer_batch(rng.uniform(0, 1, size=(300, 2)))
+        assert np.all((0.0 <= out) & (out <= 1.0))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
@@ -297,9 +310,9 @@ class TestMamdaniInference:
         X = rng.uniform(0, 1, size=(50, 2))
         batch, fired = model.infer_batch(X)
         for i in range(X.shape[0]):
-            single = model.infer(X[i])
-            assert fired[i] == single.fired
-            assert batch[i] == pytest.approx(single.output, abs=1e-12)
+            output, single_fired = reference_infer(model, X[i])
+            assert fired[i] == single_fired
+            assert batch[i] == pytest.approx(output, abs=1e-12)
 
     def test_model_json_roundtrip(self):
         inputs = [LinguisticVariable.uniform("x", 0.0, 1.0, 2, shape="gaussian")]
@@ -308,5 +321,5 @@ class TestMamdaniInference:
         model = MamdaniModel(inputs=inputs, output=output, rules=rules)
         back = MamdaniModel.from_dict(json.loads(json.dumps(model.to_dict())))
         assert back.rules == model.rules
-        x = [0.3]
-        assert back.infer(x).output == model.infer(x).output
+        x = [[0.3]]
+        assert back.infer_batch(x)[0][0] == model.infer_batch(x)[0][0]

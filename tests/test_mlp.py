@@ -7,7 +7,6 @@ import pytest
 
 from softdss.mlp import (
     MlpModel,
-    mlp_forward,
     mlp_forward_batch,
     mlp_gradient,
     mlp_init,
@@ -46,20 +45,20 @@ def finite_difference_gradient(model, X, d, h=1e-6):
 class TestForward:
     def test_all_zero_weights(self):
         model = MlpModel(3, 4, np.zeros((3 + 1) * 4 + 4 + 1))
-        assert mlp_forward(model, [1.0, -2.0, 0.5]) == 0.0
+        assert mlp_forward_batch(model, [[1.0, -2.0, 0.5]])[0] == 0.0
 
     def test_output_bias_only(self):
         w = np.zeros((2 + 1) * 1 + 1 + 1)
         w[-1] = 0.7
         model = MlpModel(2, 1, w)
-        assert mlp_forward(model, [3.0, -1.0]) == 0.7
+        assert mlp_forward_batch(model, [[3.0, -1.0]])[0] == 0.7
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(0)
         model = mlp_init(4, 7, seed=0)
-        for _ in range(50):
-            x = rng.normal(size=4)
-            assert mlp_forward(model, x) == pytest.approx(naive_forward(model, x), abs=1e-12)
+        X = rng.normal(size=(50, 4))
+        for x, y in zip(X, mlp_forward_batch(model, X)):
+            assert y == pytest.approx(naive_forward(model, x), abs=1e-12)
 
     def test_weight_length_validated(self):
         with pytest.raises(ValueError):
