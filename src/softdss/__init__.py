@@ -39,7 +39,7 @@ from .fuzzy import (
     TriangleMF,
     grid_partition,
 )
-from .linalg import RlsState, lse_batch, rls_init, rls_solve, rls_update
+from .linalg import RlsState, lse_batch, ridge_solve, rls_init, rls_solve, rls_update
 from .mamdani import GaConfig, encode_centers, ga_optimize, gd_tune, wang_mendel
 from .mlp import MlpModel, mlp_forward_batch, mlp_gradient, mlp_init, scg_train
 from .modelio import LoadedModel, load_model, save_model

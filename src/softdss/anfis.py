@@ -16,18 +16,27 @@ grow it by 10%, four strictly alternating changes shrink it by 10%.
 
 The epoch error is measured after the consequent update and before the
 premise update, so the least-squares optimality is observable per epoch.
+
+The consequent solve tries the exact, rank-tested `lse_batch` first: a
+realizable target must be fitted to round-off in one epoch (acceptance
+criterion 3), and a ridge term alone leaves an error of about 1e-6 there.
+When the regressor matrix is rank deficient or has fewer rows than columns
+it takes `ridge_solve`, the closed form of sequential least squares started
+at S = gamma * I with Jang's large gamma.  `anfis_train` counts the solves
+that took each path in its report's extras.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateCoverageError, SingularSystemError
 from .fuzzy import LinguisticVariable, grid_partition
-from .linalg import DEFAULT_GAMMA, lse_batch, rls_solve
+from .linalg import lse_batch, ridge_solve
 from .report import TrainReport
 
 DEFAULT_STEP_SIZE = 0.01
@@ -250,29 +259,35 @@ def _apply_premise_step(model: AnfisModel, grad: np.ndarray, k: float) -> AnfisM
     return model.with_premise_vector(model.premise_vector() - (k / norm) * grad)
 
 
-def _identify_consequents(regressors, y):
+def _identify_consequents(regressors, y, solves: Counter | None = None):
+    """Least-squares consequents; `solves` counts the path taken ("lstsq" or "ridge")."""
     if regressors.shape[0] < regressors.shape[1]:
         # an underdetermined batch is always singular; gamma*I regularizes it
-        return rls_solve(regressors, y, DEFAULT_GAMMA)
-    try:
-        return lse_batch(regressors, y)
-    except SingularSystemError:
-        return rls_solve(regressors, y, DEFAULT_GAMMA)
+        flat, path = ridge_solve(regressors, y), "ridge"
+    else:
+        try:
+            flat, path = lse_batch(regressors, y), "lstsq"
+        except SingularSystemError:
+            flat, path = ridge_solve(regressors, y), "ridge"
+    if solves is not None:
+        solves[path] += 1
+    return flat
 
 
 def hybrid_epoch(
-    model: AnfisModel, X, y, controller: StepSizeController
+    model: AnfisModel, X, y, controller: StepSizeController, solves: Counter | None = None
 ) -> tuple[AnfisModel, float]:
     """One forward (consequent LSE) plus one backward (premise descent) pass.
 
     Returns the updated model and the epoch RMSE, measured after the
-    consequent update and before the premise update.
+    consequent update and before the premise update.  A given `solves`
+    counter is incremented under the consequent solve's path.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[0] == 0:
         raise ValueError("training data must be non-empty")
     _, trace = forward_batch(model, X)
-    flat = _identify_consequents(trace.regressors, y)
+    flat = _identify_consequents(trace.regressors, y, solves)
     model = replace(model, consequents=flat.reshape(model.n_rules, model.n_inputs + 1))
     residuals = trace.regressors @ flat - y
     rmse = float(np.sqrt(np.mean(residuals**2)))
@@ -305,7 +320,11 @@ def anfis_train(
     k0: float = DEFAULT_STEP_SIZE,
     seed: int = 0,
 ) -> tuple[AnfisModel, TrainReport]:
-    """Train for a fixed number of epochs in hybrid or backprop-only mode."""
+    """Train for a fixed number of epochs in hybrid or backprop-only mode.
+
+    In hybrid mode the report's extras hold `consequent_solves`, the number
+    of consequent solves that went through `lstsq` and through `ridge`.
+    """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if mode not in ("hybrid", "backprop"):
@@ -313,10 +332,11 @@ def anfis_train(
     X, y = train
     controller = StepSizeController(k0)
     curve = []
+    solves = Counter(lstsq=0, ridge=0)
     start = time.perf_counter()
     for _ in range(epochs):
         if mode == "hybrid":
-            model, rmse = hybrid_epoch(model, X, y, controller)
+            model, rmse = hybrid_epoch(model, X, y, controller, solves)
         else:
             model, rmse = backprop_epoch(model, X, y, controller)
         curve.append(rmse)
@@ -325,7 +345,7 @@ def anfis_train(
         # consequents are defined by least squares given the premises; after the
         # last premise step re-identify them so the returned model is coherent
         _, trace = forward_batch(model, X)
-        flat = _identify_consequents(trace.regressors, np.asarray(y, dtype=float))
+        flat = _identify_consequents(trace.regressors, np.asarray(y, dtype=float), solves)
         model = replace(model, consequents=flat.reshape(model.n_rules, model.n_inputs + 1))
     pred, _ = forward_batch(model, X)
     final_train = float(np.sqrt(np.mean((pred - np.asarray(y, dtype=float)) ** 2)))
@@ -334,5 +354,6 @@ def anfis_train(
         Xt, yt = test
         pt, _ = forward_batch(model, Xt)
         final_test = float(np.sqrt(np.mean((pt - np.asarray(yt, dtype=float)) ** 2)))
-    report = TrainReport(curve, final_train, final_test, time.perf_counter() - start, seed)
+    extras = {"consequent_solves": dict(solves)} if mode == "hybrid" else {}
+    report = TrainReport(curve, final_train, final_test, time.perf_counter() - start, seed, extras)
     return model, report

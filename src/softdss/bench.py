@@ -100,12 +100,14 @@ class BenchConfig:
         kwargs = dict(d)
         for key, sub in (("anfis", AnfisSettings), ("mamdani", MamdaniSettings),
                          ("mlp", MlpSettings), ("cart", CartSettings)):
-            if key in kwargs and isinstance(kwargs[key], dict):
+            if key in kwargs:
+                if not isinstance(kwargs[key], dict):
+                    raise ValueError(f"config section {key!r} must be an object")
                 check_keys(kwargs[key], field_names(sub), key)
                 kwargs[key] = sub(**kwargs[key])
         if "seeds" in kwargs:
             kwargs["seeds"] = tuple(kwargs["seeds"])
-        if "anfis" in kwargs and isinstance(kwargs["anfis"], AnfisSettings):
+        if "anfis" in kwargs:
             kwargs["anfis"] = replace(kwargs["anfis"], shapes=tuple(kwargs["anfis"].shapes))
         return cls(**kwargs)
 
@@ -179,7 +181,7 @@ def train_paradigm(kind, train, test, settings, seed) -> Trained:
             model, train, test, settings.epochs, k0=settings.step_size, seed=seed
         )
         return Trained(model, report.rmse_per_epoch, epoch_header,
-                       report.final_train_rmse, report.final_test_rmse, {})
+                       report.final_train_rmse, report.final_test_rmse, report.extras)
     if kind in ("mamdani-gd", "mamdani-ga"):
         inputs = unit_variables(settings.input_mfs, "triangle")
         output = unit_score_variable(settings.output_mfs)

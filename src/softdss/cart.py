@@ -181,85 +181,124 @@ class _PruneView:
 
     Nodes are never detached; a collapsed node records the critical alpha at
     which it turned into a leaf, so the subtree for any penalty level can be
-    reconstructed (or just evaluated) afterwards.
+    reconstructed (or just evaluated) afterwards.  The tree is held as flat
+    preorder arrays: a node's subtree is the index range [i, end[i]), and a
+    parent's index is below its children's.
     """
 
     def __init__(self, root: TreeNode):
-        self.root = root
-        self.dead_alpha: dict[int, float] = {}
+        self.nodes: list[TreeNode] = []
+        self.parent: list[int] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.end: list[int] = []
 
-    def _is_leaf(self, node):
-        return node.is_leaf or id(node) in self.dead_alpha
+        def walk(node, parent):
+            i = len(self.nodes)
+            self.nodes.append(node)
+            self.parent.append(parent)
+            self.left.append(-1)
+            self.right.append(-1)
+            self.end.append(-1)
+            if not node.is_leaf:
+                self.left[i] = walk(node.left, i)
+                self.right[i] = walk(node.right, i)
+            self.end[i] = len(self.nodes)
+            return i
 
-    def _links(self):
-        """(g, node, n_leaves, subtree_sse) for every live internal node, one pass."""
-        out = []
-
-        def walk(node):
-            if self._is_leaf(node):
-                return 1, node.sse
-            ll, ls = walk(node.left)
-            rl, rs = walk(node.right)
-            leaves, sse = ll + rl, ls + rs
-            out.append(((node.sse - sse) / (leaves - 1), node))
-            return leaves, sse
-
-        walk(self.root)
-        return out
+        walk(root, -1)
+        self.dead_alpha = np.full(len(self.nodes), np.inf)
 
     def alphas(self) -> list[float]:
-        """Critical alphas, strictly increasing, starting at 0 for the full tree."""
+        """Critical alphas, strictly increasing, starting at 0 for the full tree.
+
+        Every live internal node keeps its subtree's leaf count and leaf SSE,
+        summed as left + right exactly as a fresh walk would, so after a
+        collapse only the collapsed nodes' ancestors are refreshed.
+        """
+        leaves: dict[int, int] = {}
+        sse: dict[int, float] = {}
+        g: dict[int, float] = {}  # weakest-link value of every live internal node
+
+        def stats(i):  # (leaf count, leaf SSE) of node i's live subtree
+            return (leaves[i], sse[i]) if i in g else (1, self.nodes[i].sse)
+
+        def refresh(i):
+            (ll, ls), (rl, rs) = stats(self.left[i]), stats(self.right[i])
+            leaves[i], sse[i] = ll + rl, ls + rs
+            g[i] = (self.nodes[i].sse - sse[i]) / (leaves[i] - 1)
+
+        for i in reversed(range(len(self.nodes))):  # children before parents
+            if self.left[i] >= 0:
+                refresh(i)
         seq = [0.0]
-        while not self._is_leaf(self.root):
-            links = self._links()
-            g_min = min(g for g, _ in links)
+        while g:  # the root is still an internal node
+            g_min = min(g.values())
             alpha = float(g_min)
             if alpha <= seq[-1]:  # pathological equality: keep strict ordering
                 alpha = float(np.nextafter(seq[-1], np.inf))
             # collapse every minimal link, absorbing follow-ups that fall to the
             # same level so recorded alphas stay strictly increasing
             while True:
-                hit = [n for g, n in links if g <= g_min + _SSE_EPS]
+                hit = [i for i, gi in g.items() if gi <= g_min + _SSE_EPS]
                 if not hit:
                     break
-                for node in hit:
-                    self.dead_alpha[id(node)] = alpha
-                if self._is_leaf(self.root):
-                    break
-                links = [(g, n) for g, n in self._links() if g <= g_min + _SSE_EPS]
+                for i in hit:
+                    self.dead_alpha[i] = alpha
+                    for j in range(i, self.end[i]):  # i and its subtree leave the live set
+                        g.pop(j, None)
+                stale = set()  # live ancestors of the hits, refreshed deepest first
+                for i in hit:
+                    p = self.parent[i]
+                    while p in g and p not in stale:
+                        stale.add(p)
+                        p = self.parent[p]
+                for p in sorted(stale, reverse=True):
+                    refresh(p)
             seq.append(alpha)
         return seq
 
     def snapshot(self, alpha: float) -> TreeNode:
         """Deep copy of the subtree surviving at penalty alpha."""
 
-        def walk(node):
-            if node.is_leaf or self.dead_alpha.get(id(node), np.inf) <= alpha:
+        def walk(i):
+            node = self.nodes[i]
+            if node.is_leaf or self.dead_alpha[i] <= alpha:
                 return TreeNode(node.prediction, node.sample_count, node.sse)
             out = TreeNode(
                 node.prediction, node.sample_count, node.sse,
                 node.split_variable, node.threshold,
             )
-            out.left = walk(node.left)
-            out.right = walk(node.right)
+            out.left = walk(self.left[i])
+            out.right = walk(self.right[i])
             return out
 
-        return walk(self.root)
+        return walk(0)
 
-    def predict_paths(self, X) -> list[list[tuple[float, float]]]:
-        """Per sample: the root-to-leaf chain of (collapse_alpha, prediction)."""
+    def predict_pruned(self, X, penalties) -> np.ndarray:
+        """(len(penalties), n) predictions of the subtree surviving at each penalty.
+
+        A sample takes the prediction of the shallowest node on its path that
+        has collapsed at that penalty, or of its leaf when none has.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        paths = []
-        for x in X:
-            chain = []
-            node = self.root
-            while True:
-                chain.append((self.dead_alpha.get(id(node), np.inf), node.prediction))
-                if node.is_leaf:
-                    break
-                node = node.left if x[node.split_variable] <= node.threshold else node.right
-            paths.append(chain)
-        return paths
+        penalties = np.asarray(penalties, dtype=float)[:, None]
+        n = X.shape[0]
+        left = np.array(self.left)
+        right = np.array(self.right)
+        var = np.array([0 if node.is_leaf else node.split_variable for node in self.nodes])
+        threshold = np.array([0.0 if node.is_leaf else node.threshold for node in self.nodes])
+        prediction = np.array([node.prediction for node in self.nodes])
+        chosen = np.full((penalties.shape[0], n), -1)  # shallowest collapsed node met
+        at = np.zeros(n, dtype=int)  # every sample walks down one level per pass
+        while True:
+            chosen = np.where((chosen < 0) & (self.dead_alpha[at] <= penalties), at, chosen)
+            inner = left[at] >= 0
+            if not inner.any():
+                break
+            go_left = X[np.arange(n), var[at]] <= threshold[at]
+            at = np.where(inner, np.where(go_left, left[at], right[at]), at)
+        return prediction[np.where(chosen < 0, at, chosen)]
 
 
 def prune_sequence(tree: TreeNode, X, y, folds: int = 10, seed: int = 0,
@@ -291,22 +330,12 @@ def prune_sequence(tree: TreeNode, X, y, folds: int = 10, seed: int = 0,
             continue
         fold_view = _PruneView(grow(X[~test], y[~test], min_leaf=min_leaf))
         fold_view.alphas()
-        paths = fold_view.predict_paths(X[test])
-        yt = y[test]
-        for k, rep in enumerate(reps):
-            se = 0.0
-            for chain, target in zip(paths, yt):
-                for dead, pred in chain:  # shallowest collapsed ancestor wins
-                    if dead <= rep:
-                        break
-                else:
-                    pred = chain[-1][1]
-                se += (pred - target) ** 2
-            cv_sse[k] += se
+        sq = (fold_view.predict_pruned(X[test], reps) - y[test]) ** 2
+        cv_sse += np.cumsum(sq, axis=1)[:, -1]  # summed in sample order
     entries = []
     for k, alpha in enumerate(alphas):
         snap = view.snapshot(alpha)
-        entries.append(PrunedEntry(alpha, snap, count_leaves(snap), cv_sse[k] / n))
+        entries.append(PrunedEntry(alpha, snap, count_leaves(snap), float(cv_sse[k] / n)))
     return entries
 
 

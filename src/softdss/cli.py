@@ -168,10 +168,10 @@ def _cmd_predict(args) -> int:
         values = [float(p) for p in parts]
     except ValueError:
         raise _UsageError(f"non-numeric input value in {args.values!r}") from None
-    for name, value, (lo, hi) in zip(tace.FIELDS, values, tace.FIELD_RANGES):
+    loaded = load_model(args.model)
+    for name, value, (lo, hi) in zip(tace.FIELDS, values, loaded.input_ranges):
         if not lo <= value <= hi:
             raise RuntimeError(f"{name}={value:g} outside [{lo:g}, {hi:g}]")
-    loaded = load_model(args.model)
     print(repr(loaded.predict_score(values)))
     return 0
 

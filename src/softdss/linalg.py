@@ -1,10 +1,14 @@
-"""Batch and recursive least-squares estimators.
+"""Batch, ridge and recursive least-squares estimators.
 
-Both solve the same overdetermined problem min ||A x - y||^2: `lse_batch`
-in one shot through a numerically stable factorization, `rls_update` one
-row at a time from an `RlsState` started at x = 0, S = gamma * I.  For a
-full-rank system and large gamma the two agree to high precision, which
-the test suite checks explicitly.
+All three solve min ||A x - y||^2.  `lse_batch` does it in one shot through
+a numerically stable factorization and refuses a rank-deficient system.
+`rls_update` goes one row at a time from an `RlsState` started at x = 0,
+S = gamma * I; after the last row that estimate is exactly the ridge
+solution (A^T A + I / gamma)^-1 A^T y, which `ridge_solve` computes in
+closed form with one factorization of the regularized Gramian.  The gamma*I
+start regularizes, so the ridge and recursive forms also answer singular
+and underdetermined systems.  For a full-rank system and large gamma all
+three agree to high precision, which the test suite checks explicitly.
 """
 
 from __future__ import annotations
@@ -27,24 +31,46 @@ def lse_batch(a, y) -> np.ndarray:
 
     Backed by a stable factorization (no explicit normal-equations
     inverse).  Raises SingularSystemError when A is numerically rank
-    deficient; callers may fall back to the recursive estimator, whose
-    gamma*I start regularizes the problem.
+    deficient; callers may fall back to `ridge_solve`, whose gamma*I term
+    regularizes the problem.
     """
-    a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if a.ndim != 2:
-        raise ValueError("a must be a 2-D matrix")
+    a, y = _checked_system(a, y)
     rows, cols = a.shape
     if rows < cols:
         raise ValueError(f"need rows >= cols, got {rows}x{cols}")
-    if y.shape[0] != rows:
-        raise ValueError(f"y must have length {rows}, got {y.shape[0]}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
-        raise ValueError("system entries must be finite")
     x, _, rank, _ = np.linalg.lstsq(a, y, rcond=RCOND)
     if rank < cols:
         raise SingularSystemError(f"system is rank deficient (rank {rank} < {cols})")
     return x
+
+
+def ridge_solve(a, y, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
+    """Minimizer of ||A x - y||^2 + ||x||^2 / gamma, for any shape and rank of A.
+
+    This is the closed form of `rls_solve(a, y, gamma)`: the recursive
+    estimator started at x = 0, S = gamma * I ends at
+    (A^T A + I / gamma)^-1 A^T y.  One solve of that symmetric positive
+    definite system replaces the row-by-row loop.
+    """
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    a, y = _checked_system(a, y)
+    gram = a.T @ a
+    gram[np.diag_indices_from(gram)] += 1.0 / gamma
+    return np.linalg.solve(gram, a.T @ y)
+
+
+def _checked_system(a, y) -> tuple[np.ndarray, np.ndarray]:
+    """(A, y) as float arrays, after the shape and finiteness checks both solvers share."""
+    a = np.asarray(a, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    if a.ndim != 2:
+        raise ValueError("a must be a 2-D matrix")
+    if y.shape[0] != a.shape[0]:
+        raise ValueError(f"y must have length {a.shape[0]}, got {y.shape[0]}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
+        raise ValueError("system entries must be finite")
+    return a, y
 
 
 @dataclass(frozen=True)
@@ -90,7 +116,11 @@ def rls_update(state: RlsState, a_row, y: float) -> RlsState:
 
 
 def rls_solve(a, y, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
-    """Run the recursive estimator over every row of a system."""
+    """Run the recursive estimator over every row of a system.
+
+    Kept as the reference that `ridge_solve` is tested against; training
+    uses the closed form.
+    """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     state = rls_init(a.shape[1], gamma)

@@ -82,6 +82,8 @@ class LoadedModel:
     def predict_score(self, x_physical) -> float:
         """Crisp decision score in physical units, clipped into the output range.
 
+        Inputs are normalized with the file's own `input_ranges`.
+
         Raises ValueError for a non-finite input value, naming its field, and
         for a model that yields a non-finite score.
         """
@@ -90,7 +92,7 @@ class LoadedModel:
         if not finite.all():
             field = tace.FIELDS[int(np.argmin(finite.all(axis=0)))]
             raise ValueError(f"{field} is not finite")
-        yn = float(self.predict_normalized(tace.normalize_inputs(x))[0])
+        yn = float(self.predict_normalized(tace.normalize_inputs(x, self.input_ranges))[0])
         if not math.isfinite(yn):
             raise ValueError(f"{self.kind} model yields a non-finite score ({yn!r})")
         lo, hi = self.output_range
@@ -115,7 +117,7 @@ def load_model(path) -> LoadedModel:
     if payload.get("format") != FORMAT_TAG:
         raise ValueError(f"{path}: not a {FORMAT_TAG} file")
     try:
-        return LoadedModel(
+        loaded = LoadedModel(
             kind=payload["model"]["kind"],
             model=model_from_dict(payload["model"]),
             input_ranges=tuple(tuple(r) for r in payload["input_ranges"]),
@@ -123,3 +125,15 @@ def load_model(path) -> LoadedModel:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: model file lacks field {exc.args[0]!r}") from None
+    # predict_score normalizes with these, so each field needs a finite lo < hi
+    ranges = loaded.input_ranges
+    if len(ranges) != len(tace.FIELDS) or not all(map(_is_range, ranges)):
+        raise ValueError(
+            f"{path}: input_ranges must hold {len(tace.FIELDS)} finite [lo, hi] pairs, lo < hi"
+        )
+    return loaded
+
+
+def _is_range(r) -> bool:
+    finite = all(isinstance(v, (int, float)) and math.isfinite(v) for v in r)
+    return len(r) == 2 and finite and r[0] < r[1]

@@ -11,6 +11,7 @@ stays exactly anchored.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -138,10 +139,10 @@ def denormalize(dataset: Dataset) -> Dataset:
     return Dataset(x, y, dataset.seed, normalized=False)
 
 
-def normalize_inputs(x) -> np.ndarray:
-    """Physical input row(s) -> [0, 1] coordinates."""
+def normalize_inputs(x, ranges=FIELD_RANGES) -> np.ndarray:
+    """Physical input row(s) -> [0, 1] coordinates of the given (lo, hi) field ranges."""
     x = np.atleast_2d(np.asarray(x, dtype=float)).copy()
-    for j, (lo, hi) in enumerate(FIELD_RANGES):
+    for j, (lo, hi) in enumerate(ranges):
         x[:, j] = (x[:, j] - lo) / (hi - lo)
     return x
 
@@ -175,9 +176,13 @@ def load_csv(path) -> Dataset:
             if len(row) != 5:
                 raise ValueError(f"{path}: line {lineno}: expected 5 columns, got {len(row)}")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
+            for name, value in zip(CSV_HEADER, values):
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}: line {lineno}: {name} is not finite ({value!r})")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     arr = np.array(rows)

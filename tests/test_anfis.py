@@ -1,5 +1,7 @@
 """Takagi-Sugeno network: layer math, regressor rows, hybrid learning, step size."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from softdss.anfis import (
 )
 from softdss.errors import DegenerateCoverageError
 from softdss.fuzzy import LinguisticVariable, TriangleMF
+from softdss.linalg import DEFAULT_GAMMA, rls_solve
 
 
 def small_model(n_inputs=2, n_mfs=2, shape="gaussian", seed=None):
@@ -186,6 +189,24 @@ class TestHybridEpoch:
             assert float(resid @ resid) >= base - 1e-12
 
 
+    def test_rank_deficient_batch_matches_rls_fallback(self):
+        # points on the line x1 = x0 make the 27-column regressor matrix
+        # singular, so the consequents come from the gamma*I-regularized solve
+        rng = np.random.default_rng(17)
+        model = small_model(2, 3)
+        t = rng.uniform(0, 1, size=60)
+        X = np.column_stack([t, t])
+        y = np.sin(3 * t)
+        _, trace = forward_batch(model, X)
+        solves = Counter()
+        trained, rmse = hybrid_epoch(model, X, y, StepSizeController(0.01), solves)
+        assert solves == {"ridge": 1}
+        expected = trace.regressors @ rls_solve(trace.regressors, y, DEFAULT_GAMMA)
+        fitted = trace.regressors @ trained.consequents.ravel()
+        np.testing.assert_allclose(fitted, expected, rtol=0, atol=1e-9)
+        assert rmse == pytest.approx(float(np.sqrt(np.mean((expected - y) ** 2))), abs=1e-9)
+
+
 class TestStepSizeHeuristics:
     def test_four_reductions_grow_k(self):
         ctl = StepSizeController(0.1)
@@ -252,6 +273,16 @@ class TestTraining:
         y = 0.5 * X[:, 0] + 0.25 * X[:, 1]
         _, report = anfis_train(model, (X, y), None, epochs=15)
         assert len(report.rmse_per_epoch) == 15
+
+    def test_solver_paths_counted(self):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0, 1, size=(80, 2))
+        y = 0.5 * X[:, 0] + 0.25 * X[:, 1]
+        _, report = anfis_train(small_model(2, 2), (X, y), None, epochs=4)
+        # four epochs plus the final re-identification, all full rank
+        assert report.extras == {"consequent_solves": {"lstsq": 5, "ridge": 0}}
+        _, report = anfis_train(small_model(2, 2), (X, y), None, epochs=4, mode="backprop")
+        assert report.extras == {}
 
     def test_zero_epochs_rejected(self):
         model = small_model(2, 2)

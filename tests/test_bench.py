@@ -66,6 +66,16 @@ class TestReportStructure:
             if run["paradigm"] == "cart":
                 assert run["extras"]["terminal_count"] >= 1
 
+    def test_anfis_runs_carry_solver_counts(self, bench_out):
+        out, report = bench_out
+        for run in report["runs"]:
+            if run["paradigm"].startswith("anfis-"):
+                solves = run["extras"]["consequent_solves"]
+                assert set(solves) == {"lstsq", "ridge"}
+                assert solves["lstsq"] + solves["ridge"] == 3  # 2 epochs + final solve
+        for name in ("summary.csv", "sweep.csv"):
+            assert "solves" not in (out / name).read_text()
+
     def test_mamdani_runs_carry_untuned_baseline(self, bench_out):
         _, report = bench_out
         for run in report["runs"]:

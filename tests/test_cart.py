@@ -49,6 +49,63 @@ def walk_leaves(node):
         yield from walk_leaves(node.right)
 
 
+def reference_ladder(root):
+    """Weakest-link alphas by a full re-walk of the tree after every collapse (test oracle).
+
+    Returns the alphas and, per collapsed node id, the alpha it collapsed at.
+    """
+    dead = {}
+
+    def links():
+        out = []
+
+        def walk(node):
+            if node.is_leaf or id(node) in dead:
+                return 1, node.sse
+            ll, ls = walk(node.left)
+            rl, rs = walk(node.right)
+            leaves, sse = ll + rl, ls + rs
+            out.append(((node.sse - sse) / (leaves - 1), node))
+            return leaves, sse
+
+        walk(root)
+        return out
+
+    seq = [0.0]
+    while not (root.is_leaf or id(root) in dead):
+        current = links()
+        g_min = min(g for g, _ in current)
+        alpha = g_min if g_min > seq[-1] else float(np.nextafter(seq[-1], np.inf))
+        while current:
+            for g, node in current:
+                if g <= g_min + 1e-12:
+                    dead[id(node)] = alpha
+            current = [(g, node) for g, node in links() if g <= g_min + 1e-12]
+        seq.append(alpha)
+    return seq, dead
+
+
+def reference_cv_cost(tree, X, y, folds, seed, min_leaf):
+    """Cross-validated cost per master alpha, one held-out sample at a time (test oracle)."""
+    alphas, _ = reference_ladder(tree)
+    reps = [np.sqrt(a * b) for a, b in zip(alphas, alphas[1:])] + [alphas[-1]]
+    assignment = np.random.default_rng(seed).permutation(y.shape[0]) % folds
+    cv_sse = np.zeros(len(alphas))
+    for f in range(folds):
+        test = assignment == f
+        fold_tree = grow(X[~test], y[~test], min_leaf=min_leaf)
+        _, dead = reference_ladder(fold_tree)
+        for k, rep in enumerate(reps):
+            se = 0.0
+            for x, target in zip(X[test], y[test]):
+                node = fold_tree
+                while not (node.is_leaf or dead.get(id(node), np.inf) <= rep):
+                    node = node.left if x[node.split_variable] <= node.threshold else node.right
+                se += (node.prediction - target) ** 2
+            cv_sse[k] += se
+    return alphas, cv_sse / y.shape[0]
+
+
 class TestGrow:
     def test_constant_target_single_leaf(self):
         X = np.random.default_rng(0).uniform(size=(20, 2))
@@ -188,6 +245,21 @@ class TestPruneSequence:
         a = prune_sequence(tree, X, y, folds=5, seed=3)
         b = prune_sequence(tree, X, y, folds=5, seed=3)
         assert [e.cv_cost for e in a] == [e.cv_cost for e in b]
+
+
+    @pytest.mark.parametrize("seed,quantized,min_leaf", [
+        (0, False, 5), (1, False, 2), (2, True, 3), (3, True, 1),
+    ])
+    def test_matches_full_rewalk_oracle(self, seed, quantized, min_leaf):
+        # quantized targets tie many links, so several collapse at one alpha
+        X, y = self._data(n=150, seed=seed)
+        if quantized:
+            y = np.round(3 * (y - y.min()))
+        tree = grow(X, y, min_leaf=min_leaf)
+        seq = prune_sequence(tree, X, y, folds=5, seed=seed, min_leaf=min_leaf)
+        alphas, cv_cost = reference_cv_cost(tree, X, y, 5, seed, min_leaf)
+        assert [e.alpha for e in seq] == alphas
+        assert [e.cv_cost for e in seq] == pytest.approx(list(cv_cost), rel=1e-12, abs=0)
 
 
 class TestSelectMinCost:

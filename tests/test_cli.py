@@ -7,6 +7,7 @@ import pytest
 
 from softdss import tace
 from softdss.bench import AnfisSettings, CartSettings, MamdaniSettings, MlpSettings, train_paradigm
+from softdss.cart import TreeNode
 from softdss.cli import main
 from softdss.mlp import mlp_init
 from softdss.modelio import load_model, predict_normalized, save_model
@@ -108,6 +109,26 @@ class TestTrain:
         assert "line 3" in err
 
 
+    def test_non_finite_csv_is_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("fuel,intercept_time,weapon,danger,score\n1,2,3,4,5\nnan,2,3,4,5\n")
+        out = tmp_path / "m.json"
+        code, _, err = run_cli(
+            capsys, "train", "--model", "cart", "--data", str(bad), "--out", str(out),
+        )
+        assert code == 2  # like any other malformed data file
+        assert "line 3: fuel is not finite" in err
+        assert not out.exists()
+
+    def test_anfis_summary_reports_solver_path(self, data_csv, tmp_path, capsys):
+        code, out, _ = run_cli(
+            capsys, "train", "--model", "anfis", "--data", str(data_csv),
+            "--out", str(tmp_path / "anfis.json"), "--epochs", "2",
+        )
+        assert code == 0
+        solves = json.loads(out)["extras"]["consequent_solves"]
+        assert solves["lstsq"] + solves["ridge"] == 3
+
     def test_unknown_config_key_is_usage_error(self, data_csv, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "train", "--model", "mamdani-ga", "--data", str(data_csv),
@@ -161,6 +182,11 @@ class TestBenchConfig:
         code, _, err = run_cli(capsys, "bench", "--out", str(tmp_path), "--config", config)
         assert code == 1
         assert key in err
+
+    def test_non_object_section_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "bench", "--out", str(tmp_path), "--config", '{"anfis": 5}')
+        assert code == 1
+        assert "'anfis' must be an object" in err
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +250,34 @@ class TestPredict:
         code, _, err = run_cli(capsys, "predict", "--model", str(path), "500,30,60,4")
         assert code == 2
         assert "ValueError" in err and "weights" in err
+
+
+    def test_score_uses_the_files_input_ranges(self, tmp_path, capsys):
+        # one split on normalized fuel: <= 0.4 scores 0.1, above scores 0.9
+        tree = TreeNode(0.5, 2, 0.32, split_variable=0, threshold=0.4,
+                        left=TreeNode(0.1, 1, 0.0), right=TreeNode(0.9, 1, 0.0))
+        default, wide = tmp_path / "default.json", tmp_path / "wide.json"
+        save_model(tree, default)
+        save_model(tree, wide, input_ranges=((0.0, 2000.0),) + tace.FIELD_RANGES[1:])
+        # 500 litres is 0.5 of the default fuel range but 0.25 of (0, 2000)
+        assert load_model(default).predict_score([500, 30, 60, 4]) == 9.0
+        assert load_model(wide).predict_score([500, 30, 60, 4]) == 1.0
+        code, out, _ = run_cli(capsys, "predict", "--model", str(wide), "1500,30,60,4")
+        assert code == 0
+        assert float(out) == 9.0
+
+    @pytest.mark.parametrize("ranges", [
+        [[0, 1000], [0, 60], [0, 100]],
+        [[0, 1000], [0, 60], [0, 100], [10, 0]],
+        [[0, 1000], [0, 60], [0, 100], [0, "x"]],
+    ], ids=["three-fields", "reversed", "non-numeric"])
+    def test_bad_input_ranges_rejected(self, cart_model, tmp_path, ranges):
+        payload = json.loads(cart_model.read_text())
+        payload["input_ranges"] = ranges
+        path = tmp_path / "ranges.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="input_ranges"):
+            load_model(path)
 
 
 class TestModelRoundTrip:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from softdss.errors import SingularSystemError
-from softdss.linalg import lse_batch, rls_init, rls_solve, rls_update
+from softdss.linalg import DEFAULT_GAMMA, lse_batch, ridge_solve, rls_init, rls_solve, rls_update
 
 
 def gaussian_elimination_solve(m, rhs):
@@ -147,3 +147,64 @@ class TestRlsInvariants:
             scale = np.abs(state.covariance).max()
             assert asym <= 1e-9 * max(scale, 1.0)
             np.linalg.cholesky(state.covariance)  # raises if any pivot <= 0
+
+
+def curve_regressors(rng, rows=80):
+    """ANFIS-style regressors of 2-D points that lie near a 1-D curve.
+
+    Three gaussian MFs per input give 9 rules x 3 coefficients = 27 columns,
+    whose numerical rank is below 27 because the points hug (t, t^2), like
+    the bench data hugs its anchor curve.
+    """
+    t = rng.uniform(0, 1, size=rows)
+    X = np.column_stack([t, t**2]) + rng.uniform(-1e-3, 1e-3, size=(rows, 2))
+    centers = np.linspace(0, 1, 3)
+    m0 = np.exp(-((X[:, :1] - centers) ** 2) / 0.08)
+    m1 = np.exp(-((X[:, 1:] - centers) ** 2) / 0.08)
+    w = (m0[:, :, None] * m1[:, None, :]).reshape(rows, 9)
+    wbar = w / w.sum(axis=1, keepdims=True)
+    xa = np.column_stack([X, np.ones(rows)])
+    return (wbar[:, :, None] * xa[:, None, :]).reshape(rows, 27), np.sin(3 * t)
+
+
+class TestRidgeSolve:
+    """ridge_solve is the closed form of rls_solve started at S = gamma * I."""
+
+    def assert_matches_rls(self, a, y):
+        x_ridge, x_rls = ridge_solve(a, y), rls_solve(a, y, DEFAULT_GAMMA)
+        np.testing.assert_allclose(x_ridge, x_rls, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(a @ x_ridge, a @ x_rls, rtol=0, atol=1e-10)
+
+    def test_tall_full_rank_matches_rls(self):
+        # entries in [0, 1], the scale of normalized-strength regressors
+        rng = np.random.default_rng(21)
+        self.assert_matches_rls(rng.uniform(0, 1, size=(60, 5)), rng.uniform(0, 1, size=60))
+
+    def test_rank_deficient_matches_rls(self):
+        a, y = curve_regressors(np.random.default_rng(22))
+        with pytest.raises(SingularSystemError):
+            lse_batch(a, y)
+        self.assert_matches_rls(a, y)
+
+    def test_underdetermined_matches_rls(self):
+        rng = np.random.default_rng(23)
+        self.assert_matches_rls(rng.normal(size=(8, 20)), rng.normal(size=8))
+
+    def test_equals_augmented_least_squares(self):
+        # ridge is least squares on [A; I / sqrt(gamma)] against [y; 0]
+        rng = np.random.default_rng(24)
+        a, y = rng.normal(size=(40, 6)), rng.normal(size=40)
+        augmented = np.vstack([a, np.eye(6) / np.sqrt(DEFAULT_GAMMA)])
+        expected = np.linalg.lstsq(augmented, np.concatenate([y, np.zeros(6)]), rcond=None)[0]
+        np.testing.assert_allclose(ridge_solve(a, y), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("solve", [lse_batch, ridge_solve])
+    def test_non_finite_rejected_like_lse_batch(self, solve):
+        with pytest.raises(ValueError, match="system entries must be finite"):
+            solve([[np.nan, 1.0], [1.0, 1.0]], [1.0, 2.0])
+        with pytest.raises(ValueError, match="system entries must be finite"):
+            solve(np.eye(2), [1.0, np.inf])
+
+    def test_bad_gamma_rejected(self):
+        with pytest.raises(ValueError):
+            ridge_solve(np.eye(2), [1.0, 2.0], gamma=0.0)

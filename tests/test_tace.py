@@ -155,3 +155,12 @@ class TestCsv:
         )
         with pytest.raises(ValueError, match="line 3"):
             tace.load_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_reports_line_and_field(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"fuel,intercept_time,weapon,danger,score\n1,2,3,4,5\n1,2,{value},4,5\n"
+        )
+        with pytest.raises(ValueError, match="line 3: weapon is not finite"):
+            tace.load_csv(path)
