@@ -44,19 +44,17 @@ def lse_batch(a, y) -> np.ndarray:
     return x
 
 
-def ridge_solve(a, y, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
-    """Minimizer of ||A x - y||^2 + ||x||^2 / gamma, for any shape and rank of A.
+def ridge_solve(a, y) -> np.ndarray:
+    """Minimizer of ||A x - y||^2 + ||x||^2 / DEFAULT_GAMMA, for any shape and rank of A.
 
-    This is the closed form of `rls_solve(a, y, gamma)`: the recursive
-    estimator started at x = 0, S = gamma * I ends at
+    This is the closed form of `rls_solve(a, y, DEFAULT_GAMMA)`: the
+    recursive estimator started at x = 0, S = gamma * I ends at
     (A^T A + I / gamma)^-1 A^T y.  One solve of that symmetric positive
     definite system replaces the row-by-row loop.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
     a, y = _checked_system(a, y)
     gram = a.T @ a
-    gram[np.diag_indices_from(gram)] += 1.0 / gamma
+    gram[np.diag_indices_from(gram)] += 1.0 / DEFAULT_GAMMA
     return np.linalg.solve(gram, a.T @ y)
 
 
