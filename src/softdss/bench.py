@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -205,8 +206,10 @@ def train_paradigm(kind, train, test, settings, seed) -> Trained:
                 elite_count=settings.elite_count,
                 seed=seed,
             )
-            model, curve = ga_optimize(base, Xtr, ytr, ga_cfg)
+            evaluations = Counter()
+            model, curve = ga_optimize(base, Xtr, ytr, ga_cfg, evaluations=evaluations)
             header = ("generation", "best_fitness")
+            extras["ga_evaluations"] = dict(evaluations)
         test_rmse = None if test is None else model.rmse(*test)
         return Trained(model, list(curve), header, model.rmse(Xtr, ytr), test_rmse, extras)
     if kind == "mlp":

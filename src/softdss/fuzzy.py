@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 OUTPUT_GRID_POINTS = 201
+# rows per block of Mamdani aggregation: a (160, 201) float64 block is 257 KB
+AGGREGATION_BLOCK_ROWS = 160
 
 
 # ---------------------------------------------------------------------------
@@ -434,21 +436,33 @@ class MamdaniModel:
         """
         X = np.asarray(X, dtype=float)
         P = X.shape[0]
-        mu = [var.fuzzify(X[:, v]) for v, var in enumerate(self.inputs)]
-        acts = np.ones((P, len(self.rules)))
-        for i, rule in enumerate(self.rules):
-            for v, idx in enumerate(rule.antecedent):
-                acts[:, i] *= mu[v][:, idx]
-            acts[:, i] *= rule.weight
+        R = len(self.rules)
+        ridx = np.array([r.antecedent for r in self.rules], dtype=int).reshape(R, len(self.inputs))
+        acts = np.ones((P, R))
+        for v, var in enumerate(self.inputs):
+            acts *= var.fuzzify(X[:, v])[:, ridx[:, v]]
+        acts *= np.array([r.weight for r in self.rules], dtype=float)
+        cons = np.array([r.consequent for r in self.rules], dtype=int)
         m_out = self.output.n_mfs
         act_by_cons = np.zeros((P, m_out))
         for j in range(m_out):
-            cols = [i for i, r in enumerate(self.rules) if r.consequent == j]
-            if cols:
+            cols = np.flatnonzero(cons == j)
+            if cols.size:
                 act_by_cons[:, j] = acts[:, cols].max(axis=1)
         grid = self.output_grid()
         cons_vals = np.stack([mf.evaluate(grid) for mf in self.output.mfs])
-        agg = (act_by_cons[:, :, None] * cons_vals[None, :, :]).max(axis=1)
+        # max over consequents of activation x consequent set, one row block
+        # at a time so the product temporary stays cache-sized
+        agg = np.empty((P, grid.size))
+        scratch = np.empty((min(P, AGGREGATION_BLOCK_ROWS), grid.size))
+        for start in range(0, P, AGGREGATION_BLOCK_ROWS):
+            rows = slice(start, start + AGGREGATION_BLOCK_ROWS)
+            block = agg[rows]
+            prod = scratch[: block.shape[0]]
+            np.multiply(act_by_cons[rows, 0, None], cons_vals[0], out=block)
+            for j in range(1, m_out):
+                np.multiply(act_by_cons[rows, j, None], cons_vals[j], out=prod)
+                np.maximum(block, prod, out=block)
         den = agg.sum(axis=1)
         fired = den > 0
         safe = np.where(fired, den, 1.0)

@@ -20,6 +20,7 @@ Parameters are then tuned two ways:
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,16 @@ from .fuzzy import MamdaniModel, MamdaniRule
 from .report import TrainReport
 
 
+def _finite_data(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) as float arrays; ValueError naming the one that holds nan or inf."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    for name, values in (("X", X), ("y", y)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} holds non-finite values")
+    return X, y
+
+
 def wang_mendel(X, y, inputs, output) -> MamdaniModel:
     """One candidate rule per sample, conflict-resolved by maximum degree.
 
@@ -36,8 +47,7 @@ def wang_mendel(X, y, inputs, output) -> MamdaniModel:
     antecedent so the result is independent of sample order up to degree
     ties.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = _finite_data(X, y)
     if X.shape[0] == 0:
         raise ValueError("wang_mendel needs at least one sample")
     in_idx, in_deg = [], []
@@ -168,7 +178,7 @@ def gd_tune(
         raise ValueError(f"learning_rate must be >= 0, got {learning_rate}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    y = np.asarray(y, dtype=float)
+    X, y = _finite_data(X, y)
     genes, lo, hi = encode_centers(model)
     velocity = np.zeros_like(genes)
     curve = []
@@ -222,6 +232,7 @@ def ga_optimize(
     y,
     config: GaConfig,
     initial_population=None,
+    evaluations: Counter | None = None,
 ) -> tuple[MamdaniModel, list[float]]:
     """Evolve the MF centers; fitness is -RMSE through the full pipeline.
 
@@ -229,7 +240,14 @@ def ga_optimize(
     uniformly within each gene's variable range (unless an explicit
     initial population is supplied).  Returns the best individual decoded
     back into a model and the best-fitness-per-generation curve.
+
+    Each distinct genome is scored once per call: fitness is a pure function
+    of the genes, so re-scoring a copy (an elite, a clone from crossover)
+    would only repeat the same arithmetic.  A given `evaluations` counter
+    gets "distinct", the genomes scored, and "lookups", the fitness values
+    the GA asked for.
     """
+    X, y = _finite_data(X, y)
     rng = np.random.default_rng(config.seed)
     base, lo, hi = encode_centers(model)
     n_genes = base.shape[0]
@@ -242,8 +260,13 @@ def ga_optimize(
         pop[0] = base
         pop[1:] = rng.uniform(lo, hi, size=(config.population - 1, n_genes))
 
+    scored: dict[bytes, float] = {}
+
     def fitness_of(genes):
-        return -decode_centers(model, genes).rmse(X, y)
+        key = genes.tobytes()
+        if key not in scored:
+            scored[key] = -decode_centers(model, genes).rmse(X, y)
+        return scored[key]
 
     def tournament(fit):
         idx = rng.integers(0, config.population, size=config.tournament_size)
@@ -265,5 +288,8 @@ def ga_optimize(
         pop = np.array(new_pop)
         fit = np.array([fitness_of(ind) for ind in pop])
         curve.append(float(fit.max()))
+    if evaluations is not None:
+        evaluations["distinct"] += len(scored)
+        evaluations["lookups"] += config.population * (config.generations + 1)
     best = pop[int(np.argmax(fit))]
     return decode_centers(model, best), curve

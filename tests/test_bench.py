@@ -76,6 +76,19 @@ class TestReportStructure:
         for name in ("summary.csv", "sweep.csv"):
             assert "solves" not in (out / name).read_text()
 
+    def test_ga_runs_carry_evaluation_counts(self, bench_out):
+        out, _ = bench_out
+        report = json.loads((out / "report.json").read_text())
+        for run in report["runs"]:
+            if run["paradigm"] == "mamdani-ga":
+                counts = run["extras"]["ga_evaluations"]
+                assert counts["lookups"] == 6 * (4 + 1)  # population x (generations + 1)
+                assert 1 <= counts["distinct"] < counts["lookups"]
+            else:
+                assert "ga_evaluations" not in run.get("extras", {})
+        for name in ("summary.csv", "sweep.csv"):
+            assert "evaluations" not in (out / name).read_text()
+
     def test_mamdani_runs_carry_untuned_baseline(self, bench_out):
         _, report = bench_out
         for run in report["runs"]:

@@ -129,6 +129,28 @@ class TestTrain:
         solves = json.loads(out)["extras"]["consequent_solves"]
         assert solves["lstsq"] + solves["ridge"] == 3
 
+    def test_ga_summary_reports_evaluation_count(self, data_csv, tmp_path, capsys):
+        code, out, _ = run_cli(
+            capsys, "train", "--model", "mamdani-ga", "--data", str(data_csv),
+            "--out", str(tmp_path / "ga.json"),
+            "--config", '{"population": 6, "generations": 3}',
+        )
+        assert code == 0
+        counts = json.loads(out)["extras"]["ga_evaluations"]
+        assert counts["lookups"] == 6 * (3 + 1)
+        assert 1 <= counts["distinct"] < counts["lookups"]
+
+    def test_ga_on_non_finite_data_is_runtime_error(self, tmp_path, capsys):
+        bad = tmp_path / "inf.csv"
+        bad.write_text("fuel,intercept_time,weapon,danger,score\n1,2,3,4,5\n1,2,3,4,inf\n")
+        out = tmp_path / "ga.json"
+        code, _, err = run_cli(
+            capsys, "train", "--model", "mamdani-ga", "--data", str(bad), "--out", str(out),
+        )
+        assert code == 2
+        assert "line 3: score is not finite" in err
+        assert not out.exists()
+
     def test_unknown_config_key_is_usage_error(self, data_csv, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "train", "--model", "mamdani-ga", "--data", str(data_csv),

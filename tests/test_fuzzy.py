@@ -7,6 +7,7 @@ import pytest
 
 from softdss.anfis import AnfisModel, forward_batch
 from softdss.fuzzy import (
+    AGGREGATION_BLOCK_ROWS,
     GaussianMF,
     GBellMF,
     LinguisticVariable,
@@ -42,6 +43,32 @@ def reference_infer(model, x):
     if den == 0:
         return model.midpoint, False
     return float(agg @ grid / den), True
+
+
+def dense_infer_batch(model, X):
+    """Mamdani inference with the whole (P, m, 201) product materialized
+    (test oracle for the blocked aggregation): (outputs, fired)."""
+    X = np.asarray(X, dtype=float)
+    P = X.shape[0]
+    mu = [var.fuzzify(X[:, v]) for v, var in enumerate(model.inputs)]
+    acts = np.ones((P, len(model.rules)))
+    for i, rule in enumerate(model.rules):
+        for v, idx in enumerate(rule.antecedent):
+            acts[:, i] *= mu[v][:, idx]
+        acts[:, i] *= rule.weight
+    m_out = model.output.n_mfs
+    act_by_cons = np.zeros((P, m_out))
+    for j in range(m_out):
+        cols = [i for i, r in enumerate(model.rules) if r.consequent == j]
+        if cols:
+            act_by_cons[:, j] = acts[:, cols].max(axis=1)
+    grid = model.output_grid()
+    cons_vals = np.stack([mf.evaluate(grid) for mf in model.output.mfs])
+    agg = (act_by_cons[:, :, None] * cons_vals[None, :, :]).max(axis=1)
+    den = agg.sum(axis=1)
+    fired = den > 0
+    safe = np.where(fired, den, 1.0)
+    return np.where(fired, agg @ grid / safe, model.midpoint), fired
 
 
 def finite_difference_grad(mf, x, h=1e-6):
@@ -323,3 +350,52 @@ class TestMamdaniInference:
         assert back.rules == model.rules
         x = [[0.3]]
         assert back.infer_batch(x)[0][0] == model.infer_batch(x)[0][0]
+
+
+class TestBlockedAggregation:
+    """`infer_batch` aggregates in row blocks; it must equal the dense oracle bit for bit."""
+
+    @staticmethod
+    def _model(rng, n_rules, consequents=(0, 1, 2)):
+        inputs = [
+            LinguisticVariable.uniform(f"x{i}", 0.0, 1.0, 3, shape="triangle") for i in range(4)
+        ]
+        output = LinguisticVariable.uniform("y", 0.0, 1.0, 3, shape="triangle")
+        grid = grid_partition(inputs)
+        picks = rng.choice(len(grid), size=n_rules, replace=False)
+        rules = [
+            MamdaniRule(grid[k], int(rng.choice(consequents)), float(rng.uniform(0.05, 1)))
+            for k in sorted(picks)
+        ]
+        return MamdaniModel(inputs=inputs, output=output, rules=rules)
+
+    @pytest.mark.parametrize(
+        "rows", [1, AGGREGATION_BLOCK_ROWS - 1, AGGREGATION_BLOCK_ROWS + 1, 900]
+    )
+    def test_matches_dense_oracle(self, rows):
+        rng = np.random.default_rng(rows)
+        model = self._model(rng, 30)
+        X = rng.uniform(0, 1, size=(rows, 4))
+        out, fired = model.infer_batch(X)
+        want, want_fired = dense_infer_batch(model, X)
+        assert np.array_equal(out, want)
+        assert np.array_equal(fired, want_fired)
+
+    def test_unused_consequent_and_unfired_rows(self):
+        rng = np.random.default_rng(21)
+        model = self._model(rng, 6, consequents=(0, 2))  # output MF 1 has no rule
+        X = rng.uniform(0, 1, size=(AGGREGATION_BLOCK_ROWS + 40, 4))
+        out, fired = model.infer_batch(X)
+        want, want_fired = dense_infer_batch(model, X)
+        assert 0 < fired.sum() < fired.size  # some rows fire no rule
+        assert np.array_equal(out, want)
+        assert np.array_equal(fired, want_fired)
+
+    def test_empty_rule_list(self):
+        model = self._model(np.random.default_rng(22), 0)
+        X = np.random.default_rng(23).uniform(0, 1, size=(AGGREGATION_BLOCK_ROWS + 1, 4))
+        out, fired = model.infer_batch(X)
+        want, want_fired = dense_infer_batch(model, X)
+        assert not fired.any()
+        assert np.array_equal(out, want)
+        assert np.array_equal(fired, want_fired)

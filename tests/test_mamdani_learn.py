@@ -1,5 +1,7 @@
 """Wang-Mendel extraction, gradient tuning, and the genetic optimizer."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,50 @@ def brute_force_rules(X, y, inputs, output):
         if key not in groups or degree > groups[key][0]:
             groups[key] = (degree, cons)
     return {key: val for key, val in groups.items()}
+
+
+def reference_ga(model, X, y, config, initial_population=None):
+    """The GA scoring every individual every generation, no cache (test oracle).
+
+    Draws the same random numbers as `ga_optimize`.  Returns (best genes,
+    curve, distinct genomes scored).
+    """
+    rng = np.random.default_rng(config.seed)
+    base, lo, hi = encode_centers(model)
+    n_genes = base.shape[0]
+    if initial_population is not None:
+        pop = np.array(initial_population, dtype=float)
+    else:
+        pop = np.empty((config.population, n_genes))
+        pop[0] = base
+        pop[1:] = rng.uniform(lo, hi, size=(config.population - 1, n_genes))
+    seen = set()
+
+    def score(population):
+        seen.update(ind.tobytes() for ind in population)
+        return np.array([-decode_centers(model, ind).rmse(X, y) for ind in population])
+
+    def tournament(fit):
+        idx = rng.integers(0, config.population, size=config.tournament_size)
+        return idx[np.argmax(fit[idx])]
+
+    fit = score(pop)
+    curve = []
+    for _ in range(config.generations):
+        order = np.argsort(-fit, kind="stable")
+        new_pop = [pop[i].copy() for i in order[: config.elite_count]]
+        while len(new_pop) < config.population:
+            p1, p2 = tournament(fit), tournament(fit)
+            cut = int(rng.integers(1, n_genes)) if n_genes > 1 else 0
+            child = np.concatenate([pop[p1][:cut], pop[p2][cut:]])
+            mask = rng.random(n_genes) < config.mutation_rate
+            if np.any(mask):
+                child[mask] = rng.uniform(lo[mask], hi[mask])
+            new_pop.append(child)
+        pop = np.array(new_pop)
+        fit = score(pop)
+        curve.append(float(fit.max()))
+    return pop[int(np.argmax(fit))], curve, len(seen)
 
 
 def tace_style_model(rng):
@@ -253,3 +299,54 @@ class TestGaOptimize:
             GaConfig(mutation_rate=1.5)
         with pytest.raises(ValueError):
             GaConfig(population=5, elite_count=5)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            GaConfig(population=12, generations=15, mutation_rate=0.05, seed=6),
+            GaConfig(population=10, generations=12, mutation_rate=0.1, elite_count=3, seed=7),
+            GaConfig(population=8, generations=10, mutation_rate=0.0, seed=8),
+        ],
+        ids=["default", "three-elites", "no-mutation"],
+    )
+    def test_matches_cache_free_reference(self, config):
+        rng = np.random.default_rng(13)
+        model, X, y = tace_style_model(rng)
+        evaluations = Counter()
+        best, curve = ga_optimize(model, X, y, config, evaluations=evaluations)
+        want_genes, want_curve, distinct = reference_ga(model, X, y, config)
+        assert curve == want_curve
+        np.testing.assert_array_equal(encode_centers(best)[0], want_genes)
+        assert evaluations["distinct"] == distinct
+        assert evaluations["lookups"] == config.population * (config.generations + 1)
+        assert distinct < evaluations["lookups"]  # the elite alone repeats every generation
+
+    def test_identical_population_scored_once(self):
+        rng = np.random.default_rng(14)
+        model, X, y = tace_style_model(rng)
+        clones = np.tile(encode_centers(model)[0], (6, 1))
+        config = GaConfig(population=6, generations=5, mutation_rate=0.0, seed=9)
+        evaluations = Counter()
+        ga_optimize(model, X, y, config, initial_population=clones, evaluations=evaluations)
+        assert evaluations == Counter(distinct=1, lookups=36)
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("bad", ["X", "y"])
+    @pytest.mark.parametrize("trainer", ["wang_mendel", "gd_tune", "ga_optimize"])
+    def test_rejected_naming_argument(self, trainer, bad):
+        rng = np.random.default_rng(15)
+        model, X, y = tace_style_model(rng)
+        X, y = X.copy(), y.copy()
+        if bad == "X":
+            X[3, 1] = np.nan
+        else:
+            y[5] = np.inf
+        calls = {
+            "wang_mendel": lambda: wang_mendel(X, y, model.inputs, model.output),
+            "gd_tune": lambda: gd_tune(model, X, y, epochs=2),
+            "ga_optimize": lambda: ga_optimize(
+                model, X, y, GaConfig(population=4, generations=2, seed=1)),
+        }
+        with pytest.raises(ValueError, match=f"^{bad} holds non-finite values"):
+            calls[trainer]()
