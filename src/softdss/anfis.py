@@ -31,11 +31,12 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateCoverageError, SingularSystemError
-from .fuzzy import LinguisticVariable, grid_partition
+from .errors import DegenerateCoverageError, SingularSystemError, finite_data
+from .fuzzy import LinguisticVariable, grid_partition, rule_strengths, strength_backprop
 from .linalg import lse_batch, ridge_solve
 from .report import TrainReport
 
@@ -74,7 +75,9 @@ class AnfisModel:
     def n_rules(self) -> int:
         return len(self.rules)
 
-    def rule_index(self) -> np.ndarray:
+    @cached_property
+    def antecedent_index(self) -> np.ndarray:
+        """(n_rules, n_inputs) MF index of every rule's antecedent."""
         return np.asarray(self.rules, dtype=int)
 
     # -- premise parameter vector ------------------------------------------
@@ -169,11 +172,8 @@ def forward_batch(model: AnfisModel, X) -> tuple[np.ndarray, ForwardTrace]:
         raise ValueError(f"expected {model.n_inputs} inputs, got {X.shape[1]}")
     Xc = np.column_stack([var.clip(X[:, v]) for v, var in enumerate(model.inputs)])
     memberships = [var.fuzzify(Xc[:, v]) for v, var in enumerate(model.inputs)]
-    ridx = model.rule_index()
     P, R = Xc.shape[0], model.n_rules
-    w = np.ones((P, R))
-    for v in range(model.n_inputs):
-        w *= memberships[v][:, ridx[:, v]]
+    w = rule_strengths(memberships, model.antecedent_index, np.ones((P, R)))
     wsum = w.sum(axis=1)
     dead = wsum <= 0.0
     if np.any(dead):
@@ -226,28 +226,19 @@ def update_step_size(controller: StepSizeController, new_error: float) -> StepSi
 def premise_gradient(model: AnfisModel, trace: ForwardTrace, residuals) -> np.ndarray:
     """Gradient of E = 1/2 sum(residual^2) w.r.t. the flat premise vector.
 
-    Backpropagates through the normalization and product layers; the
-    product derivative is computed from exclusion products so a zero
-    membership never divides.
+    Backpropagates through the normalization layer here and through the
+    product layer with `strength_backprop`.
     """
     residuals = np.asarray(residuals, dtype=float)
-    P, R = trace.w.shape
     f = trace.xa @ model.consequents.T                    # (P, R) rule outputs
     y = (trace.wbar * f).sum(axis=1)
     coef = residuals[:, None] * (f - y[:, None]) / trace.wsum[:, None]
-    ridx = model.rule_index()
+    d_mu = strength_backprop(trace.memberships, model.antecedent_index, coef, np.ones_like(trace.w))
     parts = []
     for v, var in enumerate(model.inputs):
-        w_excl = np.ones((P, R))
-        for u in range(model.n_inputs):
-            if u != v:
-                w_excl *= trace.memberships[u][:, ridx[:, u]]
-        gv = coef * w_excl
         x_v = trace.x[:, v]
         for j, mf in enumerate(var.mfs):
-            cols = ridx[:, v] == j
-            de_dmu = gv[:, cols].sum(axis=1)
-            parts.append(mf.gradient(x_v).T @ de_dmu)
+            parts.append(mf.gradient(x_v).T @ d_mu[v][j])
     return np.concatenate(parts)
 
 
@@ -329,7 +320,7 @@ def anfis_train(
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if mode not in ("hybrid", "backprop"):
         raise ValueError(f"mode must be 'hybrid' or 'backprop', got {mode!r}")
-    X, y = train
+    X, y = finite_data(*train)
     controller = StepSizeController(k0)
     curve = []
     solves = Counter(lstsq=0, ridge=0)
@@ -345,10 +336,10 @@ def anfis_train(
         # consequents are defined by least squares given the premises; after the
         # last premise step re-identify them so the returned model is coherent
         _, trace = forward_batch(model, X)
-        flat = _identify_consequents(trace.regressors, np.asarray(y, dtype=float), solves)
+        flat = _identify_consequents(trace.regressors, y, solves)
         model = replace(model, consequents=flat.reshape(model.n_rules, model.n_inputs + 1))
     pred, _ = forward_batch(model, X)
-    final_train = float(np.sqrt(np.mean((pred - np.asarray(y, dtype=float)) ** 2)))
+    final_train = float(np.sqrt(np.mean((pred - y) ** 2)))
     final_test = None
     if test is not None:
         Xt, yt = test

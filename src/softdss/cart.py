@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import finite_data
+
 _SSE_EPS = 1e-12
 
 
@@ -59,20 +61,6 @@ class TreeNode:
         return node
 
 
-def _clone(node: TreeNode | None) -> TreeNode | None:
-    if node is None:
-        return None
-    return TreeNode(
-        node.prediction,
-        node.sample_count,
-        node.sse,
-        node.split_variable,
-        node.threshold,
-        _clone(node.left),
-        _clone(node.right),
-    )
-
-
 def _node_stats(y) -> tuple[float, float]:
     """(mean, SSE) summed in sorted order, so sample order cannot leak in."""
     ys = np.sort(y)
@@ -105,8 +93,7 @@ def _best_split(X, y, min_leaf):
 
 def grow(X, y, min_leaf: int = 5) -> TreeNode:
     """Greedy best-first tree; stops on zero SSE, size, or no improving split."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = finite_data(X, y)
     if X.ndim == 1:
         X = X[:, None]
     if y.shape[0] == 0:

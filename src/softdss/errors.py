@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types and the training-data check shared across the library."""
+
+import numpy as np
 
 
 class SingularSystemError(RuntimeError):
@@ -15,3 +17,13 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, epoch: int, message: str | None = None):
         self.epoch = epoch
         super().__init__(message or f"training diverged at epoch {epoch}")
+
+
+def finite_data(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) as float arrays; ValueError naming the one that holds nan or inf."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    for name, values in (("X", X), ("y", y)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} holds non-finite values")
+    return X, y

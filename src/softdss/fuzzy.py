@@ -1,10 +1,13 @@
-"""Fuzzy primitives: membership functions, linguistic variables, Mamdani inference.
+"""Fuzzy primitives: membership functions, linguistic variables, the rule layer, Mamdani inference.
 
 Membership functions come in four parametric shapes (gaussian, generalized
 bell, trapezoid, triangle).  Every shape knows how to evaluate itself, how
 to differentiate itself with respect to its own parameters (the backbone of
 gradient tuning), and how to translate itself along the axis, which is what
 "moving the center" means uniformly across shapes.
+
+Both fuzzy systems share the rule layer: a rule fires with the product of
+its antecedent degrees (`rule_strengths`); `strength_backprop` differentiates it.
 
 Mamdani inference uses product implication (activation scales the consequent
 set), pointwise-max aggregation on a uniform discretization of the output
@@ -16,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +32,23 @@ AGGREGATION_BLOCK_ROWS = 160
 # membership function shapes
 # ---------------------------------------------------------------------------
 
-class GaussianMF:
+class MembershipFunction:
+    """Base of the four shapes: the constructor takes the parameters in `__slots__` order."""
+
+    __slots__ = ()
+
+    @property
+    def params(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def with_params(self, params):
+        return type(self)(*params)
+
+    def centroid(self) -> float:
+        return self.center  # by symmetry; the piecewise-linear shapes override it
+
+
+class GaussianMF(MembershipFunction):
     """exp(-(x - center)^2 / (2 sigma^2)), parameters (center, sigma)."""
 
     shape = "gaussian"
@@ -39,13 +59,6 @@ class GaussianMF:
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.c = float(center)
         self.sigma = float(sigma)
-
-    @property
-    def params(self):
-        return (self.c, self.sigma)
-
-    def with_params(self, params):
-        return GaussianMF(*params)
 
     def evaluate(self, x):
         z = (np.asarray(x, dtype=float) - self.c) / self.sigma
@@ -69,11 +82,8 @@ class GaussianMF:
     def center_gradient(self, x):
         return self.gradient(x)[..., 0]
 
-    def centroid(self) -> float:
-        return self.c
 
-
-class GBellMF:
+class GBellMF(MembershipFunction):
     """Generalized bell 1 / (1 + ((x - center)/a)^(2b)), parameters (a, b, center)."""
 
     shape = "gbell"
@@ -85,13 +95,6 @@ class GBellMF:
         self.a = float(a)
         self.b = float(b)
         self.c = float(center)
-
-    @property
-    def params(self):
-        return (self.a, self.b, self.c)
-
-    def with_params(self, params):
-        return GBellMF(*params)
 
     def _t(self, x):
         z = (np.asarray(x, dtype=float) - self.c) / self.a
@@ -127,11 +130,8 @@ class GBellMF:
     def center_gradient(self, x):
         return self.gradient(x)[..., 2]
 
-    def centroid(self) -> float:
-        return self.c
 
-
-class TrapezoidMF:
+class TrapezoidMF(MembershipFunction):
     """Piecewise-linear trapezoid with knots a <= b <= c <= d."""
 
     shape = "trapezoid"
@@ -141,13 +141,6 @@ class TrapezoidMF:
         if not (a <= b <= c <= d):
             raise ValueError(f"trapezoid knots must be ordered, got {(a, b, c, d)}")
         self.a, self.b, self.c, self.d = float(a), float(b), float(c), float(d)
-
-    @property
-    def params(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def with_params(self, params):
-        return TrapezoidMF(*params)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -196,7 +189,7 @@ class TrapezoidMF:
         return num / den
 
 
-class TriangleMF:
+class TriangleMF(MembershipFunction):
     """Piecewise-linear triangle with knots a <= b <= c, peak at b."""
 
     shape = "triangle"
@@ -206,13 +199,6 @@ class TriangleMF:
         if not (a <= b <= c):
             raise ValueError(f"triangle knots must be ordered, got {(a, b, c)}")
         self.a, self.b, self.c = float(a), float(b), float(c)
-
-    @property
-    def params(self):
-        return (self.a, self.b, self.c)
-
-    def with_params(self, params):
-        return TriangleMF(*params)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -262,8 +248,6 @@ MF_SHAPES = {
     "trapezoid": TrapezoidMF,
     "triangle": TriangleMF,
 }
-
-MembershipFunction = GaussianMF | GBellMF | TrapezoidMF | TriangleMF
 
 
 def mf_to_dict(mf: MembershipFunction) -> dict:
@@ -384,6 +368,32 @@ def grid_partition(variables) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(v.n_mfs) for v in variables)))
 
 
+def rule_strengths(memberships, antecedents, start) -> np.ndarray:
+    """(P, R) strengths: a copy of `start` times each rule's degrees, in input order.
+
+    `memberships[v]` holds input v's (P, n_mfs) degrees; `antecedents` is (R, n_inputs).
+    The copy keeps the C order of a full (P, R) `start`; row sums over the result depend on it.
+    """
+    strengths = np.array(start, dtype=float)
+    for v, mu in enumerate(memberships):
+        strengths *= mu[:, antecedents[:, v]]
+    return strengths
+
+
+def strength_backprop(memberships, antecedents, coef, start) -> list[np.ndarray]:
+    """d sum(coef * rule_strengths(...)) / d degree, one (n_mfs, P) array per input.
+
+    A rule's other degrees are multiplied out, never divided out, so a zero degree is safe.
+    """
+    grads = []
+    for v, mu in enumerate(memberships):
+        others = memberships[:v] + memberships[v + 1 :]
+        weighted = coef * rule_strengths(others, np.delete(antecedents, v, axis=1), start)
+        uses = antecedents[:, v]
+        grads.append(np.stack([weighted[:, uses == j].sum(axis=1) for j in range(mu.shape[1])]))
+    return grads
+
+
 # ---------------------------------------------------------------------------
 # Mamdani model and inference
 # ---------------------------------------------------------------------------
@@ -401,7 +411,7 @@ class MamdaniRule:
             raise ValueError(f"rule weight must be in [0, 1], got {self.weight}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MamdaniModel:
     inputs: list[LinguisticVariable]
     output: LinguisticVariable
@@ -416,6 +426,20 @@ class MamdaniModel:
                     raise ValueError(f"antecedent index {idx} out of range for {var.name!r}")
             if not 0 <= rule.consequent < self.output.n_mfs:
                 raise ValueError(f"consequent index {rule.consequent} out of range")
+
+    @cached_property
+    def antecedent_index(self) -> np.ndarray:
+        """(R, n_inputs) MF index of every rule's antecedent."""
+        ants = [r.antecedent for r in self.rules]
+        return np.array(ants, dtype=int).reshape(len(self.rules), len(self.inputs))
+
+    @cached_property
+    def rule_weights(self) -> np.ndarray:
+        return np.array([r.weight for r in self.rules], dtype=float)
+
+    @cached_property
+    def consequent_index(self) -> np.ndarray:
+        return np.array([r.consequent for r in self.rules], dtype=int)
 
     @property
     def midpoint(self) -> float:
@@ -436,17 +460,13 @@ class MamdaniModel:
         """
         X = np.asarray(X, dtype=float)
         P = X.shape[0]
-        R = len(self.rules)
-        ridx = np.array([r.antecedent for r in self.rules], dtype=int).reshape(R, len(self.inputs))
-        acts = np.ones((P, R))
-        for v, var in enumerate(self.inputs):
-            acts *= var.fuzzify(X[:, v])[:, ridx[:, v]]
-        acts *= np.array([r.weight for r in self.rules], dtype=float)
-        cons = np.array([r.consequent for r in self.rules], dtype=int)
+        mu = [var.fuzzify(X[:, v]) for v, var in enumerate(self.inputs)]
+        acts = rule_strengths(mu, self.antecedent_index, np.ones((P, len(self.rules))))
+        acts *= self.rule_weights
         m_out = self.output.n_mfs
         act_by_cons = np.zeros((P, m_out))
         for j in range(m_out):
-            cols = np.flatnonzero(cons == j)
+            cols = np.flatnonzero(self.consequent_index == j)
             if cols.size:
                 act_by_cons[:, j] = acts[:, cols].max(axis=1)
         grid = self.output_grid()

@@ -25,19 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrainingDivergedError
-from .fuzzy import MamdaniModel, MamdaniRule
+from .errors import TrainingDivergedError, finite_data
+from .fuzzy import MamdaniModel, MamdaniRule, rule_strengths, strength_backprop
 from .report import TrainReport
-
-
-def _finite_data(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """(X, y) as float arrays; ValueError naming the one that holds nan or inf."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for name, values in (("X", X), ("y", y)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} holds non-finite values")
-    return X, y
 
 
 def wang_mendel(X, y, inputs, output) -> MamdaniModel:
@@ -47,7 +37,7 @@ def wang_mendel(X, y, inputs, output) -> MamdaniModel:
     antecedent so the result is independent of sample order up to degree
     ties.
     """
-    X, y = _finite_data(X, y)
+    X, y = finite_data(X, y)
     if X.shape[0] == 0:
         raise ValueError("wang_mendel needs at least one sample")
     in_idx, in_deg = [], []
@@ -115,19 +105,14 @@ def decode_centers(model: MamdaniModel, genes) -> MamdaniModel:
 def _surrogate_forward(model: MamdaniModel, X):
     """Differentiable stand-in: activation-weighted average of consequent centroids."""
     X = np.asarray(X, dtype=float)
-    P, R = X.shape[0], len(model.rules)
     mu = [var.fuzzify(X[:, v]) for v, var in enumerate(model.inputs)]
-    ridx = np.array([r.antecedent for r in model.rules], dtype=int)
-    weights = np.array([r.weight for r in model.rules])
-    acts = np.tile(weights, (P, 1))
-    for v in range(len(model.inputs)):
-        acts *= mu[v][:, ridx[:, v]]
-    z = np.array([model.output.mfs[r.consequent].centroid() for r in model.rules])
+    acts = rule_strengths(mu, model.antecedent_index, np.tile(model.rule_weights, (X.shape[0], 1)))
+    z = np.array([mf.centroid() for mf in model.output.mfs])[model.consequent_index]
     den = acts.sum(axis=1)
     fired = den > 0
     safe = np.where(fired, den, 1.0)
     yhat = np.where(fired, (acts @ z) / safe, model.midpoint)
-    return yhat, acts, den, fired, mu, ridx, weights, z
+    return yhat, acts, den, fired, mu, z
 
 
 def surrogate_rmse(model: MamdaniModel, X, y) -> float:
@@ -138,29 +123,21 @@ def surrogate_rmse(model: MamdaniModel, X, y) -> float:
 def surrogate_gradient(model: MamdaniModel, X, y) -> np.ndarray:
     """Gradient of the mean squared surrogate error w.r.t. the center vector."""
     y = np.asarray(y, dtype=float)
-    yhat, acts, den, fired, mu, ridx, weights, z = _surrogate_forward(model, X)
-    P, R = acts.shape
+    yhat, acts, den, fired, mu, z = _surrogate_forward(model, X)
+    P = acts.shape[0]
     safe = np.where(fired, den, 1.0)
     r_err = (yhat - y) / P                                   # d(mean 1/2 err^2)/d yhat
     coef = np.where(fired[:, None], r_err[:, None] * (z[None, :] - yhat[:, None]) / safe[:, None], 0.0)
+    d_mu = strength_backprop(mu, model.antecedent_index, coef, np.tile(model.rule_weights, (P, 1)))
     grads = []
-    n_in = len(model.inputs)
     for v, var in enumerate(model.inputs):
-        w_excl = np.tile(weights, (P, 1))
-        for u in range(n_in):
-            if u != v:
-                w_excl *= mu[u][:, ridx[:, u]]
-        gv = coef * w_excl
         x_v = var.clip(X[:, v])
         for j, mf in enumerate(var.mfs):
-            cols = ridx[:, v] == j
-            de_dmu = gv[:, cols].sum(axis=1)
-            grads.append(float(mf.center_gradient(x_v) @ de_dmu))
+            grads.append(float(mf.center_gradient(x_v) @ d_mu[v][j]))
     # output centers: d yhat / d z_j = sum of activations with consequent j / den
     act_over_den = np.where(fired[:, None], acts / safe[:, None], 0.0)
     for j in range(model.output.n_mfs):
-        cols = [i for i, r in enumerate(model.rules) if r.consequent == j]
-        share = act_over_den[:, cols].sum(axis=1) if cols else np.zeros(P)
+        share = act_over_den[:, model.consequent_index == j].sum(axis=1)
         grads.append(float(r_err @ share))
     return np.array(grads)
 
@@ -178,7 +155,7 @@ def gd_tune(
         raise ValueError(f"learning_rate must be >= 0, got {learning_rate}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    X, y = _finite_data(X, y)
+    X, y = finite_data(X, y)
     genes, lo, hi = encode_centers(model)
     velocity = np.zeros_like(genes)
     curve = []
@@ -247,7 +224,7 @@ def ga_optimize(
     gets "distinct", the genomes scored, and "lookups", the fitness values
     the GA asked for.
     """
-    X, y = _finite_data(X, y)
+    X, y = finite_data(X, y)
     rng = np.random.default_rng(config.seed)
     base, lo, hi = encode_centers(model)
     n_genes = base.shape[0]

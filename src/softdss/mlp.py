@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import TrainingDivergedError
+from .errors import TrainingDivergedError, finite_data
 from .report import TrainReport
 
 SIGMA0 = 1e-4
@@ -116,9 +116,8 @@ def scg_train(
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    X, d = train
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = np.asarray(d, dtype=float)
+    X, d = finite_data(*train)
+    X = np.atleast_2d(X)
     n_samples = d.shape[0]
     w = model.weights.copy()
     n = w.shape[0]

@@ -17,16 +17,6 @@ class TrainReport:
     seed: int
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "rmse_per_epoch": [float(v) for v in self.rmse_per_epoch],
-            "final_train_rmse": float(self.final_train_rmse),
-            "final_test_rmse": None if self.final_test_rmse is None else float(self.final_test_rmse),
-            "wall_time": float(self.wall_time),
-            "seed": self.seed,
-            "extras": self.extras,
-        }
-
 
 def write_curve_csv(path, values, header=("epoch", "train_rmse"), start=1) -> None:
     """Emit an (index, value) curve; index counts from `start`."""

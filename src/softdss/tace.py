@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,14 +53,9 @@ class Dataset:
     y: np.ndarray
     seed: int | None = None
     normalized: bool = False
-    normalization: tuple = field(default=FIELD_RANGES + (SCORE_RANGE,))
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def samples(self) -> list[Sample]:
-        return [Sample(*row, score) for row, score in zip(self.x, self.y)]
 
 
 def anchor_table() -> list[Sample]:

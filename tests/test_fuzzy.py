@@ -4,10 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from softdss.anfis import AnfisModel, forward_batch
 from softdss.fuzzy import (
     AGGREGATION_BLOCK_ROWS,
+    OUTPUT_GRID_POINTS,
     GaussianMF,
     GBellMF,
     LinguisticVariable,
@@ -16,6 +20,8 @@ from softdss.fuzzy import (
     TrapezoidMF,
     TriangleMF,
     grid_partition,
+    rule_strengths,
+    strength_backprop,
 )
 
 
@@ -69,6 +75,33 @@ def dense_infer_batch(model, X):
     fired = den > 0
     safe = np.where(fired, den, 1.0)
     return np.where(fired, agg @ grid / safe, model.midpoint), fired
+
+
+def reference_strengths(memberships, antecedents, start):
+    """rule_strengths one rule and one input at a time (test oracle)."""
+    out = np.array(start, dtype=float)
+    for r, antecedent in enumerate(antecedents):
+        for v, j in enumerate(antecedent):
+            out[:, r] = out[:, r] * memberships[v][:, j]
+    return out
+
+
+def reference_backprop(memberships, antecedents, coef, start):
+    """strength_backprop one rule and one input at a time (test oracle).
+
+    A rule adds coef * start * (its degrees on the other inputs) to the row of
+    each MF it uses, in rule order; with fewer than 8 rules per MF that is
+    also the order numpy sums a row in.
+    """
+    grads = [np.zeros((mu.shape[1], start.shape[0])) for mu in memberships]
+    for r, antecedent in enumerate(antecedents):
+        for v, j in enumerate(antecedent):
+            others = start[:, r].copy()
+            for u, k in enumerate(antecedent):
+                if u != v:
+                    others = others * memberships[u][:, k]
+            grads[v][j] = grads[v][j] + coef[:, r] * others
+    return grads
 
 
 def finite_difference_grad(mf, x, h=1e-6):
@@ -399,3 +432,106 @@ class TestBlockedAggregation:
         assert not fired.any()
         assert np.array_equal(out, want)
         assert np.array_equal(fired, want_fired)
+
+
+class TestRuleKernels:
+    """`rule_strengths` and `strength_backprop` against per-rule loops, bit for bit."""
+
+    @staticmethod
+    def _case(X, n_mfs=(3, 2, 2)):
+        """Triangle degrees of X, the grid antecedent table and a random coef."""
+        variables = [
+            LinguisticVariable.uniform(f"x{v}", 0.0, 1.0, m, shape="triangle")
+            for v, m in enumerate(n_mfs)
+        ]
+        memberships = [var.fuzzify(X[:, v]) for v, var in enumerate(variables)]
+        antecedents = np.array(grid_partition(variables))
+        coef = np.random.default_rng(31).normal(size=(X.shape[0], antecedents.shape[0]))
+        return memberships, antecedents, coef
+
+    @staticmethod
+    def _assert_matches(memberships, antecedents, coef, start):
+        before = start.copy()
+        got = rule_strengths(memberships, antecedents, start)
+        assert np.array_equal(got, reference_strengths(memberships, antecedents, start))
+        grads = strength_backprop(memberships, antecedents, coef, start)
+        want = reference_backprop(memberships, antecedents, coef, start)
+        assert len(grads) == len(want)
+        for g, w in zip(grads, want):
+            assert np.array_equal(g, w)
+        assert np.array_equal(start, before)  # start is read, never written
+        return got, grads
+
+    def test_zero_degree_never_divides(self):
+        # x0 = 0.9 lies outside the support of the first triangle of input 0
+        X = np.array([[0.9, 0.3, 0.6], [0.2, 0.5, 1.0], [0.45, 0.0, 0.75]])
+        memberships, antecedents, coef = self._case(X)
+        assert memberships[0][0, 0] == 0.0
+        got, grads = self._assert_matches(memberships, antecedents, coef, np.ones(coef.shape))
+        assert np.all(got[0, antecedents[:, 0] == 0] == 0.0)
+        # the rules using that MF still pass the other inputs' degrees back to it
+        assert np.all(np.isfinite(grads[0])) and grads[0][0, 0] != 0.0
+
+    def test_empty_rule_list(self):
+        X = np.random.default_rng(32).uniform(0, 1, size=(5, 3))
+        memberships, _, _ = self._case(X)
+        antecedents = np.zeros((0, 3), dtype=int)
+        no_rules = np.zeros((5, 0))
+        got, grads = self._assert_matches(memberships, antecedents, no_rules, no_rules + 1.0)
+        assert got.shape == (5, 0)
+        assert [g.shape for g in grads] == [(3, 5), (2, 5), (2, 5)]
+        assert not any(g.any() for g in grads)
+
+    def test_weighted_start(self):
+        rng = np.random.default_rng(33)
+        X = rng.uniform(-0.1, 1.1, size=(40, 3))
+        memberships, antecedents, coef = self._case(X)
+        weights = rng.uniform(0.05, 1.0, size=antecedents.shape[0])
+        self._assert_matches(memberships, antecedents, coef, np.tile(weights, (40, 1)))
+
+
+def _one_row_models(shape, seed):
+    rng = np.random.default_rng(seed)
+    inputs = [LinguisticVariable.uniform(f"x{i}", 0.0, 1.0, 3, shape=shape) for i in range(2)]
+    output = LinguisticVariable.uniform("y", 0.0, 1.0, 3, shape="triangle")
+    rules = [
+        MamdaniRule(ant, int(rng.integers(0, 3)), float(rng.uniform(0.1, 1.0)))
+        for ant in grid_partition(inputs)
+    ]
+    anfis = AnfisModel.grid(inputs, rng.normal(size=(9, 3)))
+    return anfis, MamdaniModel(inputs=inputs, output=output, rules=rules)
+
+
+class TestOneRowMatchesBatch:
+    """A one-row call gives its row of the batch call.
+
+    The rows agree up to the summation order of the final matrix product,
+    which adds a lone row's terms in another order than a row of a larger
+    product.  A dot product of n terms is within n * eps of the exact value,
+    relative to the sum of the terms' magnitudes, so two orders are within
+    2 * n * eps of each other.
+    """
+
+    EPS = np.finfo(float).eps
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(SHAPES),
+        seed=st.integers(0, 2**16),
+        X=arrays(float, st.tuples(st.integers(1, 30), st.just(2)),
+                 elements=st.floats(-0.25, 1.25)),
+    )
+    def test_anfis_and_mamdani(self, shape, seed, X):
+        anfis, mamdani = _one_row_models(shape, seed)
+        y, trace = forward_batch(anfis, X)
+        terms = np.abs(trace.regressors) @ np.abs(anfis.consequents.ravel())
+        n = trace.regressors.shape[1]
+        out, fired = mamdani.infer_batch(X)
+        for i in range(X.shape[0]):
+            row = X[i : i + 1]
+            assert abs(forward_batch(anfis, row)[0][0] - y[i]) <= 2 * n * self.EPS * terms[i]
+            one, one_fired = mamdani.infer_batch(row)
+            assert one_fired[0] == fired[i]
+            # the centroid's numerator and denominator each sum 201 non-negative terms
+            tol = 2 * 2 * OUTPUT_GRID_POINTS * self.EPS * abs(out[i])
+            assert abs(one[0] - out[i]) <= tol

@@ -1,10 +1,12 @@
-"""Wang-Mendel extraction, gradient tuning, and the genetic optimizer."""
+"""Wang-Mendel extraction, gradient tuning, the genetic optimizer, and the trainers' data check."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from softdss.anfis import AnfisModel, anfis_train
+from softdss.cart import grow
 from softdss.errors import TrainingDivergedError
 from softdss.fuzzy import LinguisticVariable, TriangleMF
 from softdss.mamdani import (
@@ -17,6 +19,7 @@ from softdss.mamdani import (
     surrogate_rmse,
     wang_mendel,
 )
+from softdss.mlp import mlp_init, scg_train
 
 
 def worked_example_setup():
@@ -332,8 +335,13 @@ class TestGaOptimize:
 
 
 class TestNonFiniteData:
+    """Every trainer checks its training data through `errors.finite_data`."""
+
     @pytest.mark.parametrize("bad", ["X", "y"])
-    @pytest.mark.parametrize("trainer", ["wang_mendel", "gd_tune", "ga_optimize"])
+    @pytest.mark.parametrize(
+        "trainer",
+        ["wang_mendel", "gd_tune", "ga_optimize", "anfis_train", "scg_train", "cart_grow"],
+    )
     def test_rejected_naming_argument(self, trainer, bad):
         rng = np.random.default_rng(15)
         model, X, y = tace_style_model(rng)
@@ -347,6 +355,9 @@ class TestNonFiniteData:
             "gd_tune": lambda: gd_tune(model, X, y, epochs=2),
             "ga_optimize": lambda: ga_optimize(
                 model, X, y, GaConfig(population=4, generations=2, seed=1)),
+            "anfis_train": lambda: anfis_train(AnfisModel.grid(model.inputs), (X, y), None, 1),
+            "scg_train": lambda: scg_train(mlp_init(2, 3), (X, y), None, 2),
+            "cart_grow": lambda: grow(X, y),
         }
         with pytest.raises(ValueError, match=f"^{bad} holds non-finite values"):
             calls[trainer]()
