@@ -23,6 +23,7 @@ import numpy as np
 from . import cart as cart_mod
 from . import tace
 from .anfis import AnfisModel, anfis_train
+from .errors import finite_data
 from .fuzzy import LinguisticVariable
 from .mamdani import GaConfig, ga_optimize, gd_tune, wang_mendel
 from .mlp import mlp_init, scg_train
@@ -172,9 +173,15 @@ def train_paradigm(kind, train, test, settings, seed) -> Trained:
     and `settings` the matching AnfisSettings, MamdaniSettings, MlpSettings
     or CartSettings.  For "mlp", `settings.hidden` is this run's unit count,
     not the per-dataset table.  `test` may be None, and then so is the
-    returned test RMSE.
+    returned test RMSE.  A non-finite test value is a ValueError naming the
+    test split.
     """
     Xtr, ytr = train
+    if test is not None:
+        try:
+            test = finite_data(*test)
+        except ValueError as exc:
+            raise ValueError(f"test split: {exc}") from None
     epoch_header = ("epoch", "train_rmse")
     if kind.startswith("anfis-"):
         model = AnfisModel.grid(unit_variables(settings.mf_count, kind.removeprefix("anfis-")))
@@ -216,7 +223,7 @@ def train_paradigm(kind, train, test, settings, seed) -> Trained:
         model = mlp_init(len(tace.FIELDS), settings.hidden, seed=seed)
         model, report = scg_train(model, train, test, settings.epochs, seed=seed)
         return Trained(model, report.rmse_per_epoch, epoch_header, report.final_train_rmse,
-                       report.final_test_rmse, {"hidden_units": settings.hidden})
+                       report.final_test_rmse, {"hidden_units": settings.hidden, **report.extras})
     if kind == "cart":
         tree = cart_mod.grow(Xtr, ytr, min_leaf=settings.min_leaf)
         seq = cart_mod.prune_sequence(

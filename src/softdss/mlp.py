@@ -21,6 +21,15 @@ SIGMA0 = 1e-4
 LAMBDA0 = 1e-6
 
 
+def _unpack(w: np.ndarray, d: int, h: int):
+    """(w1 (h, d), b1, w2, b2) as views of the flat weight vector."""
+    w1 = w[: d * h].reshape(h, d)
+    b1 = w[d * h : d * h + h]
+    w2 = w[d * h + h : d * h + 2 * h]
+    b2 = w[-1]
+    return w1, b1, w2, b2
+
+
 @dataclass(frozen=True)
 class MlpModel:
     """tanh hidden layer, identity output; weights kept as one flat vector."""
@@ -35,13 +44,7 @@ class MlpModel:
             raise ValueError(f"weights must have length {want}, got {self.weights.shape}")
 
     def unpack(self):
-        d, h = self.input_dim, self.hidden_units
-        w = self.weights
-        w1 = w[: d * h].reshape(h, d)
-        b1 = w[d * h : d * h + h]
-        w2 = w[d * h + h : d * h + 2 * h]
-        b2 = w[-1]
-        return w1, b1, w2, b2
+        return _unpack(self.weights, self.input_dim, self.hidden_units)
 
     def to_dict(self) -> dict:
         return {
@@ -77,27 +80,53 @@ def mlp_forward_batch(model: MlpModel, X) -> np.ndarray:
     return hidden @ w2 + b2
 
 
+def _forward(X, w1, b1, w2, b2, d, hidden) -> np.ndarray:
+    """Fill `hidden` (n, h) with tanh(X w1^T + b1); return the residual y - d."""
+    np.matmul(X, w1.T, out=hidden)
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    return hidden @ w2 + b2 - d
+
+
+def _backward(X, w2, hidden, resid, dh) -> np.ndarray:
+    """Gradient from `_forward`'s `hidden` and residual; overwrites `hidden` and `dh`.
+
+    dh is outer(resid, w2) * (1 - hidden*hidden), built in place with the
+    same operations in the same order, so the result is bit-identical to
+    the form with fresh temporaries.
+    """
+    dw2 = hidden.T @ resid
+    db2 = resid.sum()
+    hidden *= hidden
+    np.subtract(1.0, hidden, out=hidden)
+    np.multiply.outer(resid, w2, out=dh)
+    dh *= hidden
+    dw1 = dh.T @ X
+    db1 = dh.sum(axis=0)
+    return np.concatenate([dw1.ravel(), db1, dw2, [db2]])
+
+
+def _sse(resid: np.ndarray) -> float:
+    return 0.5 * float(resid @ resid)
+
+
+def _batch(model: MlpModel, X, d):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return X, np.asarray(d, dtype=float), np.empty((X.shape[0], model.hidden_units))
+
+
 def mlp_loss(model: MlpModel, X, d) -> float:
     """Sum-squared-error objective 1/2 sum (d - y)^2."""
-    resid = mlp_forward_batch(model, X) - np.asarray(d, dtype=float)
-    return 0.5 * float(resid @ resid)
+    X, d, hidden = _batch(model, X, d)
+    return _sse(_forward(X, *model.unpack(), d, hidden))
 
 
 def mlp_gradient(model: MlpModel, X, d) -> np.ndarray:
     """Exact backpropagated gradient of the sum-squared-error objective."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = np.asarray(d, dtype=float)
+    X, d, hidden = _batch(model, X, d)
     w1, b1, w2, b2 = model.unpack()
-    z = X @ w1.T + b1
-    hidden = np.tanh(z)
-    y = hidden @ w2 + b2
-    r = y - d
-    dw2 = hidden.T @ r
-    db2 = r.sum()
-    dh = np.outer(r, w2) * (1.0 - hidden * hidden)
-    dw1 = dh.T @ X
-    db1 = dh.sum(axis=0)
-    return np.concatenate([dw1.ravel(), db1, dw2, [db2]])
+    resid = _forward(X, w1, b1, w2, b2, d, hidden)
+    return _backward(X, w2, hidden, resid, np.empty_like(hidden))
 
 
 def _rmse_from_loss(loss: float, n: int) -> float:
@@ -122,18 +151,26 @@ def scg_train(
     w = model.weights.copy()
     n = w.shape[0]
 
-    def loss(wv):
-        return mlp_loss(replace(model, weights=wv), X, d)
+    d_in, h = model.input_dim, model.hidden_units
+    hidden = np.empty((X.shape[0], h))  # (n, h) work arrays, allocated once per fit
+    dh = np.empty_like(hidden)
 
-    def grad(wv):
-        return mlp_gradient(replace(model, weights=wv), X, d)
+    def forward(wv):
+        """Residual at `wv`; leaves that point's hidden layer in `hidden`."""
+        return _forward(X, *_unpack(wv, d_in, h), d, hidden)
+
+    def grad(wv, resid):
+        """Gradient at `wv`, given that the last `forward` call was at `wv`."""
+        return _backward(X, _unpack(wv, d_in, h)[2], hidden, resid, dh)
 
     lam, lam_bar = LAMBDA0, 0.0
-    e_now = loss(w)
-    r = -grad(w)
+    resid = forward(w)
+    e_now = _sse(resid)
+    r = -grad(w, resid)
     p = r.copy()
     success = True
     delta_raw = 0.0
+    accepted = rejected = 0
     curve = []
     start = time.perf_counter()
     for k in range(1, epochs + 1):
@@ -145,7 +182,8 @@ def scg_train(
             break
         if success:
             sigma_k = SIGMA0 / np.sqrt(p_norm2)
-            s = (grad(w + sigma_k * p) - (-r)) / sigma_k
+            w_sigma = w + sigma_k * p
+            s = (grad(w_sigma, forward(w_sigma)) - (-r)) / sigma_k
             delta_raw = float(p @ s)
         delta = delta_raw + (lam - lam_bar) * p_norm2
         if delta <= 0:  # make the Hessian estimate positive definite
@@ -158,12 +196,15 @@ def scg_train(
             curve.append(_rmse_from_loss(e_now, n_samples))
             continue
         alpha = mu / delta
-        e_trial = loss(w + alpha * p)
+        w_trial = w + alpha * p
+        resid = forward(w_trial)
+        e_trial = _sse(resid)
         cmp = 2.0 * delta * (e_now - e_trial) / mu**2
-        if cmp >= 0:  # accepted step
-            w = w + alpha * p
+        if cmp >= 0:  # accepted step; its gradient reuses the trial forward pass
+            accepted += 1
+            w = w_trial
             e_now = e_trial
-            r_new = -grad(w)
+            r_new = -grad(w, resid)
             lam_bar = 0.0
             success = True
             if k % n == 0:
@@ -175,6 +216,7 @@ def scg_train(
             if cmp >= 0.75:
                 lam *= 0.25
         else:
+            rejected += 1
             lam_bar = lam
             success = False
         if cmp < 0.25:
@@ -188,5 +230,8 @@ def scg_train(
         Xt, dt = test
         resid = mlp_forward_batch(trained, Xt) - np.asarray(dt, dtype=float)
         final_test = float(np.sqrt(np.mean(resid**2)))
-    report = TrainReport(curve, final_train, final_test, time.perf_counter() - start, seed)
+    extras = {"scg_steps": {"accepted": accepted, "rejected": rejected}, "final_lambda": lam}
+    report = TrainReport(
+        curve, final_train, final_test, time.perf_counter() - start, seed, extras
+    )
     return trained, report

@@ -2,11 +2,22 @@
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from softdss.bench import AnfisSettings, BenchConfig, CartSettings, MamdaniSettings, MlpSettings, run_bench
+from softdss import tace
+from softdss.bench import (
+    AnfisSettings,
+    BenchConfig,
+    CartSettings,
+    MamdaniSettings,
+    MlpSettings,
+    run_bench,
+    train_paradigm,
+)
 
 
 def small_config(**overrides):
@@ -88,6 +99,21 @@ class TestReportStructure:
                 assert "ga_evaluations" not in run.get("extras", {})
         for name in ("summary.csv", "sweep.csv"):
             assert "evaluations" not in (out / name).read_text()
+
+    def test_mlp_runs_carry_scg_counters(self, bench_out):
+        out, _ = bench_out
+        report = json.loads((out / "report.json").read_text())
+        for run in report["runs"]:
+            if run["paradigm"] == "mlp":
+                extras = run["extras"]
+                assert extras["hidden_units"] == {"A": 5, "B": 6}[run["dataset"]]
+                steps = extras["scg_steps"]
+                assert steps["accepted"] >= 1
+                assert steps["accepted"] + steps["rejected"] <= 25
+                assert extras["final_lambda"] >= 0.0
+        for name in ("summary.csv", "sweep.csv"):
+            text = (out / name).read_text()
+            assert "scg_steps" not in text and "lambda" not in text
 
     def test_mamdani_runs_carry_untuned_baseline(self, bench_out):
         _, report = bench_out
@@ -176,3 +202,16 @@ class TestFailureIsolation:
         assert failed == {("mlp", "B")}
         finished = {(r["paradigm"], r["dataset"]) for r in report["runs"] if "error" not in r}
         assert ("cart", "B") in finished and ("anfis-gaussian", "B") in finished
+
+
+class TestTestSplitChecked:
+    @pytest.mark.parametrize("kind", ["anfis-gaussian", "mamdani-gd", "mlp", "cart"])
+    def test_non_finite_test_value_rejected_naming_split(self, kind):
+        cfg = small_config()
+        settings = {"anfis-gaussian": cfg.anfis, "mamdani-gd": cfg.mamdani,
+                    "mlp": replace(cfg.mlp, hidden=5), "cart": cfg.cart}[kind]
+        tr, te = tace.split(tace.normalize(tace.generate(7, 150)), 0.8, 1)
+        Xte = te.x.copy()
+        Xte[0, 1] = np.nan
+        with pytest.raises(ValueError, match="^test split: X holds non-finite values"):
+            train_paradigm(kind, (tr.x, tr.y), (Xte, te.y), settings, 1)

@@ -1,18 +1,29 @@
 """Feed-forward evaluation, backprop gradient, and SCG training behaviour."""
 
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from softdss import tace
+from softdss.bench import BenchConfig
+from softdss.errors import TrainingDivergedError, finite_data
 from softdss.mlp import (
+    LAMBDA0,
+    SIGMA0,
     MlpModel,
+    _backward,
+    _forward,
+    _rmse_from_loss,
     mlp_forward_batch,
     mlp_gradient,
     mlp_init,
     mlp_loss,
     scg_train,
 )
+from softdss.report import TrainReport
 
 
 def naive_forward(model, x):
@@ -26,6 +37,115 @@ def naive_forward(model, x):
             z += w[j * d + i] * x[i]
         out += w[d * h + h + j] * math.tanh(z)
     return out + w[-1]
+
+
+def reference_gradient(model, X, d):
+    """Backprop with fresh temporaries at every step (test oracle for the buffered pass)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    d = np.asarray(d, dtype=float)
+    w1, b1, w2, b2 = model.unpack()
+    z = X @ w1.T + b1
+    hidden = np.tanh(z)
+    y = hidden @ w2 + b2
+    r = y - d
+    dw2 = hidden.T @ r
+    db2 = r.sum()
+    dh = np.outer(r, w2) * (1.0 - hidden * hidden)
+    dw1 = dh.T @ X
+    db1 = dh.sum(axis=0)
+    return np.concatenate([dw1.ravel(), db1, dw2, [db2]])
+
+
+def reference_scg_train(model, train, test, epochs, seed=0):
+    """SCG through the public loss and gradient, one closure call per evaluation.
+
+    The test oracle for `scg_train`'s shared buffers and shared forward
+    pass; it also returns the iterations whose step was accepted.
+    """
+    X, d = finite_data(*train)
+    X = np.atleast_2d(X)
+    n_samples = d.shape[0]
+    w = model.weights.copy()
+    n = w.shape[0]
+
+    def loss(wv):
+        return mlp_loss(replace(model, weights=wv), X, d)
+
+    def grad(wv):
+        return mlp_gradient(replace(model, weights=wv), X, d)
+
+    lam, lam_bar = LAMBDA0, 0.0
+    e_now = loss(w)
+    r = -grad(w)
+    p = r.copy()
+    success = True
+    delta_raw = 0.0
+    curve, accepted_at = [], []
+    start = time.perf_counter()
+    for k in range(1, epochs + 1):
+        if not np.isfinite(e_now):
+            raise TrainingDivergedError(k, f"non-finite loss at iteration {k}")
+        p_norm2 = float(p @ p)
+        if p_norm2 == 0.0:
+            curve.extend([_rmse_from_loss(e_now, n_samples)] * (epochs - len(curve)))
+            break
+        if success:
+            sigma_k = SIGMA0 / np.sqrt(p_norm2)
+            s = (grad(w + sigma_k * p) - (-r)) / sigma_k
+            delta_raw = float(p @ s)
+        delta = delta_raw + (lam - lam_bar) * p_norm2
+        if delta <= 0:
+            lam_bar = 2.0 * (lam - delta / p_norm2)
+            delta = -delta + lam * p_norm2
+            lam = lam_bar
+        mu = float(p @ r)
+        if mu == 0.0:
+            p = r.copy()
+            curve.append(_rmse_from_loss(e_now, n_samples))
+            continue
+        alpha = mu / delta
+        e_trial = loss(w + alpha * p)
+        cmp = 2.0 * delta * (e_now - e_trial) / mu**2
+        if cmp >= 0:
+            accepted_at.append(k)
+            w = w + alpha * p
+            e_now = e_trial
+            r_new = -grad(w)
+            lam_bar = 0.0
+            success = True
+            if k % n == 0:
+                p = r_new.copy()
+            else:
+                beta = float(r_new @ r_new - r_new @ r) / mu
+                p = r_new + beta * p
+            r = r_new
+            if cmp >= 0.75:
+                lam *= 0.25
+        else:
+            lam_bar = lam
+            success = False
+        if cmp < 0.25:
+            lam += delta * (1.0 - cmp) / p_norm2
+        curve.append(_rmse_from_loss(e_now, n_samples))
+
+    trained = replace(model, weights=w)
+    final_train = _rmse_from_loss(e_now, n_samples)
+    final_test = None
+    if test is not None:
+        Xt, dt = test
+        resid = mlp_forward_batch(trained, Xt) - np.asarray(dt, dtype=float)
+        final_test = float(np.sqrt(np.mean(resid**2)))
+    report = TrainReport(curve, final_train, final_test, time.perf_counter() - start, seed)
+    report.extras["final_lambda"] = lam
+    return trained, report, accepted_at
+
+
+def small_problem(seed=0, h=2, n=40):
+    """A tiny noisy regression on which SCG rejects some steps and restarts."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, size=(n, 2))
+    y = np.sin(3 * X[:, 0]) * X[:, 1] + rng.normal(scale=0.1, size=n)
+    return mlp_init(2, h, seed=seed), X, y
 
 
 def finite_difference_gradient(model, X, d, h=1e-6):
@@ -89,6 +209,74 @@ class TestGradient:
         g1 = mlp_gradient(model, X, d)
         g2 = mlp_gradient(model, np.vstack([X, X]), np.concatenate([d, d]))
         np.testing.assert_allclose(g2, 2 * g1, rtol=1e-12)
+
+
+class TestBufferedPass:
+    def test_gradient_and_loss_match_fresh_temporaries(self):
+        rng = np.random.default_rng(10)
+        model = mlp_init(4, 30, seed=10)
+        X = rng.uniform(0, 1, size=(90, 4))
+        d = rng.uniform(0, 1, size=90)
+        assert np.array_equal(mlp_gradient(model, X, d), reference_gradient(model, X, d))
+        resid = mlp_forward_batch(model, X) - d
+        assert mlp_loss(model, X, d) == 0.5 * float(resid @ resid)
+
+    def test_reused_buffers_give_mlp_gradient_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        X = rng.uniform(0, 1, size=(90, 4))
+        d = rng.uniform(0, 1, size=90)
+        hidden, dh = np.empty((90, 32)), np.empty((90, 32))
+        for seed in range(3):  # the buffers carry the previous call's values
+            model = mlp_init(4, 32, seed=seed)
+            w1, b1, w2, b2 = model.unpack()
+            resid = _forward(X, w1, b1, w2, b2, d, hidden)
+            got = _backward(X, w2, hidden, resid, dh)
+            assert np.array_equal(got, mlp_gradient(model, X, d))
+
+
+def matrix_split(dataset, seed):
+    cfg = BenchConfig()
+    master = tace.normalize(tace.generate(cfg.data_seed, cfg.n, jitter=cfg.jitter))
+    tr, te = tace.split(master, cfg.datasets[dataset], seed)
+    return (tr.x, tr.y), (te.x, te.y)
+
+
+class TestScgMatchesReference:
+    def assert_same(self, model, train, test, epochs):
+        got, report = scg_train(model, train, test, epochs, seed=1)
+        want, want_report, accepted_at = reference_scg_train(model, train, test, epochs, seed=1)
+        assert np.array_equal(got.weights, want.weights)
+        assert report.rmse_per_epoch == want_report.rmse_per_epoch
+        assert report.final_train_rmse == want_report.final_train_rmse
+        assert report.final_test_rmse == want_report.final_test_rmse
+        assert report.extras["final_lambda"] == want_report.extras["final_lambda"]
+        steps = report.extras["scg_steps"]
+        assert steps["accepted"] == len(accepted_at)
+        assert steps["accepted"] + steps["rejected"] <= epochs
+        return report, accepted_at
+
+    @pytest.mark.parametrize("dataset, h", [("A", 30), ("B", 32)])
+    def test_bench_sizes(self, dataset, h):
+        train, test = matrix_split(dataset, 1)
+        self.assert_same(mlp_init(len(tace.FIELDS), h, seed=1), train, test, 150)
+
+    def test_rejected_steps_and_restarts(self):
+        model, X, y = small_problem()
+        report, accepted_at = self.assert_same(model, (X, y), None, 60)
+        assert report.extras["scg_steps"]["rejected"] > 0
+        n = model.weights.size
+        assert any(k % n == 0 for k in accepted_at)  # a steepest-descent restart ran
+
+    def test_curve_changes_only_at_accepted_steps(self):
+        model, X, y = small_problem(seed=10)
+        _, report = scg_train(model, (X, y), None, 60)
+        _, _, accepted_at = reference_scg_train(model, (X, y), None, 60)
+        curve = report.rmse_per_epoch
+        changed = {k for k in range(2, len(curve) + 1) if curve[k - 1] != curve[k - 2]}
+        assert changed <= set(accepted_at)
+        steps = report.extras["scg_steps"]
+        assert steps["rejected"] > 0
+        assert steps["accepted"] + steps["rejected"] <= 60
 
 
 class TestScg:
