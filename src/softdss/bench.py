@@ -234,6 +234,7 @@ def train_paradigm(kind, train, test, settings, seed) -> Trained:
         extras = {
             "terminal_count": cart_mod.count_leaves(best),
             "full_terminal_count": cart_mod.count_leaves(tree),
+            "ladder_length": len(seq),
         }
         return Trained(best, seq, (), _rmse(cart_mod.predict_batch(best, Xtr), ytr),
                        test_rmse, extras)

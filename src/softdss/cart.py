@@ -17,6 +17,7 @@ import numpy as np
 from .errors import finite_data
 
 _SSE_EPS = 1e-12
+_PAD_RATIO = 2
 
 
 @dataclass
@@ -68,31 +69,80 @@ def _node_stats(y) -> tuple[float, float]:
     return mean, float(np.sum((ys - mean) ** 2))
 
 
-def _best_split(X, y, min_leaf):
-    """Minimal total-child-SSE split, ties to lowest variable then lowest threshold."""
-    n = y.shape[0]
-    total1, total2 = y.sum(), float(y @ y)
-    best = None  # (sse, var, threshold)
-    for j in range(X.shape[1]):
-        order = np.lexsort((y, X[:, j]))  # value-keyed, so sample order cannot matter
-        xs, ys = X[order, j], y[order]
-        cs = np.cumsum(ys)
-        cs2 = np.cumsum(ys * ys)
-        i = np.arange(1, n)  # left child takes the first i sorted samples
-        valid = (i >= min_leaf) & (i <= n - min_leaf) & (xs[:-1] < xs[1:])
-        if not np.any(valid):
-            continue
-        left = cs2[:-1] - cs[:-1] ** 2 / i
-        right = (total2 - cs2[:-1]) - (total1 - cs[:-1]) ** 2 / (n - i)
-        totals = np.where(valid, left + right, np.inf)
-        k = int(np.argmin(totals))  # first minimum = lowest threshold
-        if best is None or totals[k] < best[0]:
-            best = (float(totals[k]), j, 0.5 * (xs[k] + xs[k + 1]))
-    return best
+def _level_splits(X, y, rank, groups, min_leaf):
+    """(SSE, variable, threshold) of the best split of every node in `groups`.
+
+    `groups` holds each open node's sample indices (nodes of one depth), `rank[j]` every sample's
+    position in (x_j, y) order.  Per variable, the nodes' samples are laid out
+    as one padded (nodes, width) array, each row sorted by (x, y) and padded
+    with x = inf, y = 0: `cumsum` along a row is sequential, so a row's sums
+    carry the same bits as a lone node's.  The node totals keep numpy's
+    pairwise `sum` and the BLAS dot per node, which padding would reorder.
+    A split keeps each side >= min_leaf samples and falls between distinct x;
+    ties go to the lowest variable, then the lowest threshold.  A node with
+    no allowed split gets variable -1.
+    """
+    n, d = X.shape
+    sizes = np.array([g.shape[0] for g in groups])
+    m, width = sizes.shape[0], int(sizes.max())
+    samples = np.concatenate(groups)
+    owner = np.repeat(np.arange(m), sizes)
+    col = np.arange(samples.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    order = samples[np.argsort(owner * n + rank[:, samples], axis=1)]  # (d, samples)
+    xs = np.full((d, m, width), np.inf)
+    xs[:, owner, col] = X[order, np.arange(d)[:, None]]
+    ys = np.zeros((d, m, width))
+    ys[:, owner, col] = y[order]
+    cs = np.cumsum(ys, axis=2)[..., :-1]
+    cs2 = np.cumsum(ys * ys, axis=2)[..., :-1]
+    targets = [y[g] for g in groups]
+    total1 = np.array([t.sum() for t in targets])[:, None]
+    total2 = np.array([t @ t for t in targets])[:, None]
+    i = np.arange(1, width)  # left child takes the first i sorted samples
+    size = sizes[:, None]
+    valid = (i >= min_leaf) & (i <= size - min_leaf) & (xs[..., :-1] < xs[..., 1:])
+    with np.errstate(divide="ignore", invalid="ignore"):  # padding past a row's end
+        left = cs2 - cs ** 2 / i
+        right = (total2 - cs2) - (total1 - cs) ** 2 / (size - i)
+    totals = np.where(valid, left + right, np.inf)
+    k = np.argmin(totals, axis=2)  # first minimum = lowest threshold
+    k_sse = np.take_along_axis(totals, k[..., None], axis=2)[..., 0]
+    k_any = valid.any(axis=2)
+    best = np.full(m, np.nan)
+    var = np.full(m, -1)
+    at = np.zeros(m, dtype=int)
+    for j in range(d):  # a later variable must be strictly better
+        take = k_any[j] & ((var < 0) | (k_sse[j] < best))
+        best[take], var[take], at[take] = k_sse[j][take], j, k[j][take]
+    rows = np.arange(m)
+    threshold = 0.5 * (xs[var, rows, at] + xs[var, rows, at + 1])
+    return zip(best.tolist(), var.tolist(), threshold.tolist())
+
+
+def _padded_runs(sizes):
+    """(start, stop) runs over descending node sizes, each padded to its first
+    size with at most _PAD_RATIO cells per sample, so a depth of one large node
+    and many small ones costs memory in proportion to its samples."""
+    start = 0
+    while start < len(sizes):
+        stop, total = start, 0
+        while stop < len(sizes) and (
+                (stop + 1 - start) * sizes[start] <= _PAD_RATIO * (total + sizes[stop])):
+            total += sizes[stop]
+            stop += 1
+        yield start, stop
+        start = stop
 
 
 def grow(X, y, min_leaf: int = 5) -> TreeNode:
-    """Greedy best-first tree; stops on zero SSE, size, or no improving split."""
+    """Greedy least-squares tree, grown one depth at a time.
+
+    A node stays a leaf on zero SSE, on fewer than 2 * min_leaf samples, or
+    when no split lowers its SSE.  The open nodes of a depth are searched
+    together, widest first, in a few numpy passes (`_level_splits`).  Each
+    node's split depends only on its own samples, so the tree is the one
+    depth-first growth would build.
+    """
     X, y = finite_data(X, y)
     if X.ndim == 1:
         X = X[:, None]
@@ -100,25 +150,37 @@ def grow(X, y, min_leaf: int = 5) -> TreeNode:
         raise ValueError("grow needs at least one sample")
     if min_leaf < 1:
         raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
+    n, d = X.shape
+    rank = np.empty((d, n), dtype=int)
+    for j in range(d):
+        # value-keyed, so sample order cannot matter
+        rank[j, np.lexsort((y, X[:, j]))] = np.arange(n)
 
-    def build(idx):
-        yi = y[idx]
-        mean, sse = _node_stats(yi)
-        node = TreeNode(mean, int(idx.shape[0]), sse)
-        if idx.shape[0] < 2 * min_leaf or node.sse <= _SSE_EPS:
-            return node
-        found = _best_split(X[idx], yi, min_leaf)
-        if found is None or found[0] >= node.sse - _SSE_EPS:
-            return node
-        _, var, thr = found
-        mask = X[idx, var] <= thr
-        node.split_variable = var
-        node.threshold = thr
-        node.left = build(idx[mask])
-        node.right = build(idx[~mask])
-        return node
+    def node(idx):
+        mean, sse = _node_stats(y[idx])
+        return TreeNode(mean, int(idx.shape[0]), sse)
 
-    return build(np.arange(y.shape[0]))
+    root_idx = np.arange(n)
+    root = node(root_idx)
+    level = [(root, root_idx)]
+    while level:
+        level = [(t, idx) for t, idx in level
+                 if not (idx.shape[0] < 2 * min_leaf or t.sse <= _SSE_EPS)]
+        level.sort(key=lambda item: item[1].shape[0], reverse=True)
+        found = []
+        for start, stop in _padded_runs([idx.shape[0] for _, idx in level]):
+            found += _level_splits(X, y, rank, [idx for _, idx in level[start:stop]], min_leaf)
+        children = []
+        for (t, idx), (sse, var, thr) in zip(level, found):
+            if var < 0 or sse >= t.sse - _SSE_EPS:
+                continue
+            mask = X[idx, var] <= thr
+            left, right = idx[mask], idx[~mask]  # ascending, the node totals' summation order
+            t.split_variable, t.threshold = var, thr
+            t.left, t.right = node(left), node(right)
+            children += [(t.left, left), (t.right, right)]
+        level = children
+    return root
 
 
 def predict_batch(tree: TreeNode, X) -> np.ndarray:
@@ -295,12 +357,12 @@ def prune_sequence(tree: TreeNode, X, y, folds: int = 10, seed: int = 0,
     Fold assignment is seeded.  Each fold grows its own tree and its own
     alpha ladder; the master sequence is scored at the geometric mean of
     consecutive master alphas (the conventional representative value).
-    cv_cost is held-out mean squared error.
+    cv_cost is held-out mean squared error.  Non-finite or mismatched (X, y)
+    is a ValueError, raised before any fold is grown.
     """
-    X = np.asarray(X, dtype=float)
+    X, y = finite_data(X, y)
     if X.ndim == 1:
         X = X[:, None]
-    y = np.asarray(y, dtype=float)
     view = _PruneView(tree)
     alphas = view.alphas()
     reps = [

@@ -20,10 +20,13 @@ class TrainingDivergedError(RuntimeError):
 
 
 def finite_data(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """(X, y) as float arrays; ValueError naming the one that holds nan or inf."""
+    """(X, y) as float arrays; ValueError naming the one that holds nan or inf,
+    or both shapes when their row counts differ."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     for name, values in (("X", X), ("y", y)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{name} holds non-finite values")
+    if X.shape[:1] != y.shape[:1]:
+        raise ValueError(f"X has shape {X.shape} but y has shape {y.shape}: row counts differ")
     return X, y

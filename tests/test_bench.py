@@ -72,10 +72,19 @@ class TestReportStructure:
             assert name in ("anfis", "mamdani-ga", "mlp", "cart")
 
     def test_cart_runs_carry_terminal_count(self, bench_out):
-        _, report = bench_out
+        out, report = bench_out
         for run in report["runs"]:
             if run["paradigm"] == "cart":
-                assert run["extras"]["terminal_count"] >= 1
+                extras = run["extras"]
+                assert extras["terminal_count"] >= 1
+                # one relative-error row per ladder entry, full tree to root alone
+                with open(run["curve_path"], newline="") as fh:
+                    rows = list(csv.DictReader(fh))
+                assert extras["ladder_length"] == len(rows) >= 1
+                assert int(rows[0]["terminal_nodes"]) == extras["full_terminal_count"]
+                assert int(rows[-1]["terminal_nodes"]) == 1
+        for name in ("summary.csv", "sweep.csv"):
+            assert "ladder" not in (out / name).read_text()
 
     def test_anfis_runs_carry_solver_counts(self, bench_out):
         out, report = bench_out

@@ -1,8 +1,11 @@
-"""Tree growth vs exhaustive split search, pruning sequence, selection, routing."""
+"""Tree growth vs exhaustive split search and the recursive grow, pruning
+sequence, selection, routing."""
 
 import numpy as np
 import pytest
 
+from softdss import cart, tace
+from softdss.bench import BenchConfig
 from softdss.cart import (
     TreeNode,
     count_leaves,
@@ -39,6 +42,65 @@ def brute_force_root_split(X, y, min_leaf):
             if best is None or sse < best[0] - 1e-12:
                 best = (sse, j, thr)
     return best
+
+
+def grow_recursive_oracle(X, y, min_leaf=5):
+    """Depth-first grow with a per-node split search, one node at a time (test oracle).
+
+    Same rules as `grow`: the split minimizing total child SSE over every
+    variable's midpoints between consecutive distinct (x, y)-sorted values,
+    each side >= min_leaf samples, ties to the lowest variable then the lowest
+    threshold; a node stays a leaf on zero SSE, size, or no improving split.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+
+    def stats(yi):
+        ys = np.sort(yi)
+        mean = float(ys.sum() / ys.shape[0])
+        return mean, float(np.sum((ys - mean) ** 2))
+
+    def best_split(Xi, yi):
+        n = yi.shape[0]
+        total1, total2 = yi.sum(), float(yi @ yi)
+        best = None  # (sse, var, threshold)
+        for j in range(Xi.shape[1]):
+            order = np.lexsort((yi, Xi[:, j]))
+            xs, ys = Xi[order, j], yi[order]
+            cs = np.cumsum(ys)
+            cs2 = np.cumsum(ys * ys)
+            i = np.arange(1, n)  # left child takes the first i sorted samples
+            valid = (i >= min_leaf) & (i <= n - min_leaf) & (xs[:-1] < xs[1:])
+            if not np.any(valid):
+                continue
+            left = cs2[:-1] - cs[:-1] ** 2 / i
+            right = (total2 - cs2[:-1]) - (total1 - cs[:-1]) ** 2 / (n - i)
+            totals = np.where(valid, left + right, np.inf)
+            k = int(np.argmin(totals))
+            if best is None or totals[k] < best[0]:
+                best = (float(totals[k]), j, 0.5 * (xs[k] + xs[k + 1]))
+        return best
+
+    def build(idx):
+        yi = y[idx]
+        mean, sse = stats(yi)
+        node = TreeNode(mean, int(idx.shape[0]), sse)
+        if idx.shape[0] < 2 * min_leaf or node.sse <= cart._SSE_EPS:
+            return node
+        found = best_split(X[idx], yi)
+        if found is None or found[0] >= node.sse - cart._SSE_EPS:
+            return node
+        _, var, thr = found
+        mask = X[idx, var] <= thr
+        node.split_variable = var
+        node.threshold = thr
+        node.left = build(idx[mask])
+        node.right = build(idx[~mask])
+        return node
+
+    return build(np.arange(y.shape[0]))
 
 
 def walk_leaves(node):
@@ -183,6 +245,97 @@ class TestGrow:
         np.testing.assert_allclose(predict_batch(tree, X), y, rtol=0, atol=1e-12)
 
 
+class TestGrowMatchesRecursiveOracle:
+    """The level-wise grow builds, bit for bit, the tree of the recursive one."""
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5, 20])
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_random_data(self, quantized, min_leaf):
+        rng = np.random.default_rng(20 + min_leaf)
+        X = rng.uniform(size=(300, 3))
+        y = np.sin(5 * X[:, 0]) + X[:, 1] * X[:, 2] + rng.normal(scale=0.1, size=300)
+        if quantized:  # ties in x and in y, and (x, y) pairs repeated
+            X, y = np.round(4 * X), np.round(2 * y)
+        want = grow_recursive_oracle(X, y, min_leaf)
+        assert count_leaves(want) > 1
+        assert grow(X, y, min_leaf).to_dict() == want.to_dict()
+
+    def test_one_dimensional_x(self):
+        rng = np.random.default_rng(30)
+        x = rng.uniform(size=80)
+        y = np.cos(6 * x) + rng.normal(scale=0.05, size=80)
+        assert grow(x, y, 3).to_dict() == grow_recursive_oracle(x, y, 3).to_dict()
+
+    def test_fewer_than_two_min_leaf_samples(self):
+        rng = np.random.default_rng(31)
+        X, y = rng.uniform(size=(9, 2)), rng.uniform(size=9)
+        tree = grow(X, y, 5)
+        assert tree.is_leaf
+        assert tree.to_dict() == grow_recursive_oracle(X, y, 5).to_dict()
+
+    def test_constant_target(self):
+        X = np.random.default_rng(32).uniform(size=(40, 2))
+        y = np.full(40, -1.25)
+        assert grow(X, y, 1).to_dict() == grow_recursive_oracle(X, y, 1).to_dict()
+
+    def test_lopsided_tree(self):
+        # every split peels a few samples off one end, so nodes of one depth differ widely in size
+        x = np.linspace(0.0, 1.0, 150)
+        y = x ** 2
+        tree = grow(x, y, 1)
+        assert tree.to_dict() == grow_recursive_oracle(x, y, 1).to_dict()
+        assert count_leaves(tree) == 150
+
+    def test_padding_bounded_on_a_lopsided_tree(self, monkeypatch):
+        # exp(30 x) splits one end off the wide node at every depth: without runs,
+        # a depth of one wide node and many small ones pads to dozens of cells per sample
+        x = np.linspace(0.0, 1.0, 3000)
+        y = np.exp(30 * x)
+        ratios = []
+        search = cart._level_splits
+
+        def recording(X, y, rank, groups, min_leaf):
+            sizes = [g.shape[0] for g in groups]
+            ratios.append(len(sizes) * max(sizes) / sum(sizes))
+            return search(X, y, rank, groups, min_leaf)
+
+        monkeypatch.setattr(cart, "_level_splits", recording)
+        tree = grow(x, y, 5)
+        monkeypatch.undo()
+        assert max(ratios) <= 2.0
+        assert tree.to_dict() == grow_recursive_oracle(x, y, 5).to_dict()
+
+    def test_default_cells_with_fold_trees(self, monkeypatch):
+        """Full trees, fold trees and every ladder entry of the six default bench cells."""
+        config = BenchConfig()
+        master = tace.normalize(tace.generate(config.data_seed, config.n, jitter=config.jitter))
+        min_leaf, folds = config.cart.min_leaf, config.cart.folds
+        level_wise = cart.grow
+
+        def ladder(grower, X, y, seed):
+            grown = []
+
+            def recording(*args, **kwargs):
+                grown.append(grower(*args, **kwargs))
+                return grown[-1]
+
+            monkeypatch.setattr(cart, "grow", recording)
+            tree = recording(X, y, min_leaf=min_leaf)
+            seq = prune_sequence(tree, X, y, folds=folds, seed=seed, min_leaf=min_leaf)
+            monkeypatch.setattr(cart, "grow", level_wise)
+            entries = [(e.alpha, e.terminal_count, e.cv_cost, e.tree.to_dict()) for e in seq]
+            return [t.to_dict() for t in grown], entries
+
+        for name in sorted(config.datasets):
+            for seed in config.seeds:
+                train, _ = tace.split(master, config.datasets[name], seed)
+                trees, entries = ladder(level_wise, train.x, train.y, seed)
+                want_trees, want_entries = ladder(grow_recursive_oracle, train.x, train.y, seed)
+                assert len(trees) == folds + 1
+                assert trees == want_trees
+                assert entries == want_entries
+
+
 class TestPredict:
     def test_single_leaf(self):
         leaf = TreeNode(0.7, 10, 0.0)
@@ -246,6 +399,26 @@ class TestPruneSequence:
         b = prune_sequence(tree, X, y, folds=5, seed=3)
         assert [e.cv_cost for e in a] == [e.cv_cost for e in b]
 
+
+    @pytest.mark.parametrize("bad", ["X", "y", "rows"])
+    def test_bad_data_rejected_before_any_fold(self, bad, monkeypatch):
+        X, y = self._data()
+        tree = grow(X, y, min_leaf=5)
+        X, y = X.copy(), y.copy()
+        if bad == "X":
+            X[4, 0] = np.nan
+        elif bad == "y":
+            y[7] = np.inf
+        else:
+            y = y[:-1]
+        message = {
+            "X": "^X holds non-finite values",
+            "y": "^y holds non-finite values",
+            "rows": r"^X has shape \(120, 2\) but y has shape \(119,\)",
+        }[bad]
+        monkeypatch.setattr(cart, "grow", lambda *a, **k: pytest.fail("a fold tree was grown"))
+        with pytest.raises(ValueError, match=message):
+            prune_sequence(tree, X, y, folds=5, seed=0)
 
     @pytest.mark.parametrize("seed,quantized,min_leaf", [
         (0, False, 5), (1, False, 2), (2, True, 3), (3, True, 1),

@@ -361,3 +361,23 @@ class TestNonFiniteData:
         }
         with pytest.raises(ValueError, match=f"^{bad} holds non-finite values"):
             calls[trainer]()
+
+
+class TestRowCounts:
+    """X and y of different row counts are rejected by every trainer family, naming both shapes."""
+
+    @pytest.mark.parametrize("targets", [59, 1])  # one target must not be broadcast
+    @pytest.mark.parametrize("trainer", ["wang_mendel", "anfis_train", "scg_train", "cart_grow"])
+    def test_mismatched_rows_rejected(self, trainer, targets):
+        rng = np.random.default_rng(16)
+        model, X, y = tace_style_model(rng)
+        y = y[:targets]  # 60 rows of X
+        calls = {
+            "wang_mendel": lambda: wang_mendel(X, y, model.inputs, model.output),
+            "anfis_train": lambda: anfis_train(AnfisModel.grid(model.inputs), (X, y), None, 1),
+            "scg_train": lambda: scg_train(mlp_init(2, 3), (X, y), None, 2),
+            "cart_grow": lambda: grow(X, y),
+        }
+        message = rf"^X has shape \(60, 2\) but y has shape \({targets},\): row counts differ$"
+        with pytest.raises(ValueError, match=message):
+            calls[trainer]()
