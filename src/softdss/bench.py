@@ -348,7 +348,7 @@ class BenchRunner:
             if "error" in run
         ]
         return {
-            "config": _config_dict(self.config),
+            "config": asdict(self.config),
             "master_size": len(master),
             "runs": self.runs,
             "summary": rows,
@@ -397,13 +397,6 @@ class BenchRunner:
                 writer.writerow(names)
                 for i in range(len(predictions["actual"])):
                     writer.writerow([repr(float(predictions[n][i])) for n in names])
-
-
-def _config_dict(config: BenchConfig) -> dict:
-    d = asdict(config)
-    d["seeds"] = list(config.seeds)
-    d["anfis"]["shapes"] = list(config.anfis.shapes)
-    return d
 
 
 def _json_default(obj):

@@ -226,13 +226,12 @@ class PrunedEntry:
 
 
 class _PruneView:
-    """Non-destructive weakest-link pruner over a fixed tree.
-
-    Nodes are never detached; a collapsed node records the critical alpha at
-    which it turned into a leaf, so the subtree for any penalty level can be
-    reconstructed (or just evaluated) afterwards.  The tree is held as flat
-    preorder arrays: a node's subtree is the index range [i, end[i]), and a
-    parent's index is below its children's.
+    """Non-destructive weakest-link pruner over a fixed tree, held as flat
+    preorder lists: a node's subtree is the index range [i, end[i]), and a
+    parent's index is below its children's.  Nodes are never detached; a
+    collapsed node records in `dead_alpha` the critical alpha at which it
+    turned into a leaf, so the subtree at any penalty can be rebuilt
+    (`snapshot`) or evaluated (`predict_pruned`) afterwards.
     """
 
     def __init__(self, root: TreeNode):
@@ -258,54 +257,46 @@ class _PruneView:
         walk(root, -1)
         self.dead_alpha = np.full(len(self.nodes), np.inf)
 
-    def alphas(self) -> list[float]:
-        """Critical alphas, strictly increasing, starting at 0 for the full tree.
+    def alphas(self) -> tuple[list[float], list[int]]:
+        """Critical alphas, strictly increasing from 0 for the full tree, and the
+        surviving subtree's leaf count at each.
 
-        Every live internal node keeps its subtree's leaf count and leaf SSE,
-        summed as left + right exactly as a fresh walk would, so after a
-        collapse only the collapsed nodes' ancestors are refreshed.
+        `g` holds every live link's weakest-link value, with inf for leaves,
+        collapsed nodes and everything under them, so a collapse clears its
+        subtree with one slice.  `leaves` and `sse` hold each node's live leaf
+        count and leaf SSE, summed as left + right exactly as a fresh walk
+        would, so a collapse refreshes only the collapsed nodes' ancestors.
         """
-        leaves: dict[int, int] = {}
-        sse: dict[int, float] = {}
-        g: dict[int, float] = {}  # weakest-link value of every live internal node
-
-        def stats(i):  # (leaf count, leaf SSE) of node i's live subtree
-            return (leaves[i], sse[i]) if i in g else (1, self.nodes[i].sse)
+        nodes, left, right = self.nodes, self.left, self.right
+        leaves = [1] * len(nodes)
+        sse = [node.sse for node in nodes]
+        g = np.full(len(nodes), np.inf)
 
         def refresh(i):
-            (ll, ls), (rl, rs) = stats(self.left[i]), stats(self.right[i])
-            leaves[i], sse[i] = ll + rl, ls + rs
-            g[i] = (self.nodes[i].sse - sse[i]) / (leaves[i] - 1)
+            leaves[i], sse[i] = leaves[left[i]] + leaves[right[i]], sse[left[i]] + sse[right[i]]
+            g[i] = (nodes[i].sse - sse[i]) / (leaves[i] - 1)
 
-        for i in reversed(range(len(self.nodes))):  # children before parents
-            if self.left[i] >= 0:
+        for i in reversed(range(len(nodes))):  # children before parents
+            if left[i] >= 0:
                 refresh(i)
-        seq = [0.0]
-        while g:  # the root is still an internal node
-            g_min = min(g.values())
-            alpha = float(g_min)
-            if alpha <= seq[-1]:  # pathological equality: keep strict ordering
-                alpha = float(np.nextafter(seq[-1], np.inf))
+        seq, counts = [0.0], [leaves[0]]
+        while g[0] < np.inf:  # the root is still an internal node
+            g_min = g.min()
+            alpha = float(max(g_min, np.nextafter(seq[-1], np.inf)))  # strictly increasing
             # collapse every minimal link, absorbing follow-ups that fall to the
             # same level so recorded alphas stay strictly increasing
-            while True:
-                hit = [i for i, gi in g.items() if gi <= g_min + _SSE_EPS]
-                if not hit:
-                    break
-                for i in hit:
+            while hit := (g <= g_min + _SSE_EPS).nonzero()[0].tolist():
+                for i in hit:  # a collapse, then a walk up its live ancestors
                     self.dead_alpha[i] = alpha
-                    for j in range(i, self.end[i]):  # i and its subtree leave the live set
-                        g.pop(j, None)
-                stale = set()  # live ancestors of the hits, refreshed deepest first
-                for i in hit:
+                    g[i:self.end[i]] = np.inf
+                    leaves[i], sse[i] = 1, nodes[i].sse
                     p = self.parent[i]
-                    while p in g and p not in stale:
-                        stale.add(p)
+                    while p >= 0 and g[p] < np.inf:
+                        refresh(p)
                         p = self.parent[p]
-                for p in sorted(stale, reverse=True):
-                    refresh(p)
             seq.append(alpha)
-        return seq
+            counts.append(leaves[0])
+        return seq, counts
 
     def snapshot(self, alpha: float) -> TreeNode:
         """Deep copy of the subtree surviving at penalty alpha."""
@@ -364,7 +355,7 @@ def prune_sequence(tree: TreeNode, X, y, folds: int = 10, seed: int = 0,
     if X.ndim == 1:
         X = X[:, None]
     view = _PruneView(tree)
-    alphas = view.alphas()
+    alphas, counts = view.alphas()
     reps = [
         float(np.sqrt(alphas[k] * alphas[k + 1])) if k + 1 < len(alphas) else alphas[k]
         for k in range(len(alphas))
@@ -381,11 +372,8 @@ def prune_sequence(tree: TreeNode, X, y, folds: int = 10, seed: int = 0,
         fold_view.alphas()
         sq = (fold_view.predict_pruned(X[test], reps) - y[test]) ** 2
         cv_sse += np.cumsum(sq, axis=1)[:, -1]  # summed in sample order
-    entries = []
-    for k, alpha in enumerate(alphas):
-        snap = view.snapshot(alpha)
-        entries.append(PrunedEntry(alpha, snap, count_leaves(snap), float(cv_sse[k] / n)))
-    return entries
+    return [PrunedEntry(alpha, view.snapshot(alpha), count, float(cost / n))
+            for alpha, count, cost in zip(alphas, counts, cv_sse)]
 
 
 def select_min_cost(sequence: list[PrunedEntry]) -> TreeNode:

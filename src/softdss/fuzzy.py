@@ -295,10 +295,6 @@ class LinguisticVariable:
     def n_mfs(self) -> int:
         return len(self.mfs)
 
-    @property
-    def span(self) -> float:
-        return self.hi - self.lo
-
     def clip(self, x):
         """Values outside the declared physical range are clipped before evaluation."""
         return np.clip(x, self.lo, self.hi)

@@ -131,9 +131,31 @@ def load_model(path) -> LoadedModel:
         raise ValueError(
             f"{path}: input_ranges must hold {len(tace.FIELDS)} finite [lo, hi] pairs, lo < hi"
         )
+    if loaded.kind == "cart":
+        _check_tree(path, loaded.model)
     return loaded
 
 
+def _is_finite(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)  # JSON true and false are not numbers
+
+
 def _is_range(r) -> bool:
-    finite = all(isinstance(v, (int, float)) and math.isfinite(v) for v in r)
-    return len(r) == 2 and finite and r[0] < r[1]
+    return len(r) == 2 and all(map(_is_finite, r)) and r[0] < r[1]
+
+
+def _check_tree(path, node) -> None:
+    """Each node needs a finite prediction; each split a finite threshold and a
+    split_variable that indexes one of the input fields."""
+
+    def need(name, ok, want="a finite number"):
+        if not ok:
+            raise ValueError(f"{path}: cart tree {name} is {getattr(node, name)!r}, not {want}")
+
+    need("prediction", _is_finite(node.prediction))
+    if not node.is_leaf:
+        var, d = node.split_variable, len(tace.FIELDS)
+        need("split_variable", type(var) is int and 0 <= var < d, f"an integer in [0, {d})")
+        need("threshold", _is_finite(node.threshold))
+        _check_tree(path, node.left)
+        _check_tree(path, node.right)

@@ -147,6 +147,15 @@ def reference_ladder(root):
     return seq, dead
 
 
+def cut_tree(node, dead, alpha):
+    """`node.to_dict()` with every node `dead` at or below alpha made a leaf (test oracle)."""
+    d = {"prediction": node.prediction, "sample_count": node.sample_count, "sse": node.sse}
+    if node.is_leaf or dead.get(id(node), np.inf) <= alpha:
+        return d
+    return {**d, "split_variable": node.split_variable, "threshold": node.threshold,
+            "left": cut_tree(node.left, dead, alpha), "right": cut_tree(node.right, dead, alpha)}
+
+
 def reference_cv_cost(tree, X, y, folds, seed, min_leaf):
     """Cross-validated cost per master alpha, one held-out sample at a time (test oracle)."""
     alphas, _ = reference_ladder(tree)
@@ -433,6 +442,24 @@ class TestPruneSequence:
         alphas, cv_cost = reference_cv_cost(tree, X, y, 5, seed, min_leaf)
         assert [e.alpha for e in seq] == alphas
         assert [e.cv_cost for e in seq] == pytest.approx(list(cv_cost), rel=1e-12, abs=0)
+        _, dead = reference_ladder(tree)
+        for entry in seq:
+            assert entry.terminal_count == count_leaves(entry.tree)
+            assert entry.tree.to_dict() == cut_tree(tree, dead, entry.alpha)
+
+    @pytest.mark.parametrize("n,constant", [(40, True), (1, False)],
+                             ids=["constant-y", "one-sample"])
+    def test_one_leaf_ladder(self, n, constant):
+        X, y = self._data(n=n)
+        if constant:
+            y = np.full(n, 0.25)
+        tree = grow(X, y, min_leaf=5)
+        assert tree.is_leaf
+        (entry,) = prune_sequence(tree, X, y, folds=5, seed=0)
+        assert entry.alpha == 0.0
+        assert entry.terminal_count == 1
+        assert entry.tree.is_leaf and entry.tree.to_dict() == tree.to_dict()
+        assert np.isfinite(entry.cv_cost)
 
 
 class TestSelectMinCost:

@@ -273,6 +273,30 @@ class TestPredict:
         assert code == 2
         assert "ValueError" in err and "weights" in err
 
+    @pytest.mark.parametrize("node,field,value,message", [
+        ("root", "threshold", float("nan"), "threshold is nan, not a finite number"),
+        ("right", "prediction", float("inf"), "prediction is inf, not a finite number"),
+        ("left", "prediction", True, "prediction is True, not a finite number"),
+        ("root", "split_variable", 7, r"split_variable is 7, not an integer in \[0, 4\)"),
+        ("root", "split_variable", 0.5, r"split_variable is 0.5, not an integer in \[0, 4\)"),
+    ], ids=["nan-threshold", "inf-leaf-prediction", "boolean-leaf-prediction",
+            "split-variable-7", "split-variable-0.5"])
+    def test_bad_tree_rejected_at_load(self, tmp_path, capsys, node, field, value, message):
+        tree = TreeNode(0.5, 2, 0.32, split_variable=0, threshold=0.4,
+                        left=TreeNode(0.1, 1, 0.0), right=TreeNode(0.9, 1, 0.0))
+        path = tmp_path / "tree.json"
+        save_model(tree, path)
+        payload = json.loads(path.read_text())
+        body = payload["model"]["tree"]
+        (body if node == "root" else body[node])[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+        code, out, err = run_cli(capsys, "predict", "--model", str(path), "500,30,50,5")
+        assert code == 2
+        assert out == ""
+        assert field in err
 
     def test_score_uses_the_files_input_ranges(self, tmp_path, capsys):
         # one split on normalized fuel: <= 0.4 scores 0.1, above scores 0.9
