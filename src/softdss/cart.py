@@ -348,10 +348,14 @@ def prune_sequence(tree: TreeNode, X, y, folds: int = 10, seed: int = 0,
     Fold assignment is seeded.  Each fold grows its own tree and its own
     alpha ladder; the master sequence is scored at the geometric mean of
     consecutive master alphas (the conventional representative value).
-    cv_cost is held-out mean squared error.  Non-finite or mismatched (X, y)
-    is a ValueError, raised before any fold is grown.
+    cv_cost is held-out mean squared error.  Non-finite or mismatched (X, y),
+    or fewer than two samples (no fold split can hold any out), is a
+    ValueError, raised before any fold is grown.
     """
     X, y = finite_data(X, y)
+    n = y.shape[0]
+    if n < 2:
+        raise ValueError(f"cross-validated pruning needs at least 2 samples, got {n}")
     if X.ndim == 1:
         X = X[:, None]
     view = _PruneView(tree)
@@ -360,14 +364,11 @@ def prune_sequence(tree: TreeNode, X, y, folds: int = 10, seed: int = 0,
         float(np.sqrt(alphas[k] * alphas[k + 1])) if k + 1 < len(alphas) else alphas[k]
         for k in range(len(alphas))
     ]
-    n = y.shape[0]
     folds = max(2, min(folds, n))
     assignment = np.random.default_rng(seed).permutation(n) % folds
     cv_sse = np.zeros(len(alphas))
     for f in range(folds):
         test = assignment == f
-        if not np.any(test) or np.all(test):
-            continue
         fold_view = _PruneView(grow(X[~test], y[~test], min_leaf=min_leaf))
         fold_view.alphas()
         sq = (fold_view.predict_pruned(X[test], reps) - y[test]) ** 2

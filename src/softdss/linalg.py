@@ -26,6 +26,23 @@ DEFAULT_GAMMA = 1e6
 RCOND = 1e-8
 
 
+def fails_rank_test(block) -> bool:
+    """True when `block`, and so every matrix it is a column submatrix of, is rank deficient.
+
+    `lse_batch` counts as rank the singular values above RCOND * sigma_max.
+    Singular values interlace: a column submatrix B of A has
+    sigma_min(B) >= sigma_min(A) and sigma_max(B) <= sigma_max(A) (Golub &
+    Van Loan, Matrix Computations, sec. 8.6).  So sigma_min(B) <=
+    RCOND * sigma_max(B) gives sigma_min(A) <= RCOND * sigma_max(A), and
+    `lse_batch` refuses A without its SVD being taken.  The computed singular
+    values carry a rounding error of order eps * sigma_max, eight orders below
+    the threshold; the two verdicts can differ only for an A whose own
+    sigma_min / sigma_max lies within that rounding of RCOND.
+    """
+    s = np.linalg.svd(block, compute_uv=False)
+    return bool(s[-1] <= RCOND * s[0])
+
+
 def lse_batch(a, y) -> np.ndarray:
     """Minimizer of ||A x - y||^2 for a tall dense system.
 

@@ -117,9 +117,12 @@ def load_model(path) -> LoadedModel:
     if payload.get("format") != FORMAT_TAG:
         raise ValueError(f"{path}: not a {FORMAT_TAG} file")
     try:
+        body = payload["model"]
+        if body["kind"] == "anfis":
+            _check_consequents(path, body)
         loaded = LoadedModel(
-            kind=payload["model"]["kind"],
-            model=model_from_dict(payload["model"]),
+            kind=body["kind"],
+            model=model_from_dict(body),
             input_ranges=tuple(tuple(r) for r in payload["input_ranges"]),
             output_range=tuple(payload["output_range"]),
         )
@@ -142,6 +145,16 @@ def _is_finite(v) -> bool:
 
 def _is_range(r) -> bool:
     return len(r) == 2 and all(map(_is_finite, r)) and r[0] < r[1]
+
+
+def _check_consequents(path, body) -> None:
+    """ANFIS consequents must be an (R, d + 1) array of finite numbers: R rules, d inputs."""
+    rows, cols = len(body["rules"]), len(body["inputs"]) + 1
+    c = body["consequents"]
+    if not (isinstance(c, list) and len(c) == rows and all(
+        isinstance(r, list) and len(r) == cols and all(map(_is_finite, r)) for r in c
+    )):
+        raise ValueError(f"{path}: anfis consequents must be a ({rows}, {cols}) array of finite numbers")
 
 
 def _check_tree(path, node) -> None:

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from softdss import anfis, tace
 from softdss.anfis import (
     AnfisModel,
     StepSizeController,
@@ -15,9 +16,10 @@ from softdss.anfis import (
     premise_gradient,
     update_step_size,
 )
-from softdss.errors import DegenerateCoverageError
+from softdss.bench import BenchConfig, unit_variables
+from softdss.errors import DegenerateCoverageError, SingularSystemError
 from softdss.fuzzy import LinguisticVariable, TriangleMF
-from softdss.linalg import DEFAULT_GAMMA, rls_solve
+from softdss.linalg import DEFAULT_GAMMA, lse_batch, ridge_solve, rls_solve
 
 
 def small_model(n_inputs=2, n_mfs=2, shape="gaussian", seed=None):
@@ -128,8 +130,11 @@ class TestHybridEpoch:
         X = rng.uniform(0, 1, size=(60, 2))
         y, _ = forward_batch(teacher, X)
         student = AnfisModel.grid(teacher.inputs)
-        _, rmse = hybrid_epoch(student, X, y, StepSizeController(0.01))
+        solves = Counter()
+        _, rmse = hybrid_epoch(student, X, y, StepSizeController(0.01), solves)
         assert rmse < 1e-8
+        # full rank: no column block certifies it, so the exact solve runs
+        assert solves == {"lstsq": 1}
 
     def test_eta_arithmetic(self):
         # step length k splits over the gradient norm: k=0.1, |g|=5 -> eta 0.02
@@ -191,7 +196,8 @@ class TestHybridEpoch:
 
     def test_rank_deficient_batch_matches_rls_fallback(self):
         # points on the line x1 = x0 make the 27-column regressor matrix
-        # singular, so the consequents come from the gamma*I-regularized solve
+        # singular, so the consequents come from the gamma*I-regularized solve;
+        # rules (i, j) and (j, i) fire alike, so the strength columns prove it
         rng = np.random.default_rng(17)
         model = small_model(2, 3)
         t = rng.uniform(0, 1, size=60)
@@ -200,7 +206,7 @@ class TestHybridEpoch:
         _, trace = forward_batch(model, X)
         solves = Counter()
         trained, rmse = hybrid_epoch(model, X, y, StepSizeController(0.01), solves)
-        assert solves == {"ridge": 1}
+        assert solves == {"certified": 1}
         expected = trace.regressors @ rls_solve(trace.regressors, y, DEFAULT_GAMMA)
         fitted = trace.regressors @ trained.consequents.ravel()
         np.testing.assert_allclose(fitted, expected, rtol=0, atol=1e-9)
@@ -280,7 +286,7 @@ class TestTraining:
         y = 0.5 * X[:, 0] + 0.25 * X[:, 1]
         _, report = anfis_train(small_model(2, 2), (X, y), None, epochs=4)
         # four epochs plus the final re-identification, all full rank
-        assert report.extras == {"consequent_solves": {"lstsq": 5, "ridge": 0}}
+        assert report.extras == {"consequent_solves": {"lstsq": 5, "ridge": 0, "certified": 0}}
         _, report = anfis_train(small_model(2, 2), (X, y), None, epochs=4, mode="backprop")
         assert report.extras == {}
 
@@ -333,3 +339,45 @@ class TestTraining:
         m2, r2 = anfis_train(small_model(2, 2), (X, y), None, epochs=5)
         np.testing.assert_array_equal(m1.consequents, m2.consequents)
         assert r1.rmse_per_epoch == r2.rmse_per_epoch
+
+
+def identify_consequents_oracle(regressors, y, n_inputs, solves=None):
+    """Consequent solve that always tries `lse_batch` first, with no block certificate (test oracle)."""
+    if regressors.shape[0] < regressors.shape[1]:
+        flat, path = ridge_solve(regressors, y), "ridge"
+    else:
+        try:
+            flat, path = lse_batch(regressors, y), "lstsq"
+        except SingularSystemError:
+            flat, path = ridge_solve(regressors, y), "ridge"
+    if solves is not None:
+        solves[path] += 1
+    return flat
+
+
+class TestCertifiedSolve:
+    @pytest.fixture(scope="class")
+    def split_a(self):
+        config = BenchConfig()
+        master = tace.normalize(tace.generate(config.data_seed, config.n, jitter=config.jitter))
+        return tace.split(master, config.datasets["A"], 1)
+
+    @pytest.mark.parametrize("shape", ["gaussian", "gbell", "trapezoid", "triangle"])
+    def test_bench_fit_bit_identical_to_lstsq_first(self, split_a, shape, monkeypatch):
+        # bench split A, seed 1, 15 epochs: every solve is certified, and the
+        # certificate changes nothing against trying lstsq first
+        train, test = split_a
+
+        def fit():
+            model = AnfisModel.grid(unit_variables(3, shape))
+            model, report = anfis_train(model, (train.x, train.y), None, epochs=15, seed=1)
+            return model, report, forward_batch(model, test.x)[0]
+
+        model, report, pred = fit()
+        assert report.extras == {"consequent_solves": {"lstsq": 0, "ridge": 0, "certified": 16}}
+        monkeypatch.setattr(anfis, "_identify_consequents", identify_consequents_oracle)
+        want_model, want_report, want_pred = fit()
+        assert want_report.extras == {"consequent_solves": {"lstsq": 0, "ridge": 16, "certified": 0}}
+        assert np.array_equal(report.rmse_per_epoch, want_report.rmse_per_epoch)
+        assert np.array_equal(model.consequents, want_model.consequents)
+        assert np.array_equal(pred, want_pred)

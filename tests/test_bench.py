@@ -91,8 +91,8 @@ class TestReportStructure:
         for run in report["runs"]:
             if run["paradigm"].startswith("anfis-"):
                 solves = run["extras"]["consequent_solves"]
-                assert set(solves) == {"lstsq", "ridge"}
-                assert solves["lstsq"] + solves["ridge"] == 3  # 2 epochs + final solve
+                assert set(solves) == {"lstsq", "ridge", "certified"}
+                assert sum(solves.values()) == 3  # 2 epochs + final solve
         for name in ("summary.csv", "sweep.csv"):
             assert "solves" not in (out / name).read_text()
 

@@ -455,6 +455,11 @@ class TestPruneSequence:
             y = np.full(n, 0.25)
         tree = grow(X, y, min_leaf=5)
         assert tree.is_leaf
+        if n == 1:
+            # no fold split of one sample holds any out, so no cost can be measured
+            with pytest.raises(ValueError, match="at least 2 samples, got 1"):
+                prune_sequence(tree, X, y, folds=5, seed=0)
+            return
         (entry,) = prune_sequence(tree, X, y, folds=5, seed=0)
         assert entry.alpha == 0.0
         assert entry.terminal_count == 1

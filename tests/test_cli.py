@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from softdss import tace
-from softdss.bench import AnfisSettings, CartSettings, MamdaniSettings, MlpSettings, train_paradigm
+from softdss.anfis import AnfisModel
+from softdss.bench import (
+    AnfisSettings,
+    CartSettings,
+    MamdaniSettings,
+    MlpSettings,
+    train_paradigm,
+    unit_variables,
+)
 from softdss.cart import TreeNode
 from softdss.cli import main
 from softdss.mlp import mlp_init
@@ -127,7 +135,8 @@ class TestTrain:
         )
         assert code == 0
         solves = json.loads(out)["extras"]["consequent_solves"]
-        assert solves["lstsq"] + solves["ridge"] == 3
+        assert set(solves) == {"lstsq", "ridge", "certified"}
+        assert sum(solves.values()) == 3
 
     def test_ga_summary_reports_evaluation_count(self, data_csv, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -297,6 +306,25 @@ class TestPredict:
         assert code == 2
         assert out == ""
         assert field in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c[3].__setitem__(2, float("nan")),
+        lambda c: c.pop(),
+        lambda c: c[0].append(0.0),
+    ], ids=["nan-value", "missing-rule-row", "extra-column"])
+    def test_bad_anfis_consequents_rejected_at_load(self, tmp_path, capsys, edit):
+        path = tmp_path / "anfis.json"
+        save_model(AnfisModel.grid(unit_variables(2, "gaussian")), path)
+        payload = json.loads(path.read_text())
+        edit(payload["model"]["consequents"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"consequents must be a \(16, 5\) array") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+        code, out, err = run_cli(capsys, "predict", "--model", str(path), "500,30,50,5")
+        assert code == 2
+        assert out == ""
+        assert "consequents" in err
 
     def test_score_uses_the_files_input_ranges(self, tmp_path, capsys):
         # one split on normalized fuel: <= 0.4 scores 0.1, above scores 0.9

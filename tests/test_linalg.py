@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from softdss.errors import SingularSystemError
-from softdss.linalg import DEFAULT_GAMMA, lse_batch, ridge_solve, rls_init, rls_solve, rls_update
+from softdss.linalg import (
+    DEFAULT_GAMMA,
+    RCOND,
+    fails_rank_test,
+    lse_batch,
+    ridge_solve,
+    rls_init,
+    rls_solve,
+    rls_update,
+)
 
 
 def gaussian_elimination_solve(m, rhs):
@@ -204,3 +213,50 @@ class TestRidgeSolve:
             solve([[np.nan, 1.0], [1.0, 1.0]], [1.0, 2.0])
         with pytest.raises(ValueError, match="system entries must be finite"):
             solve(np.eye(2), [1.0, np.inf])
+
+
+def matrix_with_condition(rng, rows, cols, cond):
+    """Random (rows, cols) matrix with singular values spaced from 1 down to 1 / cond."""
+    u, _ = np.linalg.qr(rng.normal(size=(rows, cols)))
+    v, _ = np.linalg.qr(rng.normal(size=(cols, cols)))
+    return (u * np.geomspace(1.0, 1.0 / cond, cols)) @ v.T
+
+
+class TestRankCertificate:
+    """A column block that fails the rank test proves `lse_batch` refuses the whole matrix."""
+
+    @pytest.mark.parametrize("factor", [0.5, 0.99, 0.999, 1.001, 1.01, 2.0])
+    def test_certified_block_means_lse_refuses(self, factor):
+        # the block's condition number sits just below or just above 1 / RCOND
+        rng = np.random.default_rng(int(factor * 1000))
+        for scale in (1e-3, 1.0, 1e3):
+            block = matrix_with_condition(rng, 60, 8, factor / RCOND)
+            extra = scale * rng.normal(size=(60, 5))
+            a = np.hstack([extra[:, :2], block, extra[:, 2:]])
+            y = rng.normal(size=60)
+            certified = fails_rank_test(block)
+            assert certified == (factor > 1.0)
+            if certified:
+                for full in (block, a):
+                    with pytest.raises(SingularSystemError):
+                        lse_batch(full, y)
+            else:
+                # with no other columns the block alone passes lse_batch too
+                assert lse_batch(block, y).shape == (8,)
+
+    def test_full_rank_never_certified(self):
+        # a realizable full-rank system: no block is certified, lse_batch fits it
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(80, 12))
+        y = a @ rng.normal(size=12)
+        cols = a.shape[1]
+        for width in range(1, cols + 1):
+            for start in range(cols - width + 1):
+                assert not fails_rank_test(a[:, start : start + width])
+        np.testing.assert_allclose(a @ lse_batch(a, y), y, rtol=0, atol=1e-10)
+
+    def test_zero_column_certified(self):
+        a = np.column_stack([np.ones(5), np.zeros(5)])
+        assert fails_rank_test(a)
+        with pytest.raises(SingularSystemError):
+            lse_batch(a, np.ones(5))
