@@ -47,7 +47,6 @@ from .linalg import fails_rank_test, lse_batch, ridge_solve
 from .report import TrainReport
 
 DEFAULT_STEP_SIZE = 0.01
-_MIN_WIDTH_FACTOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -99,9 +98,10 @@ class AnfisModel:
     def with_premise_vector(self, vec, project: bool = True) -> "AnfisModel":
         """Rebuild the model from a flat premise vector.
 
-        With `project` enabled the raw parameters are repaired first (widths
-        clamped positive, knots re-sorted, centers pulled back into range) so
-        gradient steps can never produce an invalid shape.
+        With `project` enabled each MF's class repairs its raw parameters
+        first (`MembershipFunction.project`: widths clamped positive, knots
+        re-sorted, centers pulled back into range) so gradient steps can
+        never produce an invalid shape.
         """
         vec = np.asarray(vec, dtype=float)
         pos = 0
@@ -112,9 +112,9 @@ class AnfisModel:
                 n = len(mf.params)
                 params = vec[pos : pos + n]
                 pos += n
-                if project:
-                    params = _project_params(mf.shape, params, var.lo, var.hi)
-                new_mfs.append(mf.with_params(tuple(params)))
+                new_mfs.append(
+                    type(mf).project(params, var.lo, var.hi) if project else mf.with_params(params)
+                )
             new_inputs.append(var.replace_mfs(new_mfs))
         if pos != vec.shape[0]:
             raise ValueError(f"premise vector length {vec.shape[0]} != expected {pos}")
@@ -134,24 +134,6 @@ class AnfisModel:
             rules=[tuple(r) for r in d["rules"]],
             consequents=np.asarray(d["consequents"], dtype=float),
         )
-
-
-def _project_params(shape, params, lo, hi):
-    """Pull raw parameters back onto the valid set for their shape."""
-    params = np.asarray(params, dtype=float).copy()
-    min_width = _MIN_WIDTH_FACTOR * (hi - lo)
-    if shape == "gaussian":
-        params[0] = np.clip(params[0], lo, hi)
-        params[1] = max(params[1], min_width)
-    elif shape == "gbell":
-        params[0] = max(params[0], min_width)
-        params[1] = max(params[1], _MIN_WIDTH_FACTOR)
-        params[2] = np.clip(params[2], lo, hi)
-    elif shape in ("triangle", "trapezoid"):
-        params.sort()
-        center = params[1] if shape == "triangle" else 0.5 * (params[1] + params[2])
-        params += np.clip(center, lo, hi) - center
-    return params
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +348,10 @@ def anfis_train(
         _, trace = forward_batch(model, X)
         flat = _identify_consequents(trace.regressors, y, model.n_inputs, solves)
         model = replace(model, consequents=flat.reshape(model.n_rules, model.n_inputs + 1))
-    pred, _ = forward_batch(model, X)
-    final_train = float(np.sqrt(np.mean((pred - y) ** 2)))
+        residuals = trace.regressors @ flat - y
+    else:
+        residuals = forward_batch(model, X)[0] - y
+    final_train = float(np.sqrt(np.mean(residuals**2)))
     final_test = None
     if test is not None:
         Xt, yt = test

@@ -388,7 +388,7 @@ class BenchRunner:
                         ]
                     )
         with open(self.out / "report.json", "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True, default=_json_default)
+            json.dump(report, fh, indent=1, sort_keys=True)
             fh.write("\n")
         if predictions:
             names = list(predictions)
@@ -397,16 +397,6 @@ class BenchRunner:
                 writer.writerow(names)
                 for i in range(len(predictions["actual"])):
                     writer.writerow([repr(float(predictions[n][i])) for n in names])
-
-
-def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 def run_bench(config: BenchConfig, out_dir) -> dict:

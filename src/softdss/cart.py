@@ -206,13 +206,6 @@ def count_leaves(tree: TreeNode) -> int:
     return count_leaves(tree.left) + count_leaves(tree.right)
 
 
-def subtree_sse(tree: TreeNode) -> float:
-    """Training SSE of the subtree's leaves."""
-    if tree.is_leaf:
-        return tree.sse
-    return subtree_sse(tree.left) + subtree_sse(tree.right)
-
-
 # ---------------------------------------------------------------------------
 # cost-complexity pruning
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Exception types and the training-data check shared across the library."""
+"""Exception types and the data checks shared across the library."""
+
+import math
 
 import numpy as np
 
@@ -17,6 +19,10 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, epoch: int, message: str | None = None):
         self.epoch = epoch
         super().__init__(message or f"training diverged at epoch {epoch}")
+
+
+def is_finite_number(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)  # JSON true and false are not numbers
 
 
 def finite_data(X, y) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,14 @@
 """Fuzzy primitives: membership functions, linguistic variables, the rule layer, Mamdani inference.
 
 Membership functions come in four parametric shapes (gaussian, generalized
-bell, trapezoid, triangle).  Every shape knows how to evaluate itself, how
-to differentiate itself with respect to its own parameters (the backbone of
-gradient tuning), and how to translate itself along the axis, which is what
-"moving the center" means uniformly across shapes.
+bell, trapezoid, triangle).  Every shape knows how to evaluate itself and
+how to differentiate itself with respect to its own parameters (the backbone
+of gradient tuning).  Each class's `location` names the parameters that
+"moving the center" shifts; from it the base class derives `translate` and
+`center_gradient` for all four.  The `project` classmethod repairs raw
+parameters after a gradient step: the base version sorts the knots of the
+piecewise-linear shapes and pulls their center into range, and the gaussian
+and gbell override it with their width floors.
 
 Both fuzzy systems share the rule layer: a rule fires with the product of
 its antecedent degrees (`rule_strengths`); `strength_backprop` differentiates it.
@@ -23,9 +27,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import is_finite_number
+
 OUTPUT_GRID_POINTS = 201
 # rows per block of Mamdani aggregation: a (160, 201) float64 block is 257 KB
 AGGREGATION_BLOCK_ROWS = 160
+# `project` floors widths at this fraction of the variable's range (gbell's b at the factor itself)
+_MIN_WIDTH_FACTOR = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -33,9 +41,11 @@ AGGREGATION_BLOCK_ROWS = 160
 # ---------------------------------------------------------------------------
 
 class MembershipFunction:
-    """Base of the four shapes: the constructor takes the parameters in `__slots__` order."""
+    """Base of the four shapes: the constructor takes the parameters in `__slots__` order,
+    and `location` holds the indices of those a center move shifts."""
 
     __slots__ = ()
+    location: tuple[int, ...] = ()
 
     @property
     def params(self):
@@ -47,12 +57,30 @@ class MembershipFunction:
     def centroid(self) -> float:
         return self.center  # by symmetry; the piecewise-linear shapes override it
 
+    def translate(self, delta: float) -> "MembershipFunction":
+        """The same shape moved by `delta` along the axis."""
+        params = list(self.params)
+        for i in self.location:
+            params[i] += delta
+        return self.with_params(params)
+
+    def center_gradient(self, x):
+        """d degree / d center: the parameter gradient summed over `location`."""
+        return self.gradient(x)[..., self.location].sum(axis=-1)
+
+    @classmethod
+    def project(cls, params, lo, hi) -> "MembershipFunction":
+        """The shape from raw knots: sorted, then translated so the center lies in [lo, hi]."""
+        mf = cls(*np.sort(params))
+        return mf.translate(np.clip(mf.center, lo, hi) - mf.center)
+
 
 class GaussianMF(MembershipFunction):
     """exp(-(x - center)^2 / (2 sigma^2)), parameters (center, sigma)."""
 
     shape = "gaussian"
     __slots__ = ("c", "sigma")
+    location = (0,)
 
     def __init__(self, center: float, sigma: float):
         if sigma <= 0:
@@ -76,11 +104,10 @@ class GaussianMF(MembershipFunction):
     def center(self) -> float:
         return self.c
 
-    def translate(self, delta: float) -> "GaussianMF":
-        return GaussianMF(self.c + delta, self.sigma)
-
-    def center_gradient(self, x):
-        return self.gradient(x)[..., 0]
+    @classmethod
+    def project(cls, params, lo, hi) -> "GaussianMF":
+        c, sigma = params
+        return cls(np.clip(c, lo, hi), max(sigma, _MIN_WIDTH_FACTOR * (hi - lo)))
 
 
 class GBellMF(MembershipFunction):
@@ -88,6 +115,7 @@ class GBellMF(MembershipFunction):
 
     shape = "gbell"
     __slots__ = ("a", "b", "c")
+    location = (2,)
 
     def __init__(self, a: float, b: float, center: float):
         if a <= 0 or b <= 0:
@@ -124,11 +152,11 @@ class GBellMF(MembershipFunction):
     def center(self) -> float:
         return self.c
 
-    def translate(self, delta: float) -> "GBellMF":
-        return GBellMF(self.a, self.b, self.c + delta)
-
-    def center_gradient(self, x):
-        return self.gradient(x)[..., 2]
+    @classmethod
+    def project(cls, params, lo, hi) -> "GBellMF":
+        a, b, c = params
+        min_width = _MIN_WIDTH_FACTOR * (hi - lo)
+        return cls(max(a, min_width), max(b, _MIN_WIDTH_FACTOR), np.clip(c, lo, hi))
 
 
 class TrapezoidMF(MembershipFunction):
@@ -136,6 +164,7 @@ class TrapezoidMF(MembershipFunction):
 
     shape = "trapezoid"
     __slots__ = ("a", "b", "c", "d")
+    location = (0, 1, 2, 3)
 
     def __init__(self, a: float, b: float, c: float, d: float):
         if not (a <= b <= c <= d):
@@ -175,12 +204,6 @@ class TrapezoidMF(MembershipFunction):
     def center(self) -> float:
         return 0.5 * (self.b + self.c)
 
-    def translate(self, delta: float) -> "TrapezoidMF":
-        return TrapezoidMF(self.a + delta, self.b + delta, self.c + delta, self.d + delta)
-
-    def center_gradient(self, x):
-        return self.gradient(x).sum(axis=-1)
-
     def centroid(self) -> float:
         den = 3.0 * ((self.d + self.c) - (self.a + self.b))
         if den == 0:  # degenerate spike
@@ -194,6 +217,7 @@ class TriangleMF(MembershipFunction):
 
     shape = "triangle"
     __slots__ = ("a", "b", "c")
+    location = (0, 1, 2)
 
     def __init__(self, a: float, b: float, c: float):
         if not (a <= b <= c):
@@ -232,12 +256,6 @@ class TriangleMF(MembershipFunction):
     def center(self) -> float:
         return self.b
 
-    def translate(self, delta: float) -> "TriangleMF":
-        return TriangleMF(self.a + delta, self.b + delta, self.c + delta)
-
-    def center_gradient(self, x):
-        return self.gradient(x).sum(axis=-1)
-
     def centroid(self) -> float:
         return (self.a + self.b + self.c) / 3.0
 
@@ -259,7 +277,10 @@ def mf_from_dict(d: dict) -> MembershipFunction:
         cls = MF_SHAPES[d["shape"]]
     except KeyError:
         raise ValueError(f"unknown membership shape {d.get('shape')!r}") from None
-    return cls(*d["params"])
+    params, n = d["params"], len(cls.__slots__)
+    if not (isinstance(params, list) and len(params) == n and all(map(is_finite_number, params))):
+        raise ValueError(f"{cls.shape} params must be a list of {n} finite numbers, got {params!r}")
+    return cls(*params)
 
 
 # ---------------------------------------------------------------------------

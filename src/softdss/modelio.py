@@ -17,6 +17,7 @@ import numpy as np
 from . import cart as cart_mod
 from . import tace
 from .anfis import AnfisModel, forward_batch
+from .errors import is_finite_number
 from .fuzzy import MamdaniModel
 from .mlp import MlpModel, mlp_forward_batch
 
@@ -139,12 +140,8 @@ def load_model(path) -> LoadedModel:
     return loaded
 
 
-def _is_finite(v) -> bool:
-    return type(v) in (int, float) and math.isfinite(v)  # JSON true and false are not numbers
-
-
 def _is_range(r) -> bool:
-    return len(r) == 2 and all(map(_is_finite, r)) and r[0] < r[1]
+    return len(r) == 2 and all(map(is_finite_number, r)) and r[0] < r[1]
 
 
 def _check_consequents(path, body) -> None:
@@ -152,7 +149,7 @@ def _check_consequents(path, body) -> None:
     rows, cols = len(body["rules"]), len(body["inputs"]) + 1
     c = body["consequents"]
     if not (isinstance(c, list) and len(c) == rows and all(
-        isinstance(r, list) and len(r) == cols and all(map(_is_finite, r)) for r in c
+        isinstance(r, list) and len(r) == cols and all(map(is_finite_number, r)) for r in c
     )):
         raise ValueError(f"{path}: anfis consequents must be a ({rows}, {cols}) array of finite numbers")
 
@@ -165,10 +162,10 @@ def _check_tree(path, node) -> None:
         if not ok:
             raise ValueError(f"{path}: cart tree {name} is {getattr(node, name)!r}, not {want}")
 
-    need("prediction", _is_finite(node.prediction))
+    need("prediction", is_finite_number(node.prediction))
     if not node.is_leaf:
         var, d = node.split_variable, len(tace.FIELDS)
         need("split_variable", type(var) is int and 0 <= var < d, f"an integer in [0, {d})")
-        need("threshold", _is_finite(node.threshold))
+        need("threshold", is_finite_number(node.threshold))
         _check_tree(path, node.left)
         _check_tree(path, node.right)

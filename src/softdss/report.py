@@ -18,10 +18,10 @@ class TrainReport:
     extras: dict = field(default_factory=dict)
 
 
-def write_curve_csv(path, values, header=("epoch", "train_rmse"), start=1) -> None:
-    """Emit an (index, value) curve; index counts from `start`."""
+def write_curve_csv(path, values, header=("epoch", "train_rmse")) -> None:
+    """Emit an (index, value) curve; index counts from 1."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, v in enumerate(values, start=start):
+        for i, v in enumerate(values, start=1):
             writer.writerow([i, repr(float(v))])

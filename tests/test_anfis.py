@@ -319,6 +319,16 @@ class TestTraining:
         assert report.final_test_rmse is not None
         assert report.rmse_per_epoch[-1] <= report.rmse_per_epoch[0]
 
+    @pytest.mark.parametrize("shape", ["gaussian", "gbell", "trapezoid", "triangle"])
+    def test_final_train_rmse_is_the_returned_models(self, shape):
+        # hybrid mode reads the final RMSE off the re-identification's regressors
+        rng = np.random.default_rng(16)
+        X = rng.uniform(0, 1, size=(120, 2))
+        y = np.sin(3 * X[:, 0]) * 0.3 + 0.4 * X[:, 1]
+        trained, report = anfis_train(small_model(2, 3, shape=shape), (X, y), None, epochs=4)
+        pred, _ = forward_batch(trained, X)
+        assert report.final_train_rmse == float(np.sqrt(np.mean((pred - y) ** 2)))
+
     def test_projection_keeps_shapes_valid(self):
         rng = np.random.default_rng(15)
         model = small_model(2, 3, shape="trapezoid")

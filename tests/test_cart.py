@@ -13,7 +13,6 @@ from softdss.cart import (
     predict_batch,
     prune_sequence,
     select_min_cost,
-    subtree_sse,
 )
 
 
@@ -227,7 +226,7 @@ class TestGrow:
         y = rng.uniform(size=100)
         tree = grow(X, y, min_leaf=5)
         root_sse = float(np.sum((y - y.mean()) ** 2))
-        assert subtree_sse(tree) <= root_sse
+        assert sum(leaf.sse for leaf in walk_leaves(tree)) <= root_sse
 
     def test_sample_order_invariance(self):
         rng = np.random.default_rng(4)

@@ -326,6 +326,24 @@ class TestPredict:
         assert out == ""
         assert "consequents" in err
 
+    @pytest.mark.parametrize("params,shown", [
+        ([0.5], r"\[0\.5\]"),
+        ([0.5, float("inf")], r"\[0\.5, inf\]"),
+    ], ids=["one-gaussian-param", "infinite-sigma"])
+    def test_bad_mf_params_rejected_at_load(self, tmp_path, capsys, params, shown):
+        path = tmp_path / "anfis.json"
+        save_model(AnfisModel.grid(unit_variables(2, "gaussian")), path)
+        payload = json.loads(path.read_text())
+        payload["model"]["inputs"][0]["mfs"][0]["params"] = params
+        path.write_text(json.dumps(payload))
+        message = f"gaussian params must be a list of 2 finite numbers, got {shown}"
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+        code, out, err = run_cli(capsys, "predict", "--model", str(path), "500,30,50,5")
+        assert code == 2
+        assert out == ""
+        assert "ValueError: gaussian params" in err
+
     def test_score_uses_the_files_input_ranges(self, tmp_path, capsys):
         # one split on normalized fuel: <= 0.4 scores 0.1, above scores 0.9
         tree = TreeNode(0.5, 2, 0.32, split_variable=0, threshold=0.4,

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from softdss.anfis import AnfisModel, forward_batch
 from softdss.fuzzy import (
     AGGREGATION_BLOCK_ROWS,
+    MF_SHAPES,
     OUTPUT_GRID_POINTS,
     GaussianMF,
     GBellMF,
@@ -130,6 +131,44 @@ def random_mf(shape, rng):
 SHAPES = ("gaussian", "gbell", "trapezoid", "triangle")
 
 
+def translate_oracle(mf, delta):
+    """The per-class `translate` bodies that `location` replaced (test oracle)."""
+    if mf.shape == "gaussian":
+        return GaussianMF(mf.c + delta, mf.sigma)
+    if mf.shape == "gbell":
+        return GBellMF(mf.a, mf.b, mf.c + delta)
+    if mf.shape == "trapezoid":
+        return TrapezoidMF(mf.a + delta, mf.b + delta, mf.c + delta, mf.d + delta)
+    return TriangleMF(mf.a + delta, mf.b + delta, mf.c + delta)
+
+
+def center_gradient_oracle(mf, x):
+    """The per-class `center_gradient` bodies that `location` replaced (test oracle)."""
+    if mf.shape == "gaussian":
+        return mf.gradient(x)[..., 0]
+    if mf.shape == "gbell":
+        return mf.gradient(x)[..., 2]
+    return mf.gradient(x).sum(axis=-1)
+
+
+def project_params_oracle(shape, params, lo, hi):
+    """The shape switch ANFIS used before `MembershipFunction.project` (test oracle)."""
+    params = np.asarray(params, dtype=float).copy()
+    min_width = 1e-6 * (hi - lo)
+    if shape == "gaussian":
+        params[0] = np.clip(params[0], lo, hi)
+        params[1] = max(params[1], min_width)
+    elif shape == "gbell":
+        params[0] = max(params[0], min_width)
+        params[1] = max(params[1], 1e-6)
+        params[2] = np.clip(params[2], lo, hi)
+    elif shape in ("triangle", "trapezoid"):
+        params.sort()
+        center = params[1] if shape == "triangle" else 0.5 * (params[1] + params[2])
+        params += np.clip(center, lo, hi) - center
+    return params
+
+
 class TestEvaluation:
     def test_gaussian_center(self):
         assert GaussianMF(5.0, 2.0).evaluate(5.0) == 1.0
@@ -221,6 +260,39 @@ class TestGradients:
                     float(mf.translate(h).evaluate(x)) - float(mf.translate(-h).evaluate(x))
                 ) / (2 * h)
                 assert float(mf.center_gradient(x)) == pytest.approx(numeric, abs=2e-4)
+
+
+class TestShapeLocation:
+    """`location` and the base-class `translate`, `center_gradient` and
+    `project` against the per-shape code they replaced."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_translate_and_center_gradient_match_oracles(self, shape):
+        rng = np.random.default_rng(3)
+        degenerate = [TriangleMF(0.2, 0.2, 0.2), TriangleMF(0.0, 0.0, 1.0), TrapezoidMF(0, 0, 1, 1)]
+        mfs = [random_mf(shape, rng) for _ in range(300)]
+        mfs += [mf for mf in degenerate if mf.shape == shape]
+        for mf in mfs:
+            delta = rng.uniform(-2, 2)
+            assert mf.translate(delta).params == translate_oracle(mf, delta).params
+            # random points plus every knot, where the one-sided branches meet
+            x = np.concatenate([rng.uniform(-4, 4, size=40), mf.params])
+            assert np.array_equal(mf.center_gradient(x), center_gradient_oracle(mf, x))
+            assert np.array_equal(mf.center_gradient(x[0]), center_gradient_oracle(mf, x[0]))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_project_matches_oracle(self, shape):
+        rng = np.random.default_rng(4)
+        cls = MF_SHAPES[shape]
+        for _ in range(500):
+            lo = rng.uniform(-2, 1)
+            hi = lo + rng.uniform(0.1, 3)
+            # negative widths, unordered knots and centers outside [lo, hi]
+            raw = rng.uniform(lo - 2, hi + 2, size=len(cls.__slots__))
+            before = raw.copy()
+            want = cls(*project_params_oracle(shape, raw, lo, hi))
+            assert cls.project(raw, lo, hi).params == want.params
+            np.testing.assert_array_equal(raw, before)
 
 
 class TestLinguisticVariable:
