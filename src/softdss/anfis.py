@@ -42,7 +42,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateCoverageError, SingularSystemError, finite_data
-from .fuzzy import LinguisticVariable, grid_partition, rule_strengths, strength_backprop
+from .fuzzy import (
+    LinguisticVariable,
+    antecedent_table,
+    grid_partition,
+    rule_strengths,
+    strength_backprop,
+)
 from .linalg import fails_rank_test, lse_batch, ridge_solve
 from .report import TrainReport
 
@@ -62,6 +68,7 @@ class AnfisModel:
         want = (n_rules, len(self.inputs) + 1)
         if self.consequents.shape != want:
             raise ValueError(f"consequents must have shape {want}, got {self.consequents.shape}")
+        self.antecedent_index  # checks every rule's MF indices
 
     @classmethod
     def grid(cls, inputs, consequents=None) -> "AnfisModel":
@@ -83,7 +90,7 @@ class AnfisModel:
     @cached_property
     def antecedent_index(self) -> np.ndarray:
         """(n_rules, n_inputs) MF index of every rule's antecedent."""
-        return np.asarray(self.rules, dtype=int)
+        return antecedent_table(self.rules, self.inputs)
 
     # -- premise parameter vector ------------------------------------------
 

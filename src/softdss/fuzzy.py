@@ -1,21 +1,24 @@
 """Fuzzy primitives: membership functions, linguistic variables, the rule layer, Mamdani inference.
 
 Membership functions come in four parametric shapes (gaussian, generalized
-bell, trapezoid, triangle).  Every shape knows how to evaluate itself and
-how to differentiate itself with respect to its own parameters (the backbone
-of gradient tuning).  Each class's `location` names the parameters that
-"moving the center" shifts; from it the base class derives `translate` and
-`center_gradient` for all four.  The `project` classmethod repairs raw
-parameters after a gradient step: the base version sorts the knots of the
-piecewise-linear shapes and pulls their center into range, and the gaussian
-and gbell override it with their width floors.
+bell, trapezoid, triangle).  Every shape evaluates through one static,
+broadcasting kernel `degrees(x, *params)`, and knows how to differentiate
+itself with respect to its own parameters (the backbone of gradient tuning).
+A linguistic variable builds a table of its MFs' parameters once and
+fuzzifies with one kernel call per shape present.  Each class's `location`
+names the parameters that "moving the center" shifts; from it the base class
+derives `translate` and `center_gradient` for all four.  The `project`
+classmethod repairs raw parameters after a gradient step: the base version
+sorts the knots of the piecewise-linear shapes and pulls their center into
+range, and the gaussian and gbell override it with their width floors.
 
 Both fuzzy systems share the rule layer: a rule fires with the product of
 its antecedent degrees (`rule_strengths`); `strength_backprop` differentiates it.
 
 Mamdani inference uses product implication (activation scales the consequent
 set), pointwise-max aggregation on a uniform discretization of the output
-range, and centroid defuzzification.
+range, and centroid defuzzification.  A model builds its output grid, the
+output sets on it and each set's rule columns once, at its first inference.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ _MIN_WIDTH_FACTOR = 1e-6
 
 class MembershipFunction:
     """Base of the four shapes: the constructor takes the parameters in `__slots__` order,
-    and `location` holds the indices of those a center move shifts."""
+    and `location` holds the indices of those a center move shifts.  Each shape's static
+    `degrees(x, *params)` evaluates it, broadcasting `x` against scalar or array parameters."""
 
     __slots__ = ()
     location: tuple[int, ...] = ()
@@ -53,6 +57,9 @@ class MembershipFunction:
 
     def with_params(self, params):
         return type(self)(*params)
+
+    def evaluate(self, x):
+        return self.degrees(np.asarray(x, dtype=float), *self.params)
 
     def centroid(self) -> float:
         return self.center  # by symmetry; the piecewise-linear shapes override it
@@ -83,13 +90,14 @@ class GaussianMF(MembershipFunction):
     location = (0,)
 
     def __init__(self, center: float, sigma: float):
-        if sigma <= 0:
+        if not sigma > 0:  # also rejects NaN
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.c = float(center)
         self.sigma = float(sigma)
 
-    def evaluate(self, x):
-        z = (np.asarray(x, dtype=float) - self.c) / self.sigma
+    @staticmethod
+    def degrees(x, c, sigma):
+        z = (x - c) / sigma
         return np.exp(-0.5 * z * z)
 
     def gradient(self, x):
@@ -118,24 +126,32 @@ class GBellMF(MembershipFunction):
     location = (2,)
 
     def __init__(self, a: float, b: float, center: float):
-        if a <= 0 or b <= 0:
+        if not (a > 0 and b > 0):  # also rejects NaN
             raise ValueError(f"gbell needs a > 0 and b > 0, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
         self.c = float(center)
 
-    def _t(self, x):
-        z = (np.asarray(x, dtype=float) - self.c) / self.a
+    @staticmethod
+    def _t(x, a, c):
+        z = (x - c) / a
         return z * z
 
-    def evaluate(self, x):
+    @staticmethod
+    def degrees(x, a, b, c):
+        t = GBellMF._t(x, a, c)
         with np.errstate(over="ignore"):
-            u = self._t(x) ** self.b
+            if np.ndim(b) == 0:
+                u = t**b
+            else:
+                # one scalar exponent per MF row: numpy squares a scalar 2 exactly, while an
+                # exponent array takes its SIMD pow, whose last bit differs
+                u = np.stack([row**e for row, e in zip(t, np.ravel(b))])
         return 1.0 / (1.0 + u)
 
     def gradient(self, x):
         x = np.asarray(x, dtype=float)
-        t = self._t(x)
+        t = self._t(x, self.a, self.c)
         with np.errstate(over="ignore", invalid="ignore"):
             u = t**self.b
             mu = 1.0 / (1.0 + u)
@@ -159,6 +175,19 @@ class GBellMF(MembershipFunction):
         return cls(max(a, min_width), max(b, _MIN_WIDTH_FACTOR), np.clip(c, lo, hi))
 
 
+def _ramps(rising, falling):
+    """The degree off the peak of a piecewise-linear shape, from its two ramp quotients.
+
+    On the rising side `falling` is >= 1 and `rising` <= 1, and the other way
+    round, because rounding keeps the order of the knots; outside the support
+    one ramp is negative.  So the smaller ramp, floored at 0, is the degree
+    the ramp masks would pick, bit for bit.  A ramp whose knots coincide is
+    +-inf (or nan, only at the peak, which the caller sets to 1); `fmax` sends
+    a nan from a nan input to 0, as the masks did.
+    """
+    return np.fmax(np.minimum(rising, falling), 0.0)
+
+
 class TrapezoidMF(MembershipFunction):
     """Piecewise-linear trapezoid with knots a <= b <= c <= d."""
 
@@ -171,17 +200,12 @@ class TrapezoidMF(MembershipFunction):
             raise ValueError(f"trapezoid knots must be ordered, got {(a, b, c, d)}")
         self.a, self.b, self.c, self.d = float(a), float(b), float(c), float(d)
 
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(np.shape(x))
-        out = np.where((x >= self.b) & (x <= self.c), 1.0, out)
-        if self.b > self.a:
-            rising = (x > self.a) & (x < self.b)
-            out = np.where(rising, (x - self.a) / (self.b - self.a), out)
-        if self.d > self.c:
-            falling = (x > self.c) & (x < self.d)
-            out = np.where(falling, (self.d - x) / (self.d - self.c), out)
-        return out
+    @staticmethod
+    def degrees(x, a, b, c, d):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rising = (x - a) / (b - a)
+            falling = (d - x) / (d - c)
+        return np.where((x >= b) & (x <= c), 1.0, _ramps(rising, falling))
 
     def gradient(self, x):
         # at kinks: one-sided derivative from the left
@@ -224,16 +248,12 @@ class TriangleMF(MembershipFunction):
             raise ValueError(f"triangle knots must be ordered, got {(a, b, c)}")
         self.a, self.b, self.c = float(a), float(b), float(c)
 
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(np.shape(x))
-        if self.b > self.a:
-            rising = (x > self.a) & (x < self.b)
-            out = np.where(rising, (x - self.a) / (self.b - self.a), out)
-        if self.c > self.b:
-            falling = (x > self.b) & (x < self.c)
-            out = np.where(falling, (self.c - x) / (self.c - self.b), out)
-        return np.where(x == self.b, 1.0, out)
+    @staticmethod
+    def degrees(x, a, b, c):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rising = (x - a) / (b - a)
+            falling = (c - x) / (c - b)
+        return np.where(x == b, 1.0, _ramps(rising, falling))
 
     def gradient(self, x):
         # at kinks: one-sided derivative from the left
@@ -288,7 +308,11 @@ def mf_from_dict(d: dict) -> MembershipFunction:
 # ---------------------------------------------------------------------------
 
 class LinguisticVariable:
-    """A named input or output dimension partitioned into labeled fuzzy sets."""
+    """A named input or output dimension partitioned into labeled fuzzy sets.
+
+    The first `fuzzify` reads the MFs' parameters into a table that later
+    calls reuse, so change MFs through `replace_mfs`, never in place.
+    """
 
     def __init__(self, name: str, lo: float, hi: float, mfs, labels=None):
         if not lo < hi:
@@ -320,10 +344,29 @@ class LinguisticVariable:
         """Values outside the declared physical range are clipped before evaluation."""
         return np.clip(x, self.lo, self.hi)
 
+    @cached_property
+    def _kernel_table(self) -> list:
+        """One (shape class, MF columns, per-parameter (k, 1) arrays) entry per shape present."""
+        columns: dict[type, list[int]] = {}
+        for j, mf in enumerate(self.mfs):
+            columns.setdefault(type(mf), []).append(j)
+        return [
+            (cls, np.array(cols), tuple(np.array([self.mfs[j].params for j in cols]).T[:, :, None]))
+            for cls, cols in columns.items()
+        ]
+
     def fuzzify(self, x):
-        """Degrees of all MFs at x; shape = x.shape + (n_mfs,)."""
+        """Degrees of all MFs at x; shape = x.shape + (n_mfs,), C-ordered.
+
+        One kernel call per shape class, over an (n_mfs, samples) layout so
+        numpy's inner loops run over the samples.
+        """
         cx = self.clip(np.asarray(x, dtype=float))
-        return np.stack([mf.evaluate(cx) for mf in self.mfs], axis=-1)
+        out = np.empty(cx.shape + (self.n_mfs,))
+        rows, flat = out.reshape(-1, self.n_mfs).T, cx.reshape(-1)
+        for cls, cols, params in self._kernel_table:
+            rows[cols] = cls.degrees(flat, *params)
+        return out
 
     def replace_mfs(self, mfs) -> "LinguisticVariable":
         return LinguisticVariable(self.name, self.lo, self.hi, mfs, self.labels)
@@ -385,6 +428,28 @@ def grid_partition(variables) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(v.n_mfs) for v in variables)))
 
 
+def antecedent_table(antecedents, inputs) -> np.ndarray:
+    """The rules' antecedents as an (R, n_inputs) integer array.
+
+    Raises ValueError for an antecedent of the wrong length, a non-integer
+    index, or an index outside its input's MFs.
+    """
+    n_mfs = [var.n_mfs for var in inputs]
+    for ant in antecedents:
+        if len(ant) != len(n_mfs):
+            raise ValueError(f"antecedent {tuple(ant)} does not match input count {len(n_mfs)}")
+    table = np.array(antecedents).reshape(len(antecedents), len(n_mfs))
+    if not table.size:
+        return table.astype(int)
+    if table.dtype.kind not in "iu":
+        raise ValueError(f"antecedent indices must be integers, got {table.dtype} values")
+    bad = np.argwhere((table < 0) | (table >= n_mfs))
+    if bad.size:
+        r, v = bad[0]
+        raise ValueError(f"antecedent index {table[r, v]} out of range for {inputs[v].name!r}")
+    return table
+
+
 def rule_strengths(memberships, antecedents, start) -> np.ndarray:
     """(P, R) strengths: a copy of `start` times each rule's degrees, in input order.
 
@@ -415,6 +480,11 @@ def strength_backprop(memberships, antecedents, coef, start) -> list[np.ndarray]
 # Mamdani model and inference
 # ---------------------------------------------------------------------------
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class MamdaniRule:
     """If inputs match `antecedent` then output is MF `consequent`, weighted."""
@@ -435,20 +505,16 @@ class MamdaniModel:
     rules: list[MamdaniRule]
 
     def __post_init__(self):
-        for rule in self.rules:
-            if len(rule.antecedent) != len(self.inputs):
-                raise ValueError(f"antecedent {rule.antecedent} does not match input count")
-            for var, idx in zip(self.inputs, rule.antecedent):
-                if not 0 <= idx < var.n_mfs:
-                    raise ValueError(f"antecedent index {idx} out of range for {var.name!r}")
-            if not 0 <= rule.consequent < self.output.n_mfs:
-                raise ValueError(f"consequent index {rule.consequent} out of range")
+        self.antecedent_index  # checks every antecedent
+        cons = self.consequent_index
+        bad = cons[(cons < 0) | (cons >= self.output.n_mfs)]
+        if bad.size:
+            raise ValueError(f"consequent index {bad[0]} out of range")
 
     @cached_property
     def antecedent_index(self) -> np.ndarray:
         """(R, n_inputs) MF index of every rule's antecedent."""
-        ants = [r.antecedent for r in self.rules]
-        return np.array(ants, dtype=int).reshape(len(self.rules), len(self.inputs))
+        return antecedent_table([r.antecedent for r in self.rules], self.inputs)
 
     @cached_property
     def rule_weights(self) -> np.ndarray:
@@ -464,6 +530,22 @@ class MamdaniModel:
 
     def output_grid(self) -> np.ndarray:
         return np.linspace(self.output.lo, self.output.hi, OUTPUT_GRID_POINTS)
+
+    # inference set-up, built once per model and never written to
+
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        return _read_only(self.output_grid())
+
+    @cached_property
+    def consequent_sets(self) -> np.ndarray:
+        """(n_output_mfs, grid points) degrees of every output set on the output grid."""
+        return _read_only(np.ascontiguousarray(self.output.fuzzify(self._grid).T))
+
+    @cached_property
+    def consequent_rules(self) -> list[np.ndarray]:
+        """Per output MF, the indices of the rules concluding it."""
+        return [np.flatnonzero(self.consequent_index == j) for j in range(self.output.n_mfs)]
 
     def infer_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Crisp outputs by scaling implication, max aggregation, centroid.
@@ -482,12 +564,10 @@ class MamdaniModel:
         acts *= self.rule_weights
         m_out = self.output.n_mfs
         act_by_cons = np.zeros((P, m_out))
-        for j in range(m_out):
-            cols = np.flatnonzero(self.consequent_index == j)
+        for j, cols in enumerate(self.consequent_rules):
             if cols.size:
                 act_by_cons[:, j] = acts[:, cols].max(axis=1)
-        grid = self.output_grid()
-        cons_vals = np.stack([mf.evaluate(grid) for mf in self.output.mfs])
+        grid, cons_vals = self._grid, self.consequent_sets
         # max over consequents of activation x consequent set, one row block
         # at a time so the product temporary stays cache-sized
         agg = np.empty((P, grid.size))

@@ -115,15 +115,23 @@ def _surrogate_forward(model: MamdaniModel, X):
     return yhat, acts, den, fired, mu, z
 
 
-def surrogate_rmse(model: MamdaniModel, X, y) -> float:
-    yhat = _surrogate_forward(model, X)[0]
+def _rmse(yhat, y) -> float:
     return float(np.sqrt(np.mean((yhat - np.asarray(y, dtype=float)) ** 2)))
+
+
+def surrogate_rmse(model: MamdaniModel, X, y) -> float:
+    return _rmse(_surrogate_forward(model, X)[0], y)
 
 
 def surrogate_gradient(model: MamdaniModel, X, y) -> np.ndarray:
     """Gradient of the mean squared surrogate error w.r.t. the center vector."""
+    return _surrogate_backward(model, X, y, _surrogate_forward(model, X))
+
+
+def _surrogate_backward(model: MamdaniModel, X, y, forward) -> np.ndarray:
+    """`surrogate_gradient` from an existing `_surrogate_forward(model, X)` result."""
     y = np.asarray(y, dtype=float)
-    yhat, acts, den, fired, mu, z = _surrogate_forward(model, X)
+    yhat, acts, den, fired, mu, z = forward
     P = acts.shape[0]
     safe = np.where(fired, den, 1.0)
     r_err = (yhat - y) / P                                   # d(mean 1/2 err^2)/d yhat
@@ -162,13 +170,15 @@ def gd_tune(
     initial = None
     start = time.perf_counter()
     for epoch in range(1, epochs + 1):
-        err = surrogate_rmse(model, X, y)
+        # one surrogate pass gives the epoch's error and its gradient
+        forward = _surrogate_forward(model, X)
+        err = _rmse(forward[0], y)
         curve.append(err)
         if initial is None:
             initial = err
         elif initial > 0 and err > 1e6 * initial:
             raise TrainingDivergedError(epoch, f"gd_tune diverged at epoch {epoch}")
-        grad = surrogate_gradient(model, X, y)
+        grad = _surrogate_backward(model, X, y, forward)
         velocity = momentum * velocity - learning_rate * grad
         genes = np.clip(genes + velocity, lo, hi)
         model = decode_centers(model, genes)

@@ -121,9 +121,13 @@ def load_model(path) -> LoadedModel:
         body = payload["model"]
         if body["kind"] == "anfis":
             _check_consequents(path, body)
+        try:
+            model = model_from_dict(body)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         loaded = LoadedModel(
             kind=body["kind"],
-            model=model_from_dict(body),
+            model=model,
             input_ranges=tuple(tuple(r) for r in payload["input_ranges"]),
             output_range=tuple(payload["output_range"]),
         )

@@ -320,7 +320,7 @@ class TestPredict:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=r"consequents must be a \(16, 5\) array") as info:
             load_model(path)
-        assert str(path) in str(info.value)
+        assert str(info.value).count(str(path)) == 1
         code, out, err = run_cli(capsys, "predict", "--model", str(path), "500,30,50,5")
         assert code == 2
         assert out == ""
@@ -337,12 +337,34 @@ class TestPredict:
         payload["model"]["inputs"][0]["mfs"][0]["params"] = params
         path.write_text(json.dumps(payload))
         message = f"gaussian params must be a list of 2 finite numbers, got {shown}"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as info:
             load_model(path)
+        assert str(info.value).startswith(f"{path}: gaussian params")
         code, out, err = run_cli(capsys, "predict", "--model", str(path), "500,30,50,5")
         assert code == 2
         assert out == ""
-        assert "ValueError: gaussian params" in err
+        assert f"ValueError: {path}: gaussian params" in err
+
+    @pytest.mark.parametrize("rule,message", [
+        ([5, 0, 0, 0], "antecedent index 5 out of range for 'fuel'"),
+        ([0, -1, 0, 0], "antecedent index -1 out of range for 'intercept_time'"),
+        ([0, 0, 0], r"antecedent \(0, 0, 0\) does not match input count 4"),
+        ([0, 1.5, 0, 0], "antecedent indices must be integers"),
+    ], ids=["index-past-mfs", "negative-index", "short-rule", "float-index"])
+    def test_bad_anfis_rule_rejected_at_load(self, tmp_path, capsys, rule, message):
+        path = tmp_path / "anfis.json"
+        save_model(AnfisModel.grid(unit_variables(2, "gaussian")), path)
+        payload = json.loads(path.read_text())
+        payload["model"]["rules"][3] = rule
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: antecedent")
+        assert str(info.value).count(str(path)) == 1
+        code, out, err = run_cli(capsys, "predict", "--model", str(path), "500,30,50,5")
+        assert code == 2
+        assert out == ""
+        assert f"ValueError: {path}: antecedent" in err
 
     def test_score_uses_the_files_input_ranges(self, tmp_path, capsys):
         # one split on normalized fuel: <= 0.4 scores 0.1, above scores 0.9

@@ -169,6 +169,118 @@ def project_params_oracle(shape, params, lo, hi):
     return params
 
 
+def evaluate_oracle(mf, x):
+    """The per-class `evaluate` bodies that the shape kernels replaced (test oracle)."""
+    x = np.asarray(x, dtype=float)
+    if mf.shape == "gaussian":
+        z = (x - mf.c) / mf.sigma
+        return np.exp(-0.5 * z * z)
+    if mf.shape == "gbell":
+        z = (x - mf.c) / mf.a
+        with np.errstate(over="ignore"):
+            u = (z * z) ** mf.b
+        return 1.0 / (1.0 + u)
+    out = np.zeros(np.shape(x))
+    if mf.shape == "trapezoid":
+        out = np.where((x >= mf.b) & (x <= mf.c), 1.0, out)
+        if mf.b > mf.a:
+            out = np.where((x > mf.a) & (x < mf.b), (x - mf.a) / (mf.b - mf.a), out)
+        if mf.d > mf.c:
+            out = np.where((x > mf.c) & (x < mf.d), (mf.d - x) / (mf.d - mf.c), out)
+        return out
+    if mf.b > mf.a:
+        out = np.where((x > mf.a) & (x < mf.b), (x - mf.a) / (mf.b - mf.a), out)
+    if mf.c > mf.b:
+        out = np.where((x > mf.b) & (x < mf.c), (mf.c - x) / (mf.c - mf.b), out)
+    return np.where(x == mf.b, 1.0, out)
+
+
+def fuzzify_oracle(var, x):
+    """`LinguisticVariable.fuzzify` as one `evaluate` per MF, stacked (test oracle)."""
+    cx = var.clip(np.asarray(x, dtype=float))
+    return np.stack([evaluate_oracle(mf, cx) for mf in var.mfs], axis=-1)
+
+
+# knots drawn from a coarse lattice often coincide, giving degenerate ramps
+_unit = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+_width = st.floats(1e-3, 2.0)
+MF_STRATEGIES = {
+    "gaussian": st.builds(GaussianMF, _unit, _width),
+    "gbell": st.builds(
+        GBellMF, _width, st.one_of(st.just(2.0), st.sampled_from([0.5, 1.0, 3.0]), st.floats(0.1, 6.0)), _unit
+    ),
+    "trapezoid": st.lists(_unit, min_size=4, max_size=4).map(lambda k: TrapezoidMF(*sorted(k))),
+    "triangle": st.lists(_unit, min_size=3, max_size=3).map(lambda k: TriangleMF(*sorted(k))),
+}
+
+
+@st.composite
+def variables(draw):
+    """A variable on [0, 1] with MFs of one shape, or of several shapes mixed."""
+    shapes = draw(st.one_of(
+        st.sampled_from(SHAPES).map(lambda s: [s]),
+        st.lists(st.sampled_from(SHAPES), min_size=2, max_size=4, unique=True),
+    ))
+    mfs = draw(st.lists(st.one_of(*(MF_STRATEGIES[s] for s in shapes)), min_size=1, max_size=5))
+    return LinguisticVariable("v", 0.0, 1.0, mfs)
+
+
+@st.composite
+def fuzzify_inputs(draw, var):
+    """A scalar, one row or 900 rows, with some points exactly at the knots and a nan."""
+    knots = [float(p) for mf in var.mfs for p in mf.params]
+    point = st.one_of(st.sampled_from(knots), st.floats(-0.5, 1.5), st.just(float("nan")))
+    kind = draw(st.sampled_from(["scalar", "one-row", "900-row"]))
+    if kind == "scalar":
+        return draw(point)
+    if kind == "one-row":
+        return np.array([draw(point)])
+    x = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(-0.2, 1.2, size=900)
+    x[: len(knots) + 1] = knots + [float("nan")]
+    return x
+
+
+class TestShapeKernels:
+    """`fuzzify` (one kernel call per shape) and `evaluate` against the per-MF code they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fuzzify_matches_stacked_evaluate(self, data):
+        var = data.draw(variables())
+        x = data.draw(fuzzify_inputs(var))
+        with np.errstate(over="ignore"):  # a subnormal ramp width overflows in both
+            got, want = var.fuzzify(x), fuzzify_oracle(var, x)
+        assert got.shape == want.shape == np.shape(x) + (var.n_mfs,)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        cx = var.clip(np.asarray(x, dtype=float))
+        for mf in var.mfs:
+            with np.errstate(over="ignore"):
+                one, ref = mf.evaluate(cx), evaluate_oracle(mf, cx)
+            assert np.shape(one) == np.shape(ref)
+            assert np.array_equal(one, ref, equal_nan=True)
+            assert np.array_equal(np.signbit(one), np.signbit(ref))
+
+    @pytest.mark.parametrize("b", [2.0, 2.5, 0.7])
+    def test_gbell_exponent_per_mf(self, b):
+        # several bells on one variable, so each row of the kernel carries its own exponent
+        mfs = [GBellMF(0.1 + 0.05 * k, b + k, 0.2 * k) for k in range(5)]
+        var = LinguisticVariable("v", 0.0, 1.0, mfs)
+        x = np.random.default_rng(1).uniform(0, 1, size=900)
+        assert np.array_equal(var.fuzzify(x), fuzzify_oracle(var, x))
+
+    def test_degenerate_knots_at_the_knots(self):
+        mfs = [TriangleMF(0.0, 0.0, 0.5), TriangleMF(0.5, 1.0, 1.0), TriangleMF(0.5, 0.5, 0.5),
+               TrapezoidMF(0.0, 0.0, 0.5, 0.5), TrapezoidMF(0.25, 0.5, 0.5, 0.75)]
+        var = LinguisticVariable("v", 0.0, 1.0, mfs)
+        x = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 0.1, 0.6])
+        with np.errstate(all="raise"):  # no 0/0 escapes the kernels as a warning
+            got = var.fuzzify(x)
+        assert np.array_equal(got, fuzzify_oracle(var, x))
+        assert got[2].tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+
+
 class TestEvaluation:
     def test_gaussian_center(self):
         assert GaussianMF(5.0, 2.0).evaluate(5.0) == 1.0
@@ -204,6 +316,19 @@ class TestEvaluation:
             TrapezoidMF(0.0, 2.0, 1.0, 3.0)
         with pytest.raises(ValueError):
             TriangleMF(1.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda nan: GaussianMF(0.5, nan),
+        lambda nan: GBellMF(nan, 2.0, 0.5),
+        lambda nan: GBellMF(0.2, nan, 0.5),
+        lambda nan: GaussianMF.project([0.5, nan], 0.0, 1.0),
+        lambda nan: GBellMF.project([nan, 2.0, 0.5], 0.0, 1.0),
+        lambda nan: GBellMF.project([0.2, nan, 0.5], 0.0, 1.0),
+    ], ids=["gaussian-sigma", "gbell-a", "gbell-b",
+            "project-gaussian-sigma", "project-gbell-a", "project-gbell-b"])
+    def test_nan_width_rejected(self, make):
+        with pytest.raises(ValueError):
+            make(float("nan"))
 
 
 class TestGradients:
@@ -455,6 +580,36 @@ class TestMamdaniInference:
         assert back.rules == model.rules
         x = [[0.3]]
         assert back.infer_batch(x)[0][0] == model.infer_batch(x)[0][0]
+
+
+class TestMamdaniSetUp:
+    """The output grid, output sets and rule columns are built once per model."""
+
+    def test_cached_sets_equal_fresh_evaluation(self):
+        output = LinguisticVariable("y", 0.0, 1.0, [
+            TriangleMF(0.0, 0.0, 0.5), GaussianMF(0.5, 0.2), TrapezoidMF(0.4, 0.6, 0.8, 1.0),
+        ])
+        inputs = [LinguisticVariable.uniform("x", 0.0, 1.0, 3, shape="triangle")]
+        rules = [MamdaniRule((0,), 2), MamdaniRule((1,), 0), MamdaniRule((2,), 2)]
+        model = MamdaniModel(inputs=inputs, output=output, rules=rules)
+        grid = model.output_grid()
+        assert np.array_equal(model.consequent_sets, np.stack([mf.evaluate(grid) for mf in output.mfs]))
+        assert np.array_equal(model.consequent_sets, np.stack([evaluate_oracle(mf, grid) for mf in output.mfs]))
+        assert model.consequent_sets.flags.c_contiguous
+        assert not model.consequent_sets.flags.writeable
+        assert [c.tolist() for c in model.consequent_rules] == [[1], [], [0, 2]]
+        assert model.consequent_sets is model.consequent_sets
+
+    def test_rule_indices_checked(self):
+        inputs = [LinguisticVariable.uniform("x", 0.0, 1.0, 2, shape="triangle")]
+        output = LinguisticVariable.uniform("y", 0.0, 1.0, 2, shape="triangle")
+        for rule, message in [
+            (MamdaniRule((2,), 0), "antecedent index 2 out of range for 'x'"),
+            (MamdaniRule((0, 0), 0), "does not match input count 1"),
+            (MamdaniRule((0,), 2), "consequent index 2 out of range"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                MamdaniModel(inputs=inputs, output=output, rules=[MamdaniRule((1,), 1), rule])
 
 
 class TestBlockedAggregation:

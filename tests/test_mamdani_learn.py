@@ -209,6 +209,17 @@ class TestGdTune:
             checked += 1
         assert checked >= 8  # 9 genes total; at most one may be flat
 
+    def test_curve_is_each_epochs_surrogate_rmse(self):
+        # the epoch's error shares the gradient's surrogate pass; it must equal
+        # surrogate_rmse of the model that epoch starts from, bit for bit
+        rng = np.random.default_rng(9)
+        model, X, y = tace_style_model(rng)
+        _, report = gd_tune(model, X, y, learning_rate=0.5, momentum=0.3, epochs=4)
+        assert report.rmse_per_epoch[0] == surrogate_rmse(model, X, y)
+        for k in range(1, 4):
+            tuned, _ = gd_tune(model, X, y, learning_rate=0.5, momentum=0.3, epochs=k)
+            assert report.rmse_per_epoch[k] == surrogate_rmse(tuned, X, y)
+
     def test_small_step_never_increases_first_epoch(self):
         for trial in range(20):
             rng = np.random.default_rng(100 + trial)
