@@ -12,7 +12,6 @@ from .anfis import (
     AnfisModel,
     StepSizeController,
     anfis_train,
-    backprop_epoch,
     forward_batch,
     hybrid_epoch,
     premise_gradient,

@@ -50,7 +50,7 @@ from .fuzzy import (
     strength_backprop,
 )
 from .linalg import fails_rank_test, lse_batch, ridge_solve
-from .report import TrainReport
+from .report import TrainReport, rmse
 
 DEFAULT_STEP_SIZE = 0.01
 
@@ -166,7 +166,8 @@ def forward_batch(model: AnfisModel, X) -> tuple[np.ndarray, ForwardTrace]:
     if X.shape[1] != model.n_inputs:
         raise ValueError(f"expected {model.n_inputs} inputs, got {X.shape[1]}")
     Xc = np.column_stack([var.clip(X[:, v]) for v, var in enumerate(model.inputs)])
-    memberships = [var.fuzzify(Xc[:, v]) for v, var in enumerate(model.inputs)]
+    # fuzzify clips as var.clip does, and rejects a nan or inf input by name
+    memberships = [var.fuzzify(X[:, v]) for v, var in enumerate(model.inputs)]
     P, R = Xc.shape[0], model.n_rules
     w = rule_strengths(memberships, model.antecedent_index, np.ones((P, R)))
     wsum = w.sum(axis=1)
@@ -280,6 +281,14 @@ def _identify_consequents(regressors, y, n_inputs: int, solves: Counter | None =
     return flat
 
 
+def _fit_consequents(model: AnfisModel, X, y, solves: Counter | None):
+    """Consequents by least squares with the premises frozen; (model, trace, residuals)."""
+    _, trace = forward_batch(model, X)
+    flat = _identify_consequents(trace.regressors, y, model.n_inputs, solves)
+    model = replace(model, consequents=flat.reshape(model.n_rules, model.n_inputs + 1))
+    return model, trace, trace.regressors @ flat - y
+
+
 def hybrid_epoch(
     model: AnfisModel, X, y, controller: StepSizeController, solves: Counter | None = None
 ) -> tuple[AnfisModel, float]:
@@ -292,29 +301,9 @@ def hybrid_epoch(
     y = np.asarray(y, dtype=float)
     if y.shape[0] == 0:
         raise ValueError("training data must be non-empty")
-    _, trace = forward_batch(model, X)
-    flat = _identify_consequents(trace.regressors, y, model.n_inputs, solves)
-    model = replace(model, consequents=flat.reshape(model.n_rules, model.n_inputs + 1))
-    residuals = trace.regressors @ flat - y
-    rmse = float(np.sqrt(np.mean(residuals**2)))
+    model, trace, residuals = _fit_consequents(model, X, y, solves)
     grad = premise_gradient(model, trace, residuals)
-    model = _apply_premise_step(model, grad, controller.k)
-    return model, rmse
-
-
-def backprop_epoch(
-    model: AnfisModel, X, y, controller: StepSizeController
-) -> tuple[AnfisModel, float]:
-    """Premise-only epoch: consequents stay fixed, RMSE measured pre-update."""
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] == 0:
-        raise ValueError("training data must be non-empty")
-    pred, trace = forward_batch(model, X)
-    residuals = pred - y
-    rmse = float(np.sqrt(np.mean(residuals**2)))
-    grad = premise_gradient(model, trace, residuals)
-    model = _apply_premise_step(model, grad, controller.k)
-    return model, rmse
+    return _apply_premise_step(model, grad, controller.k), rmse(residuals)
 
 
 def anfis_train(
@@ -326,44 +315,33 @@ def anfis_train(
     k0: float = DEFAULT_STEP_SIZE,
     seed: int = 0,
 ) -> tuple[AnfisModel, TrainReport]:
-    """Train for a fixed number of epochs in hybrid or backprop-only mode.
+    """Train by hybrid learning for a fixed number of epochs.
 
-    In hybrid mode the report's extras hold `consequent_solves`, the number
-    of consequent solves that went through `lstsq`, through `ridge` and
-    through `certified` (ridge without the `lstsq` attempt); they sum to
-    epochs + 1.
+    `mode` must be "hybrid", the only trainer.  The report's extras hold
+    `consequent_solves`, the number of consequent solves that went through
+    `lstsq`, through `ridge` and through `certified` (ridge without the
+    `lstsq` attempt); they sum to epochs + 1.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if mode not in ("hybrid", "backprop"):
-        raise ValueError(f"mode must be 'hybrid' or 'backprop', got {mode!r}")
+    if mode != "hybrid":
+        raise ValueError(f"mode must be 'hybrid', got {mode!r}")
     X, y = finite_data(*train)
     controller = StepSizeController(k0)
     curve = []
     solves = Counter(lstsq=0, ridge=0, certified=0)
     start = time.perf_counter()
     for _ in range(epochs):
-        if mode == "hybrid":
-            model, rmse = hybrid_epoch(model, X, y, controller, solves)
-        else:
-            model, rmse = backprop_epoch(model, X, y, controller)
-        curve.append(rmse)
-        controller = update_step_size(controller, rmse)
-    if mode == "hybrid":
-        # consequents are defined by least squares given the premises; after the
-        # last premise step re-identify them so the returned model is coherent
-        _, trace = forward_batch(model, X)
-        flat = _identify_consequents(trace.regressors, y, model.n_inputs, solves)
-        model = replace(model, consequents=flat.reshape(model.n_rules, model.n_inputs + 1))
-        residuals = trace.regressors @ flat - y
-    else:
-        residuals = forward_batch(model, X)[0] - y
-    final_train = float(np.sqrt(np.mean(residuals**2)))
+        model, epoch_rmse = hybrid_epoch(model, X, y, controller, solves)
+        curve.append(epoch_rmse)
+        controller = update_step_size(controller, epoch_rmse)
+    # consequents are defined by least squares given the premises; after the
+    # last premise step re-identify them so the returned model is coherent
+    model, _, residuals = _fit_consequents(model, X, y, solves)
     final_test = None
     if test is not None:
         Xt, yt = test
-        pt, _ = forward_batch(model, Xt)
-        final_test = float(np.sqrt(np.mean((pt - np.asarray(yt, dtype=float)) ** 2)))
-    extras = {"consequent_solves": dict(solves)} if mode == "hybrid" else {}
-    report = TrainReport(curve, final_train, final_test, time.perf_counter() - start, seed, extras)
-    return model, report
+        final_test = rmse(forward_batch(model, Xt)[0] - np.asarray(yt, dtype=float))
+    extras = {"consequent_solves": dict(solves)}
+    wall = time.perf_counter() - start
+    return model, TrainReport(curve, rmse(residuals), final_test, wall, seed, extras)

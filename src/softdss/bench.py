@@ -28,7 +28,7 @@ from .fuzzy import LinguisticVariable
 from .mamdani import GaConfig, ga_optimize, gd_tune, wang_mendel
 from .mlp import mlp_init, scg_train
 from .modelio import save_model
-from .report import write_curve_csv
+from .report import rmse, write_curve_csv
 
 INPUT_LABELS = {
     "fuel": ("low", "half", "full"),
@@ -143,10 +143,6 @@ def unit_score_variable(mf_count: int) -> LinguisticVariable:
     )
 
 
-def _rmse(pred, y) -> float:
-    return float(np.sqrt(np.mean((np.asarray(pred) - np.asarray(y)) ** 2)))
-
-
 @dataclass
 class Trained:
     """What `train_paradigm` returns for one run."""
@@ -230,13 +226,13 @@ def train_paradigm(kind, train, test, settings, seed) -> Trained:
             tree, Xtr, ytr, folds=settings.folds, seed=seed, min_leaf=settings.min_leaf
         )
         best = cart_mod.select_min_cost(seq)
-        test_rmse = None if test is None else _rmse(cart_mod.predict_batch(best, test[0]), test[1])
+        test_rmse = None if test is None else rmse(cart_mod.predict_batch(best, test[0]) - test[1])
         extras = {
             "terminal_count": cart_mod.count_leaves(best),
             "full_terminal_count": cart_mod.count_leaves(tree),
             "ladder_length": len(seq),
         }
-        return Trained(best, seq, (), _rmse(cart_mod.predict_batch(best, Xtr), ytr),
+        return Trained(best, seq, (), rmse(cart_mod.predict_batch(best, Xtr) - ytr),
                        test_rmse, extras)
     raise ValueError(f"unknown paradigm {kind!r}")
 

@@ -31,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import is_finite_number
+from .report import rmse
 
 OUTPUT_GRID_POINTS = 201
 # rows per block of Mamdani aggregation: a (160, 201) float64 block is 257 KB
@@ -188,6 +189,23 @@ def _ramps(rising, falling):
     return np.fmax(np.minimum(rising, falling), 0.0)
 
 
+def _trapezoid_gradient(x, a, b, c, d):
+    """d degree / d (a, b, c, d) of a trapezoid; at a kink, the derivative from the left."""
+    zeros = np.zeros(np.shape(x))
+    da, db, dc, dd = zeros, zeros, zeros, zeros
+    if b > a:
+        r = (x > a) & (x <= b)
+        w = (b - a) ** 2
+        da = np.where(r, (x - b) / w, zeros)
+        db = np.where(r, -(x - a) / w, zeros)
+    if d > c:
+        f = (x > c) & (x <= d)
+        w = (d - c) ** 2
+        dc = np.where(f, (d - x) / w, zeros)
+        dd = np.where(f, (x - c) / w, zeros)
+    return np.stack([da, db, dc, dd], axis=-1)
+
+
 class TrapezoidMF(MembershipFunction):
     """Piecewise-linear trapezoid with knots a <= b <= c <= d."""
 
@@ -208,21 +226,7 @@ class TrapezoidMF(MembershipFunction):
         return np.where((x >= b) & (x <= c), 1.0, _ramps(rising, falling))
 
     def gradient(self, x):
-        # at kinks: one-sided derivative from the left
-        x = np.asarray(x, dtype=float)
-        zeros = np.zeros(np.shape(x))
-        da, db, dc, dd = zeros.copy(), zeros.copy(), zeros.copy(), zeros.copy()
-        if self.b > self.a:
-            r = (x > self.a) & (x <= self.b)
-            w = (self.b - self.a) ** 2
-            da = np.where(r, (x - self.b) / w, da)
-            db = np.where(r, -(x - self.a) / w, db)
-        if self.d > self.c:
-            f = (x > self.c) & (x <= self.d)
-            w = (self.d - self.c) ** 2
-            dc = np.where(f, (self.d - x) / w, dc)
-            dd = np.where(f, (x - self.c) / w, dd)
-        return np.stack([da, db, dc, dd], axis=-1)
+        return _trapezoid_gradient(np.asarray(x, dtype=float), self.a, self.b, self.c, self.d)
 
     @property
     def center(self) -> float:
@@ -237,7 +241,7 @@ class TrapezoidMF(MembershipFunction):
 
 
 class TriangleMF(MembershipFunction):
-    """Piecewise-linear triangle with knots a <= b <= c, peak at b."""
+    """Piecewise-linear triangle with knots a <= b <= c, peak at b: the trapezoid (a, b, b, c)."""
 
     shape = "triangle"
     __slots__ = ("a", "b", "c")
@@ -250,27 +254,14 @@ class TriangleMF(MembershipFunction):
 
     @staticmethod
     def degrees(x, a, b, c):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rising = (x - a) / (b - a)
-            falling = (c - x) / (c - b)
-        return np.where(x == b, 1.0, _ramps(rising, falling))
+        return TrapezoidMF.degrees(x, a, b, b, c)
 
     def gradient(self, x):
-        # at kinks: one-sided derivative from the left
+        # the trapezoid with b == c; the peak's two columns never both hold a ramp, and
+        # picking the live one (not summing) keeps the sign of an underflowed -0.0
         x = np.asarray(x, dtype=float)
-        zeros = np.zeros(np.shape(x))
-        da, db, dc = zeros.copy(), zeros.copy(), zeros.copy()
-        if self.b > self.a:
-            r = (x > self.a) & (x <= self.b)
-            w = (self.b - self.a) ** 2
-            da = np.where(r, (x - self.b) / w, da)
-            db = np.where(r, -(x - self.a) / w, db)
-        if self.c > self.b:
-            f = (x > self.b) & (x <= self.c)
-            w = (self.c - self.b) ** 2
-            db = np.where(f, (self.c - x) / w, db)
-            dc = np.where(f, (x - self.b) / w, dc)
-        return np.stack([da, db, dc], axis=-1)
+        g = _trapezoid_gradient(x, self.a, self.b, self.b, self.c)
+        return np.stack([g[..., 0], np.where(x > self.b, g[..., 2], g[..., 1]), g[..., 3]], axis=-1)
 
     @property
     def center(self) -> float:
@@ -342,7 +333,8 @@ class LinguisticVariable:
 
     def clip(self, x):
         """Values outside the declared physical range are clipped before evaluation."""
-        return np.clip(x, self.lo, self.hi)
+        # the method skips np.clip's dispatch layer, a tenth of a one-row fuzzify
+        return np.asarray(x, dtype=float).clip(self.lo, self.hi)
 
     @cached_property
     def _kernel_table(self) -> list:
@@ -358,10 +350,15 @@ class LinguisticVariable:
     def fuzzify(self, x):
         """Degrees of all MFs at x; shape = x.shape + (n_mfs,), C-ordered.
 
+        A nan or inf in x is a ValueError naming the variable.
+
         One kernel call per shape class, over an (n_mfs, samples) layout so
         numpy's inner loops run over the samples.
         """
-        cx = self.clip(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        if np.count_nonzero(np.isfinite(x)) != x.size:  # cheaper than .all() on one row
+            raise ValueError(f"variable {self.name!r} got a non-finite input")
+        cx = self.clip(x)
         out = np.empty(cx.shape + (self.n_mfs,))
         rows, flat = out.reshape(-1, self.n_mfs).T, cx.reshape(-1)
         for cls, cols, params in self._kernel_table:
@@ -587,8 +584,7 @@ class MamdaniModel:
         return out, fired
 
     def rmse(self, X, y) -> float:
-        out, _ = self.infer_batch(X)
-        return float(np.sqrt(np.mean((out - np.asarray(y, dtype=float)) ** 2)))
+        return rmse(self.infer_batch(X)[0] - np.asarray(y, dtype=float))
 
     def to_dict(self) -> dict:
         return {

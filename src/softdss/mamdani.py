@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import TrainingDivergedError, finite_data
 from .fuzzy import MamdaniModel, MamdaniRule, rule_strengths, strength_backprop
-from .report import TrainReport
+from .report import TrainReport, rmse
 
 
 def wang_mendel(X, y, inputs, output) -> MamdaniModel:
@@ -115,12 +115,8 @@ def _surrogate_forward(model: MamdaniModel, X):
     return yhat, acts, den, fired, mu, z
 
 
-def _rmse(yhat, y) -> float:
-    return float(np.sqrt(np.mean((yhat - np.asarray(y, dtype=float)) ** 2)))
-
-
 def surrogate_rmse(model: MamdaniModel, X, y) -> float:
-    return _rmse(_surrogate_forward(model, X)[0], y)
+    return rmse(_surrogate_forward(model, X)[0] - np.asarray(y, dtype=float))
 
 
 def surrogate_gradient(model: MamdaniModel, X, y) -> np.ndarray:
@@ -172,7 +168,7 @@ def gd_tune(
     for epoch in range(1, epochs + 1):
         # one surrogate pass gives the epoch's error and its gradient
         forward = _surrogate_forward(model, X)
-        err = _rmse(forward[0], y)
+        err = rmse(forward[0] - y)
         curve.append(err)
         if initial is None:
             initial = err

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import TrainingDivergedError, finite_data
-from .report import TrainReport
+from .report import TrainReport, rmse
 
 SIGMA0 = 1e-4
 LAMBDA0 = 1e-6
@@ -42,6 +42,8 @@ class MlpModel:
         want = (self.input_dim + 1) * self.hidden_units + self.hidden_units + 1
         if self.weights.shape != (want,):
             raise ValueError(f"weights must have length {want}, got {self.weights.shape}")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("weights hold non-finite values")
 
     def unpack(self):
         return _unpack(self.weights, self.input_dim, self.hidden_units)
@@ -228,8 +230,7 @@ def scg_train(
     final_test = None
     if test is not None:
         Xt, dt = test
-        resid = mlp_forward_batch(trained, Xt) - np.asarray(dt, dtype=float)
-        final_test = float(np.sqrt(np.mean(resid**2)))
+        final_test = rmse(mlp_forward_batch(trained, Xt) - np.asarray(dt, dtype=float))
     extras = {"scg_steps": {"accepted": accepted, "rejected": rejected}, "final_lambda": lam}
     report = TrainReport(
         curve, final_train, final_test, time.perf_counter() - start, seed, extras

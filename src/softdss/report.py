@@ -1,9 +1,11 @@
-"""Training report type shared by every trainable paradigm."""
+"""Training report type and the RMSE shared by every trainable paradigm."""
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass
@@ -16,6 +18,11 @@ class TrainReport:
     wall_time: float
     seed: int
     extras: dict = field(default_factory=dict)
+
+
+def rmse(residuals) -> float:
+    """Root mean squared error from the residuals (prediction minus target)."""
+    return float(np.sqrt(np.mean(residuals**2)))
 
 
 def write_curve_csv(path, values, header=("epoch", "train_rmse")) -> None:

@@ -10,7 +10,6 @@ from softdss.anfis import (
     AnfisModel,
     StepSizeController,
     anfis_train,
-    backprop_epoch,
     forward_batch,
     hybrid_epoch,
     premise_gradient,
@@ -85,6 +84,14 @@ class TestForward:
         with pytest.raises(DegenerateCoverageError, match="sample 1"):
             forward_batch(model, np.array([[0.1], [0.9]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected_naming_variable(self, bad):
+        # neither clipped to the range's end (inf) nor passed on as a nan output
+        X = np.full((3, 2), 0.5)
+        X[1, 1] = bad
+        with pytest.raises(ValueError, match="'x1'.*non-finite"):
+            forward_batch(small_model(2, 2, seed=3), X)
+
     def test_rule_reorder_invariance(self):
         model = small_model(2, 3, seed=3)
         rng = np.random.default_rng(3)
@@ -149,7 +156,7 @@ class TestHybridEpoch:
         pred, trace = forward_batch(model, X)
         g = premise_gradient(model, trace, pred - y)
         before = model.premise_vector()
-        stepped, _ = backprop_epoch(model, X, y, StepSizeController(k))
+        stepped = anfis._apply_premise_step(model, g, k)
         delta = stepped.premise_vector() - before
         np.testing.assert_allclose(delta, -(k / np.linalg.norm(g)) * g, atol=1e-12)
 
@@ -287,25 +294,17 @@ class TestTraining:
         _, report = anfis_train(small_model(2, 2), (X, y), None, epochs=4)
         # four epochs plus the final re-identification, all full rank
         assert report.extras == {"consequent_solves": {"lstsq": 5, "ridge": 0, "certified": 0}}
-        _, report = anfis_train(small_model(2, 2), (X, y), None, epochs=4, mode="backprop")
-        assert report.extras == {}
+
+    @pytest.mark.parametrize("mode", ["backprop", "Hybrid", ""])
+    def test_hybrid_is_the_only_mode(self, mode):
+        X = np.random.default_rng(12).uniform(0, 1, size=(20, 2))
+        with pytest.raises(ValueError, match="mode"):
+            anfis_train(small_model(2, 2), (X, X[:, 0]), None, epochs=1, mode=mode)
 
     def test_zero_epochs_rejected(self):
         model = small_model(2, 2)
         with pytest.raises(ValueError):
             anfis_train(model, (np.zeros((1, 2)), np.zeros(1)), None, epochs=0)
-
-    def test_backprop_only_with_zero_consequents_is_inert(self):
-        # zero consequents zero out the premise gradient: nothing moves
-        rng = np.random.default_rng(13)
-        model = small_model(2, 2)
-        X = rng.uniform(0, 1, size=(50, 2))
-        y = rng.uniform(0, 1, size=50)
-        trained, report = anfis_train(model, (X, y), None, epochs=5, mode="backprop")
-        assert np.ptp(report.rmse_per_epoch) == 0.0
-        np.testing.assert_array_equal(trained.premise_vector(), model.premise_vector())
-        pred, _ = forward_batch(trained, X)
-        assert np.all(pred == 0.0)
 
     def test_hybrid_beats_zero_model_and_reports_test_rmse(self):
         rng = np.random.default_rng(14)

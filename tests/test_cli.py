@@ -256,11 +256,13 @@ class TestPredict:
             with pytest.raises(ValueError, match="weapon"):
                 loaded.predict_score([500, 30, value, 4])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_model_score_is_runtime_error(self, tmp_path, capsys):
-        path = tmp_path / "nan.json"
+        # finite weights whose output overflows
+        path = tmp_path / "overflow.json"
         save_model(mlp_init(4, 3, seed=1), path)
         payload = json.loads(path.read_text())
-        payload["model"]["weights"][0] = float("nan")
+        payload["model"]["weights"] = [1e308] * len(payload["model"]["weights"])
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="non-finite score"):
             load_model(path).predict_score([500, 30, 60, 4])
@@ -268,6 +270,21 @@ class TestPredict:
         assert code == 2
         assert out == ""
         assert "non-finite score" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_mlp_weights_rejected_at_load(self, tmp_path, capsys, value):
+        path = tmp_path / "nan.json"
+        save_model(mlp_init(4, 3, seed=1), path)
+        payload = json.loads(path.read_text())
+        payload["model"]["weights"][0] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="weights hold non-finite") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+        code, out, err = run_cli(capsys, "predict", "--model", str(path), "500,30,60,4")
+        assert code == 2
+        assert out == ""
+        assert "weights" in err
 
     def test_missing_model_field_names_file_and_field(self, tmp_path, capsys):
         path = tmp_path / "short.json"

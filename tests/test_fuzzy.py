@@ -196,9 +196,14 @@ def evaluate_oracle(mf, x):
 
 
 def fuzzify_oracle(var, x):
-    """`LinguisticVariable.fuzzify` as one `evaluate` per MF, stacked (test oracle)."""
-    cx = var.clip(np.asarray(x, dtype=float))
-    return np.stack([evaluate_oracle(mf, cx) for mf in var.mfs], axis=-1)
+    """`LinguisticVariable.fuzzify` as one `evaluate` per MF, stacked (test oracle).
+
+    A scalar is evaluated as a one-element array, as `fuzzify` does: numpy's
+    scalar power can differ in the last bit from its array power, which a
+    gbell with an exponent other than 2 takes.
+    """
+    cx = np.atleast_1d(var.clip(np.asarray(x, dtype=float)))
+    return np.stack([evaluate_oracle(mf, cx) for mf in var.mfs], axis=-1).reshape(np.shape(x) + (-1,))
 
 
 # knots drawn from a coarse lattice often coincide, giving degenerate ramps
@@ -247,14 +252,19 @@ class TestShapeKernels:
     @given(data=st.data())
     def test_fuzzify_matches_stacked_evaluate(self, data):
         var = data.draw(variables())
-        x = data.draw(fuzzify_inputs(var))
+        x_raw = data.draw(fuzzify_inputs(var))
+        if np.isnan(x_raw).any():
+            with pytest.raises(ValueError, match="'v'"):
+                var.fuzzify(x_raw)
+        # fuzzify sees the nan replaced; the kernels below still take it
+        x = np.where(np.isnan(x_raw), 0.5, x_raw)
         with np.errstate(over="ignore"):  # a subnormal ramp width overflows in both
             got, want = var.fuzzify(x), fuzzify_oracle(var, x)
         assert got.shape == want.shape == np.shape(x) + (var.n_mfs,)
         assert got.flags.c_contiguous
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
-        cx = var.clip(np.asarray(x, dtype=float))
+        cx = var.clip(np.asarray(x_raw, dtype=float))
         for mf in var.mfs:
             with np.errstate(over="ignore"):
                 one, ref = mf.evaluate(cx), evaluate_oracle(mf, cx)
@@ -279,6 +289,71 @@ class TestShapeKernels:
             got = var.fuzzify(x)
         assert np.array_equal(got, fuzzify_oracle(var, x))
         assert got[2].tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+
+
+def triangle_gradient_oracle(mf, x):
+    """The triangle's own ramp-mask gradient, before it became a trapezoid with b == c (test oracle)."""
+    x = np.asarray(x, dtype=float)
+    zeros = np.zeros(np.shape(x))
+    da, db, dc = zeros.copy(), zeros.copy(), zeros.copy()
+    if mf.b > mf.a:
+        r = (x > mf.a) & (x <= mf.b)
+        w = (mf.b - mf.a) ** 2
+        da = np.where(r, (x - mf.b) / w, da)
+        db = np.where(r, -(x - mf.a) / w, db)
+    if mf.c > mf.b:
+        f = (x > mf.b) & (x <= mf.c)
+        w = (mf.c - mf.b) ** 2
+        db = np.where(f, (mf.c - x) / w, db)
+        dc = np.where(f, (x - mf.b) / w, dc)
+    return np.stack([da, db, dc], axis=-1)
+
+
+def triangle_degrees_oracle(x, a, b, c):
+    """The triangle's own ramp kernel, before it became a trapezoid with b == c (test oracle)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rising = (x - a) / (b - a)
+        falling = (c - x) / (c - b)
+    return np.where(x == b, 1.0, np.fmax(np.minimum(rising, falling), 0.0))
+
+
+class TestTriangleIsTrapezoid:
+    """`TriangleMF` evaluates and differentiates as the trapezoid with b == c, bit for bit."""
+
+    @staticmethod
+    def _bits(a):
+        return np.asarray(a, dtype=float).view(np.uint64)
+
+    def test_matches_own_mask_code(self):
+        rng = np.random.default_rng(5)
+        lattice = [0.0, 0.25, 0.5, 1.0]
+        shapes = [(0.0, 2.0, 3.0), (0.0, 0.0, 1.0), (0.0, 1.0, 1.0), (0.5, 0.5, 0.5)]
+        shapes += [tuple(np.sort(rng.choice(lattice, 3))) for _ in range(200)]
+        shapes += [tuple(np.sort(rng.uniform(-2, 2, 3))) for _ in range(800)]
+        for a, b, c in shapes:
+            mf = TriangleMF(a, b, c)
+            knots = np.array(mf.params)
+            # each knot, one ulp either side, the smallest subnormals (whose ramp
+            # terms underflow to a signed zero), both infinities and nan
+            x = np.concatenate([
+                knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+                [5e-324, -5e-324, 0.0, -0.0, np.inf, -np.inf, np.nan], rng.uniform(-3, 3, 20),
+            ])
+            for pts in (x, *x[:3]):  # the batch, and each knot as a scalar
+                with np.errstate(invalid="ignore"):
+                    got, want = mf.gradient(pts), triangle_gradient_oracle(mf, pts)
+                    deg, deg_want = TriangleMF.degrees(pts, a, b, c), triangle_degrees_oracle(pts, a, b, c)
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(self._bits(got), self._bits(want))
+                assert np.array_equal(self._bits(deg), self._bits(deg_want))
+
+    def test_kernel_table_broadcast(self):
+        # fuzzify passes (k, 1) parameter columns; the trapezoid kernel takes them as the triangle's
+        mfs = [TriangleMF(0.0, 0.0, 0.5), TriangleMF(0.0, 0.5, 1.0), TriangleMF(0.5, 1.0, 1.0)]
+        var = LinguisticVariable("v", 0.0, 1.0, mfs)
+        x = np.concatenate([np.linspace(0.0, 1.0, 41), [0.5, 1.0]])
+        want = np.stack([triangle_degrees_oracle(x, *mf.params) for mf in mfs], axis=-1)
+        assert np.array_equal(var.fuzzify(x), want)
 
 
 class TestEvaluation:
@@ -535,6 +610,13 @@ class TestMamdaniInference:
         out, fired = model.infer_batch([[1.0]])
         assert not fired[0]
         assert out[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected_naming_variable(self, bad):
+        # a nan degree of 0 would fire no rule and score the midpoint without a word
+        model = self._model([MamdaniRule((0, 1), 0, 1.0)], n_inputs=2)
+        with pytest.raises(ValueError, match="'x1'.*non-finite"):
+            model.infer_batch([[0.5, bad]])
 
     def test_two_symmetric_consequents_balance(self):
         output = [TriangleMF(0.1, 0.2, 0.3), TriangleMF(0.7, 0.8, 0.9)]
