@@ -184,9 +184,9 @@ def _ramps(rising, falling):
     one ramp is negative.  So the smaller ramp, floored at 0, is the degree
     the ramp masks would pick, bit for bit.  A ramp whose knots coincide is
     +-inf (or nan, only at the peak, which the caller sets to 1); `fmax` sends
-    a nan from a nan input to 0, as the masks did.
+    a nan from a nan input to 0, as the masks did; `+ 0.0` turns a -0.0 into their 0.0.
     """
-    return np.fmax(np.minimum(rising, falling), 0.0)
+    return np.fmax(np.minimum(rising, falling), 0.0) + 0.0
 
 
 def _trapezoid_gradient(x, a, b, c, d):
@@ -359,6 +359,8 @@ class LinguisticVariable:
         if np.count_nonzero(np.isfinite(x)) != x.size:  # cheaper than .all() on one row
             raise ValueError(f"variable {self.name!r} got a non-finite input")
         cx = self.clip(x)
+        if cx.ndim == 0:  # numpy's scalar power can differ in the last bit from its array power
+            return np.array([mf.evaluate(cx) for mf in self.mfs])
         out = np.empty(cx.shape + (self.n_mfs,))
         rows, flat = out.reshape(-1, self.n_mfs).T, cx.reshape(-1)
         for cls, cols, params in self._kernel_table:
