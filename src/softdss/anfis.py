@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateCoverageError, SingularSystemError, finite_data
+from .errors import DegenerateCoverageError, SingularSystemError, finite_data, is_finite_number
 from .fuzzy import (
     LinguisticVariable,
     antecedent_table,
@@ -135,11 +135,19 @@ class AnfisModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AnfisModel":
+    def from_dict(cls, d: dict, n_inputs: int) -> "AnfisModel":
+        """The model a `to_dict` body describes; ValueError names a malformed field."""
+        if len(d["inputs"]) != n_inputs:
+            raise ValueError(f"anfis inputs hold {len(d['inputs'])} variables, not {n_inputs}")
+        shape, c = (len(d["rules"]), len(d["inputs"]) + 1), d["consequents"]
+        if not (isinstance(c, list) and len(c) == shape[0] and all(
+            isinstance(r, list) and len(r) == shape[1] and all(map(is_finite_number, r)) for r in c
+        )):
+            raise ValueError(f"anfis consequents must be a {shape} array of finite numbers")
         return cls(
             inputs=[LinguisticVariable.from_dict(v) for v in d["inputs"]],
             rules=[tuple(r) for r in d["rules"]],
-            consequents=np.asarray(d["consequents"], dtype=float),
+            consequents=np.asarray(c, dtype=float),
         )
 
 

@@ -27,7 +27,7 @@ from .errors import finite_data
 from .fuzzy import LinguisticVariable
 from .mamdani import GaConfig, ga_optimize, gd_tune, wang_mendel
 from .mlp import mlp_init, scg_train
-from .modelio import save_model
+from .modelio import load_model, save_model
 from .report import rmse, write_curve_csv
 
 INPUT_LABELS = {
@@ -298,8 +298,6 @@ class BenchRunner:
 
     def _collect_predictions(self, ds_name, seed, test) -> dict:
         """Per-paradigm predictions over the full Dataset B test set (first seed)."""
-        from .modelio import load_model
-
         Xte, yte = test
         cols = {"actual": np.asarray(yte)}
         for run in self.runs:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import finite_data
+from .errors import finite_data, is_finite_number
 
 _SSE_EPS = 1e-12
 _PAD_RATIO = 2
@@ -52,13 +52,25 @@ class TreeNode:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
+    def from_dict(cls, d: dict, n_inputs: int) -> "TreeNode":
+        """The tree a `to_dict` body describes; ValueError names a malformed node field."""
+        if not isinstance(d, dict):
+            raise ValueError(f"cart tree node is {d!r}, not an object")
+
+        def need(name, ok, want="a finite number"):
+            if not ok:
+                raise ValueError(f"cart tree {name} is {d[name]!r}, not {want}")
+
+        need("prediction", is_finite_number(d["prediction"]))
         node = cls(d["prediction"], d["sample_count"], d["sse"])
         if "split_variable" in d:
-            node.split_variable = d["split_variable"]
-            node.threshold = d["threshold"]
-            node.left = cls.from_dict(d["left"])
-            node.right = cls.from_dict(d["right"])
+            var = d["split_variable"]
+            need("split_variable", type(var) is int and 0 <= var < n_inputs,
+                 f"an integer in [0, {n_inputs})")
+            need("threshold", is_finite_number(d["threshold"]))
+            node.split_variable, node.threshold = var, d["threshold"]
+            node.left = cls.from_dict(d["left"], n_inputs)
+            node.right = cls.from_dict(d["right"], n_inputs)
         return node
 
 

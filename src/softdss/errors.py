@@ -25,6 +25,12 @@ def is_finite_number(v) -> bool:
     return type(v) in (int, float) and math.isfinite(v)  # JSON true and false are not numbers
 
 
+def is_range(r) -> bool:
+    """r is a [lo, hi] list or tuple of finite numbers with lo < hi."""
+    return (isinstance(r, (list, tuple)) and len(r) == 2
+            and all(map(is_finite_number, r)) and r[0] < r[1])
+
+
 def finite_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     """(X, y) as float arrays; ValueError naming the one that holds nan or inf,
     or both shapes when their row counts differ."""

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import is_finite_number
+from .errors import is_finite_number, is_range
 from .report import rmse
 
 OUTPUT_GRID_POINTS = 201
@@ -193,16 +193,16 @@ def _trapezoid_gradient(x, a, b, c, d):
     """d degree / d (a, b, c, d) of a trapezoid; at a kink, the derivative from the left."""
     zeros = np.zeros(np.shape(x))
     da, db, dc, dd = zeros, zeros, zeros, zeros
+    with np.errstate(over="ignore"):  # a gap past 1e154 squares to inf, not to an OverflowError
+        rise, fall = np.float64(b - a) ** 2, np.float64(d - c) ** 2
     if b > a:
         r = (x > a) & (x <= b)
-        w = (b - a) ** 2
-        da = np.where(r, (x - b) / w, zeros)
-        db = np.where(r, -(x - a) / w, zeros)
+        da = np.where(r, (x - b) / rise, zeros)
+        db = np.where(r, -(x - a) / rise, zeros)
     if d > c:
         f = (x > c) & (x <= d)
-        w = (d - c) ** 2
-        dc = np.where(f, (d - x) / w, zeros)
-        dd = np.where(f, (x - c) / w, zeros)
+        dc = np.where(f, (d - x) / fall, zeros)
+        dd = np.where(f, (x - c) / fall, zeros)
     return np.stack([da, db, dc, dd], axis=-1)
 
 
@@ -277,10 +277,6 @@ MF_SHAPES = {
     "trapezoid": TrapezoidMF,
     "triangle": TriangleMF,
 }
-
-
-def mf_to_dict(mf: MembershipFunction) -> dict:
-    return {"shape": mf.shape, "params": [float(p) for p in mf.params]}
 
 
 def mf_from_dict(d: dict) -> MembershipFunction:
@@ -405,14 +401,17 @@ class LinguisticVariable:
         return {
             "name": self.name,
             "range": [self.lo, self.hi],
-            "mfs": [dict(mf_to_dict(mf), label=lab) for mf, lab in zip(self.mfs, self.labels)],
+            "mfs": [{"shape": mf.shape, "params": [float(p) for p in mf.params], "label": lab}
+                    for mf, lab in zip(self.mfs, self.labels)],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinguisticVariable":
+        if not is_range(d["range"]):
+            raise ValueError(f"variable {d['name']!r} range {d['range']!r} is not a finite lo < hi")
         mfs = [mf_from_dict(m) for m in d["mfs"]]
         labels = [m.get("label", f"mf{i}") for i, m in enumerate(d["mfs"])]
-        return cls(d["name"], d["range"][0], d["range"][1], mfs, labels)
+        return cls(d["name"], *d["range"], mfs, labels)
 
 
 def grid_partition(variables) -> list[tuple[int, ...]]:
@@ -427,6 +426,10 @@ def grid_partition(variables) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(v.n_mfs) for v in variables)))
 
 
+def _is_index(v) -> bool:
+    return type(v) is int or isinstance(v, np.integer)  # not a bool, a float or a string
+
+
 def antecedent_table(antecedents, inputs) -> np.ndarray:
     """The rules' antecedents as an (R, n_inputs) integer array.
 
@@ -437,11 +440,9 @@ def antecedent_table(antecedents, inputs) -> np.ndarray:
     for ant in antecedents:
         if len(ant) != len(n_mfs):
             raise ValueError(f"antecedent {tuple(ant)} does not match input count {len(n_mfs)}")
-    table = np.array(antecedents).reshape(len(antecedents), len(n_mfs))
-    if not table.size:
-        return table.astype(int)
-    if table.dtype.kind not in "iu":
-        raise ValueError(f"antecedent indices must be integers, got {table.dtype} values")
+        if not all(map(_is_index, ant)):
+            raise ValueError(f"antecedent indices must be integers, got {tuple(ant)}")
+    table = np.array(antecedents, dtype=int).reshape(len(antecedents), len(n_mfs))
     bad = np.argwhere((table < 0) | (table >= n_mfs))
     if bad.size:
         r, v = bad[0]
@@ -493,8 +494,11 @@ class MamdaniRule:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"rule weight must be in [0, 1], got {self.weight}")
+        if not _is_index(self.consequent):
+            raise ValueError(f"rule consequent must be an integer, got {self.consequent!r}")
+        w = self.weight
+        if isinstance(w, bool) or not (isinstance(w, (int, float)) and 0.0 <= w <= 1.0):
+            raise ValueError(f"rule weight must be a number in [0, 1], got {w!r}")
 
 
 @dataclass(frozen=True)
@@ -599,7 +603,12 @@ class MamdaniModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MamdaniModel":
+    def from_dict(cls, d: dict, n_inputs: int) -> "MamdaniModel":
+        """The model a `to_dict` body describes; ValueError names a malformed field."""
+        if len(d["inputs"]) != n_inputs:
+            raise ValueError(f"mamdani inputs hold {len(d['inputs'])} variables, not {n_inputs}")
+        if not d["rules"]:
+            raise ValueError("mamdani rules are empty")
         return cls(
             inputs=[LinguisticVariable.from_dict(v) for v in d["inputs"]],
             output=LinguisticVariable.from_dict(d["output"]),
@@ -608,4 +617,3 @@ class MamdaniModel:
                 for r in d["rules"]
             ],
         )
-

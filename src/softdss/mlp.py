@@ -56,7 +56,13 @@ class MlpModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MlpModel":
+    def from_dict(cls, d: dict, n_inputs: int) -> "MlpModel":
+        """The model a `to_dict` body describes; ValueError names a malformed field."""
+        for name in ("input_dim", "hidden_units"):
+            if not (type(d[name]) is int and d[name] > 0):
+                raise ValueError(f"mlp {name} is {d[name]!r}, not a positive integer")
+        if d["input_dim"] != n_inputs:
+            raise ValueError(f"mlp input_dim is {d['input_dim']}, not {n_inputs}")
         return cls(d["input_dim"], d["hidden_units"], np.asarray(d["weights"], dtype=float))
 
 

@@ -11,61 +11,55 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import cart as cart_mod
 from . import tace
 from .anfis import AnfisModel, forward_batch
-from .errors import is_finite_number
+from .errors import is_range
 from .fuzzy import MamdaniModel
 from .mlp import MlpModel, mlp_forward_batch
 
 FORMAT_TAG = "softdss-model"
 
 
+@dataclass(frozen=True)
+class Kind:
+    """How one model kind is written to a file, read back and run.  A predictor looks
+    its function up per call, so one patched on its module or class still serves."""
+
+    cls: type
+    encode: Callable  # model -> the file's "model" fields besides "kind"
+    decode: Callable  # (those fields, input count) -> model; ValueError names a bad field
+    predict: Callable  # (model, (n, d) rows on [0, 1]) -> (n,) outputs
+
+
+KINDS = {
+    "anfis": Kind(AnfisModel, AnfisModel.to_dict, AnfisModel.from_dict,
+                  lambda m, X: forward_batch(m, X)[0]),
+    "mamdani": Kind(MamdaniModel, MamdaniModel.to_dict, MamdaniModel.from_dict,
+                    lambda m, X: m.infer_batch(X)[0]),
+    "mlp": Kind(MlpModel, MlpModel.to_dict, MlpModel.from_dict,
+                lambda m, X: mlp_forward_batch(m, X)),
+    "cart": Kind(cart_mod.TreeNode, lambda t: {"tree": t.to_dict()},
+                 lambda d, n: cart_mod.TreeNode.from_dict(d["tree"], n),
+                 lambda m, X: cart_mod.predict_batch(m, X)),
+}
+
+
 def model_kind(model) -> str:
-    if isinstance(model, AnfisModel):
-        return "anfis"
-    if isinstance(model, MamdaniModel):
-        return "mamdani"
-    if isinstance(model, MlpModel):
-        return "mlp"
-    if isinstance(model, cart_mod.TreeNode):
-        return "cart"
+    for name, kind in KINDS.items():
+        if isinstance(model, kind.cls):
+            return name
     raise TypeError(f"unknown model type {type(model).__name__}")
-
-
-def model_to_dict(model) -> dict:
-    kind = model_kind(model)
-    body = {"tree": model.to_dict()} if kind == "cart" else model.to_dict()
-    return {"kind": kind, **body}
-
-
-def model_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "anfis":
-        return AnfisModel.from_dict(d)
-    if kind == "mamdani":
-        return MamdaniModel.from_dict(d)
-    if kind == "mlp":
-        return MlpModel.from_dict(d)
-    if kind == "cart":
-        return cart_mod.TreeNode.from_dict(d["tree"])
-    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def predict_normalized(model, X) -> np.ndarray:
     """Model output on [0, 1]-normalized inputs, uniformly across kinds."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    kind = model_kind(model)
-    if kind == "anfis":
-        return forward_batch(model, X)[0]
-    if kind == "mamdani":
-        return model.infer_batch(X)[0]
-    if kind == "mlp":
-        return mlp_forward_batch(model, X)
-    return cart_mod.predict_batch(model, X)
+    return KINDS[model_kind(model)].predict(model, X)
 
 
 @dataclass
@@ -101,11 +95,12 @@ class LoadedModel:
 
 
 def save_model(model, path, input_ranges=tace.FIELD_RANGES, output_range=tace.SCORE_RANGE) -> None:
+    kind = model_kind(model)
     payload = {
         "format": FORMAT_TAG,
         "input_ranges": [list(r) for r in input_ranges],
         "output_range": list(output_range),
-        "model": model_to_dict(model),
+        "model": {"kind": kind, **KINDS[kind].encode(model)},
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -113,63 +108,28 @@ def save_model(model, path, input_ranges=tace.FIELD_RANGES, output_range=tace.SC
 
 
 def load_model(path) -> LoadedModel:
+    """The model of a `save_model` file; ValueError, path first, names a malformed field."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("format") != FORMAT_TAG:
         raise ValueError(f"{path}: not a {FORMAT_TAG} file")
     try:
+        # predict_score normalizes with these, so each field needs a finite lo < hi
+        ranges, out = payload["input_ranges"], payload["output_range"]
+        if not (isinstance(ranges, list) and len(ranges) == len(tace.FIELDS)
+                and all(map(is_range, ranges))):
+            raise ValueError(
+                f"input_ranges must hold {len(tace.FIELDS)} finite [lo, hi] pairs, lo < hi"
+            )
+        if not is_range(out):
+            raise ValueError(f"output_range is {out!r}, not a finite [lo, hi] pair, lo < hi")
         body = payload["model"]
-        if body["kind"] == "anfis":
-            _check_consequents(path, body)
-        try:
-            model = model_from_dict(body)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        loaded = LoadedModel(
-            kind=body["kind"],
-            model=model,
-            input_ranges=tuple(tuple(r) for r in payload["input_ranges"]),
-            output_range=tuple(payload["output_range"]),
-        )
+        kind = KINDS.get(body["kind"])
+        if kind is None:
+            raise ValueError(f"unknown model kind {body['kind']!r}")
+        return LoadedModel(body["kind"], kind.decode(body, len(ranges)),
+                           tuple(map(tuple, ranges)), tuple(out))
     except KeyError as exc:
         raise ValueError(f"{path}: model file lacks field {exc.args[0]!r}") from None
-    # predict_score normalizes with these, so each field needs a finite lo < hi
-    ranges = loaded.input_ranges
-    if len(ranges) != len(tace.FIELDS) or not all(map(_is_range, ranges)):
-        raise ValueError(
-            f"{path}: input_ranges must hold {len(tace.FIELDS)} finite [lo, hi] pairs, lo < hi"
-        )
-    if loaded.kind == "cart":
-        _check_tree(path, loaded.model)
-    return loaded
-
-
-def _is_range(r) -> bool:
-    return len(r) == 2 and all(map(is_finite_number, r)) and r[0] < r[1]
-
-
-def _check_consequents(path, body) -> None:
-    """ANFIS consequents must be an (R, d + 1) array of finite numbers: R rules, d inputs."""
-    rows, cols = len(body["rules"]), len(body["inputs"]) + 1
-    c = body["consequents"]
-    if not (isinstance(c, list) and len(c) == rows and all(
-        isinstance(r, list) and len(r) == cols and all(map(is_finite_number, r)) for r in c
-    )):
-        raise ValueError(f"{path}: anfis consequents must be a ({rows}, {cols}) array of finite numbers")
-
-
-def _check_tree(path, node) -> None:
-    """Each node needs a finite prediction; each split a finite threshold and a
-    split_variable that indexes one of the input fields."""
-
-    def need(name, ok, want="a finite number"):
-        if not ok:
-            raise ValueError(f"{path}: cart tree {name} is {getattr(node, name)!r}, not {want}")
-
-    need("prediction", is_finite_number(node.prediction))
-    if not node.is_leaf:
-        var, d = node.split_variable, len(tace.FIELDS)
-        need("split_variable", type(var) is int and 0 <= var < d, f"an integer in [0, {d})")
-        need("threshold", is_finite_number(node.threshold))
-        _check_tree(path, node.left)
-        _check_tree(path, node.right)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -502,6 +502,6 @@ class TestSerialization:
         X = rng.uniform(size=(60, 2))
         y = rng.uniform(size=60)
         tree = grow(X, y, min_leaf=5)
-        back = TreeNode.from_dict(tree.to_dict())
+        back = TreeNode.from_dict(tree.to_dict(), 2)
         Q = rng.uniform(size=(40, 2))
         np.testing.assert_array_equal(predict_batch(back, Q), predict_batch(tree, Q))

@@ -1,9 +1,13 @@
 """CLI contracts: subcommands, exit codes, file formats, model round-trips."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from softdss import tace
 from softdss.anfis import AnfisModel
@@ -13,10 +17,13 @@ from softdss.bench import (
     MamdaniSettings,
     MlpSettings,
     train_paradigm,
+    unit_score_variable,
     unit_variables,
 )
-from softdss.cart import TreeNode
+from softdss.cart import TreeNode, grow
 from softdss.cli import main
+from softdss.fuzzy import MF_SHAPES, LinguisticVariable, MamdaniModel, MamdaniRule
+from softdss.mamdani import decode_centers, encode_centers, wang_mendel
 from softdss.mlp import mlp_init
 from softdss.modelio import load_model, predict_normalized, save_model
 
@@ -220,6 +227,50 @@ class TestBenchConfig:
         assert "'anfis' must be an object" in err
 
 
+def small_mamdani(n_inputs=4):
+    rules = [MamdaniRule((0,) * n_inputs, 0, 0.5), MamdaniRule((1,) * n_inputs, 2, 1.0)]
+    return MamdaniModel(unit_variables(2, "triangle")[:n_inputs], unit_score_variable(3), rules)
+
+
+def small_tree():
+    """One split on normalized fuel: <= 0.4 scores 0.1, above scores 0.9."""
+    return TreeNode(0.5, 2, 0.32, split_variable=0, threshold=0.4,
+                    left=TreeNode(0.1, 1, 0.0), right=TreeNode(0.9, 1, 0.0))
+
+
+def small_mlp():
+    return mlp_init(4, 3, seed=1)
+
+
+RULE = ("model", "rules", 0)
+# model maker, (payload key path, new value) or None for the saved file, field the message names
+BAD_MODEL_FILES = [
+    pytest.param(small_mamdani, (RULE + ("consequent",), 1.5), "consequent", id="float-consequent"),
+    pytest.param(small_mamdani, (RULE + ("consequent",), "1"), "consequent", id="string-consequent"),
+    pytest.param(small_mamdani, (RULE + ("consequent",), True), "consequent", id="bool-consequent"),
+    pytest.param(small_mamdani, (RULE + ("antecedent", 1), True), "antecedent", id="bool-antecedent"),
+    pytest.param(lambda: AnfisModel.grid(unit_variables(2, "gaussian")),
+                 (("model", "rules", 3, 1), True), "antecedent", id="bool-anfis-antecedent"),
+    pytest.param(small_mamdani, (RULE + ("weight",), "0.5"), "weight", id="string-weight"),
+    pytest.param(small_mamdani, (RULE + ("weight",), None), "weight", id="null-weight"),
+    pytest.param(small_mamdani, (("model", "rules"), []), "rules", id="no-mamdani-rules"),
+    pytest.param(lambda: small_mamdani(3), None, "inputs", id="3-input-mamdani"),
+    pytest.param(lambda: mlp_init(3, 3, seed=1), None, "input_dim", id="3-input-mlp"),
+    pytest.param(lambda: AnfisModel.grid(unit_variables(2, "gaussian")[:3]), None, "inputs",
+                 id="3-input-anfis"),
+    pytest.param(small_mamdani, (("model", "inputs", 0, "range"), [0.0]), "range",
+                 id="one-element-range"),
+    pytest.param(small_mamdani, (("model", "output", "range"), ["0", "1"]), "range",
+                 id="string-range"),
+    pytest.param(small_mlp, (("model", "hidden_units"), "5"), "hidden_units",
+                 id="string-hidden-units"),
+    pytest.param(small_mlp, (("model", "input_dim"), 4.0), "input_dim", id="float-input-dim"),
+    pytest.param(small_tree, (("model", "tree"), []), "tree", id="list-tree"),
+    pytest.param(small_tree, (("output_range",), [10.0, 0.0]), "output_range",
+                 id="reversed-output-range"),
+]
+
+
 @pytest.fixture(scope="module")
 def cart_model(data_csv, tmp_path_factory):
     path = tmp_path_factory.mktemp("models") / "cart.json"
@@ -410,6 +461,45 @@ class TestPredict:
         with pytest.raises(ValueError, match="input_ranges"):
             load_model(path)
 
+    @pytest.mark.parametrize("make,edit,field", BAD_MODEL_FILES)
+    def test_malformed_model_file_named_at_load(self, tmp_path, capsys, make, edit, field):
+        path = tmp_path / "model.json"
+        save_model(make(), path)
+        payload = json.loads(path.read_text())
+        if edit is not None:
+            keys, value = edit
+            node = payload
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert field in str(info.value)
+        code, out, err = run_cli(capsys, "predict", "--model", str(path), "500,30,50,5")
+        assert code == 2
+        assert out == ""
+        assert field in err
+
+
+def random_model(kind, shape, rng):
+    """A model of `kind` with random parameters; `shape` is the fuzzy kinds' MF shape."""
+    X, y = rng.uniform(size=(60, 4)), rng.uniform(size=60)
+    if kind == "anfis":
+        model = AnfisModel.grid(unit_variables(2, shape))
+        premise = model.premise_vector()
+        model = model.with_premise_vector(premise + rng.normal(scale=0.02, size=premise.shape))
+        return replace(model, consequents=rng.normal(size=model.consequents.shape))
+    if kind == "mamdani":
+        output = LinguisticVariable.uniform("score", 0.0, 1.0, 3, shape=shape)
+        base = wang_mendel(X, y, unit_variables(3, shape), output)
+        _, lo, hi = encode_centers(base)
+        return decode_centers(base, rng.uniform(lo, hi))
+    if kind == "mlp":
+        return mlp_init(4, int(rng.integers(1, 9)), seed=int(rng.integers(2**31)))
+    return grow(X, y, min_leaf=int(rng.integers(1, 10)))
+
 
 class TestModelRoundTrip:
     def _trained_models(self, data_csv):
@@ -447,6 +537,24 @@ class TestModelRoundTrip:
             high = loaded.predict_score([1000, 1, 100, 0])
             assert low < high
             assert 0.0 <= low <= 10.0 and 0.0 <= high <= 10.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=st.sampled_from([(kind, shape) for kind in ("anfis", "mamdani") for shape in MF_SHAPES]
+                             + [("mlp", None), ("cart", None)]),
+        seed=st.integers(0, 2**32 - 1),
+        X=arrays(np.float64, st.tuples(st.integers(1, 30), st.just(4)), elements=st.floats(0, 1)),
+    )
+    def test_round_trip_is_exact(self, tmp_path_factory, case, seed, X):
+        """Every kind and MF shape: predictions bit-equal after reload, and a re-save is
+        byte-equal to the first file."""
+        model = random_model(*case, np.random.default_rng(seed))
+        first, again = (tmp_path_factory.getbasetemp() / name for name in ("m1.json", "m2.json"))
+        save_model(model, first)
+        loaded = load_model(first)
+        assert np.array_equal(predict_normalized(loaded.model, X), predict_normalized(model, X))
+        save_model(loaded.model, again, loaded.input_ranges, loaded.output_range)
+        assert again.read_bytes() == first.read_bytes()
 
     def test_save_load_identity(self, tmp_path):
         from softdss.mlp import mlp_init

@@ -414,6 +414,14 @@ class TestGradients:
         peak = TriangleMF(0.0, 1.0, 2.0).gradient(1.0)
         assert peak[1] == pytest.approx(-1.0)
 
+    def test_piecewise_linear_wide_knots_give_finite_gradient(self):
+        # a knot gap of 2e200 squares past the float range; Python's float power raised
+        for mf in (TriangleMF(-1e200, 0.0, 1e200), TrapezoidMF(-1e200, 0.0, 1.0, 1e200)):
+            for x in (0.0, np.array([-1e199, 0.5, 1e199])):
+                grad = mf.gradient(x)
+                assert np.all(np.isfinite(grad))
+                np.testing.assert_array_equal(grad, 0.0)
+
     def test_all_shapes_match_finite_difference(self):
         rng = np.random.default_rng(1)
         for shape in SHAPES:
@@ -646,7 +654,7 @@ class TestMamdaniInference:
         output = LinguisticVariable.uniform("y", 0.0, 1.0, 2, shape="triangle")
         rules = [MamdaniRule((0,), 1, 0.5), MamdaniRule((1,), 0, 0.25)]
         model = MamdaniModel(inputs=inputs, output=output, rules=rules)
-        back = MamdaniModel.from_dict(json.loads(json.dumps(model.to_dict())))
+        back = MamdaniModel.from_dict(json.loads(json.dumps(model.to_dict())), 1)
         assert back.rules == model.rules
         x = [[0.3]]
         assert back.infer_batch(x)[0][0] == model.infer_batch(x)[0][0]
