@@ -41,11 +41,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateCoverageError, SingularSystemError, finite_data, is_finite_number
+from .errors import (
+    DegenerateCoverageError,
+    SingularSystemError,
+    finite_data,
+    is_finite_number,
+    json_typed,
+)
 from .fuzzy import (
     LinguisticVariable,
     antecedent_table,
     grid_partition,
+    inputs_from_dict,
     rule_strengths,
     strength_backprop,
 )
@@ -137,18 +144,15 @@ class AnfisModel:
     @classmethod
     def from_dict(cls, d: dict, n_inputs: int) -> "AnfisModel":
         """The model a `to_dict` body describes; ValueError names a malformed field."""
-        if len(d["inputs"]) != n_inputs:
-            raise ValueError(f"anfis inputs hold {len(d['inputs'])} variables, not {n_inputs}")
-        shape, c = (len(d["rules"]), len(d["inputs"]) + 1), d["consequents"]
+        inputs = inputs_from_dict(d, "anfis", n_inputs)
+        rules = [tuple(json_typed(r, list, f"anfis rules[{k}]"))
+                 for k, r in enumerate(json_typed(d["rules"], list, "anfis rules"))]
+        shape, c = (len(rules), n_inputs + 1), d["consequents"]
         if not (isinstance(c, list) and len(c) == shape[0] and all(
             isinstance(r, list) and len(r) == shape[1] and all(map(is_finite_number, r)) for r in c
         )):
             raise ValueError(f"anfis consequents must be a {shape} array of finite numbers")
-        return cls(
-            inputs=[LinguisticVariable.from_dict(v) for v in d["inputs"]],
-            rules=[tuple(r) for r in d["rules"]],
-            consequents=np.asarray(c, dtype=float),
-        )
+        return cls(inputs, rules, np.asarray(c, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ across paradigms.  Sub-run failures are recorded and the matrix continues.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from collections import Counter
@@ -28,7 +27,7 @@ from .fuzzy import LinguisticVariable
 from .mamdani import GaConfig, ga_optimize, gd_tune, wang_mendel
 from .mlp import mlp_init, scg_train
 from .modelio import load_model, save_model
-from .report import rmse, write_curve_csv
+from .report import rmse, write_csv
 
 INPUT_LABELS = {
     "fuel": ("low", "half", "full"),
@@ -155,11 +154,12 @@ class Trained:
     extras: dict
 
     def save(self, model_path, curve_path) -> None:
+        save_model(self.model, model_path)  # first: a model it refuses leaves no file
         if self.header:
-            write_curve_csv(curve_path, self.curve, header=self.header)
+            write_csv(curve_path, self.header,
+                      ([i, repr(float(v))] for i, v in enumerate(self.curve, start=1)))
         else:
             cart_mod.write_relative_error_csv(curve_path, self.curve)
-        save_model(self.model, model_path)
 
 
 def train_paradigm(kind, train, test, settings, seed) -> Trained:
@@ -237,162 +237,130 @@ def train_paradigm(kind, train, test, settings, seed) -> Trained:
     raise ValueError(f"unknown paradigm {kind!r}")
 
 
-class BenchRunner:
-    """Executes the run matrix and assembles report files."""
-
-    def __init__(self, config: BenchConfig, out_dir):
-        self.config = config
-        self.out = Path(out_dir)
-        self.runs_dir = self.out / "runs"
-        self.runs_dir.mkdir(parents=True, exist_ok=True)
-        self.runs: list[dict] = []
-
-    def _run(self, paradigm, dataset, seed, settings, train, test) -> None:
-        """Train one matrix cell and write its files; a failure is recorded, not raised."""
-        tag = f"{paradigm}_{dataset}_seed{seed}"
-        start = time.perf_counter()
-        entry = {"paradigm": paradigm, "dataset": dataset, "seed": seed}
-        try:
-            if paradigm == "mlp":
-                settings = replace(settings, hidden=settings.hidden[dataset])
-            run = train_paradigm(paradigm, train, test, settings, seed)
-            model_path = self.runs_dir / f"{tag}.model.json"
-            curve_path = self.runs_dir / f"{tag}.{'curve' if run.header else 'relerr'}.csv"
-            run.save(model_path, curve_path)
-            entry.update(
-                train_rmse=run.train_rmse,
-                test_rmse=run.test_rmse,
-                model_path=str(model_path),
-                curve_path=str(curve_path),
-            )
-            if run.header:
-                entry["curve"] = run.curve
-            if run.extras:
-                entry["extras"] = run.extras
-        except Exception as exc:  # sub-run failures must not kill the matrix
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-        entry["wall_time"] = time.perf_counter() - start
-        self.runs.append(entry)
-
-    # -- matrix ---------------------------------------------------------------
-
-    def run(self) -> dict:
-        cfg = self.config
-        master = tace.normalize(tace.generate(cfg.data_seed, cfg.n, jitter=cfg.jitter))
-        first_predictions = {}
-        for ds_name in sorted(cfg.datasets):
-            frac = cfg.datasets[ds_name]
-            for seed in cfg.seeds:
-                tr, te = tace.split(master, frac, seed)
-                train, test = (tr.x, tr.y), (te.x, te.y)
-                cells = [(f"anfis-{shape}", cfg.anfis) for shape in cfg.anfis.shapes]
-                cells += [("mamdani-gd", cfg.mamdani), ("mamdani-ga", cfg.mamdani),
-                          ("mlp", cfg.mlp), ("cart", cfg.cart)]
-                for paradigm, settings in cells:
-                    self._run(paradigm, ds_name, seed, settings, train, test)
-                if ds_name == "B" and seed == cfg.seeds[0]:
-                    first_predictions = self._collect_predictions(ds_name, seed, test)
-        report = self._assemble(master)
-        self._write_outputs(report, first_predictions)
-        return report
-
-    def _collect_predictions(self, ds_name, seed, test) -> dict:
-        """Per-paradigm predictions over the full Dataset B test set (first seed)."""
-        Xte, yte = test
-        cols = {"actual": np.asarray(yte)}
-        for run in self.runs:
-            if run["dataset"] != ds_name or run["seed"] != seed or "error" in run:
-                continue
-            loaded = load_model(run["model_path"])
-            cols[run["paradigm"]] = loaded.predict_normalized(Xte)
-        return cols
-
-    def _assemble(self, master) -> dict:
-        summary = {}
-        for run in self.runs:
-            if "error" in run:
-                continue
-            key = (run["paradigm"], run["dataset"])
-            summary.setdefault(key, []).append(run)
-        rows = []
-        for (paradigm, dataset), entries in sorted(summary.items()):
-            rows.append(
-                {
-                    "paradigm": paradigm,
-                    "dataset": dataset,
-                    "train_rmse": float(np.mean([e["train_rmse"] for e in entries])),
-                    "test_rmse": float(np.mean([e["test_rmse"] for e in entries])),
-                    "wall_time": float(np.mean([e["wall_time"] for e in entries])),
-                    "n_seeds": len(entries),
-                }
-            )
-        # the gaussian-MF network is the Takagi-Sugeno entry in the comparison
-        best = {}
-        for ds_name in sorted(self.config.datasets):
-            scores = {}
-            for row in rows:
-                name = "anfis" if row["paradigm"] == "anfis-gaussian" else row["paradigm"]
-                if name in COMPARED_PARADIGMS and row["dataset"] == ds_name:
-                    scores[name] = row["test_rmse"]
-            if scores:
-                best[ds_name] = min(scores, key=scores.get)
-        failures = [
-            {k: run[k] for k in ("paradigm", "dataset", "seed", "error")}
-            for run in self.runs
-            if "error" in run
-        ]
-        return {
-            "config": asdict(self.config),
-            "master_size": len(master),
-            "runs": self.runs,
-            "summary": rows,
-            "best_paradigm_by_test_rmse": best,
-            "failures": failures,
-        }
-
-    def _write_outputs(self, report, predictions) -> None:
-        with open(self.out / "summary.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["paradigm", "dataset", "train_rmse", "test_rmse", "n_seeds", "wall_time"]
-            )
-            for row in report["summary"]:
-                writer.writerow(
-                    [
-                        row["paradigm"],
-                        row["dataset"],
-                        repr(row["train_rmse"]),
-                        repr(row["test_rmse"]),
-                        row["n_seeds"],
-                        repr(row["wall_time"]),
-                    ]
-                )
-        shapes = [f"anfis-{s}" for s in self.config.anfis.shapes]
-        with open(self.out / "sweep.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["shape", "dataset", "train_rmse", "test_rmse"])
-            for row in report["summary"]:
-                if row["paradigm"] in shapes:
-                    writer.writerow(
-                        [
-                            row["paradigm"].removeprefix("anfis-"),
-                            row["dataset"],
-                            repr(row["train_rmse"]),
-                            repr(row["test_rmse"]),
-                        ]
-                    )
-        with open(self.out / "report.json", "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        if predictions:
-            names = list(predictions)
-            with open(self.out / "predictions_B.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(names)
-                for i in range(len(predictions["actual"])):
-                    writer.writerow([repr(float(predictions[n][i])) for n in names])
+def _run_cell(runs_dir, paradigm, dataset, seed, settings, train, test) -> dict:
+    """Train one matrix cell, write its files and return its run entry; a failure is
+    recorded in the entry, not raised."""
+    tag = f"{paradigm}_{dataset}_seed{seed}"
+    start = time.perf_counter()
+    entry = {"paradigm": paradigm, "dataset": dataset, "seed": seed}
+    try:
+        if paradigm == "mlp":
+            settings = replace(settings, hidden=settings.hidden[dataset])
+        run = train_paradigm(paradigm, train, test, settings, seed)
+        model_path = runs_dir / f"{tag}.model.json"
+        curve_path = runs_dir / f"{tag}.{'curve' if run.header else 'relerr'}.csv"
+        run.save(model_path, curve_path)
+        entry.update(
+            train_rmse=run.train_rmse,
+            test_rmse=run.test_rmse,
+            model_path=str(model_path),
+            curve_path=str(curve_path),
+        )
+        if run.header:
+            entry["curve"] = run.curve
+        if run.extras:
+            entry["extras"] = run.extras
+    except Exception as exc:  # sub-run failures must not kill the matrix
+        entry["error"] = f"{type(exc).__name__}: {exc}"
+    entry["wall_time"] = time.perf_counter() - start
+    return entry
 
 
 def run_bench(config: BenchConfig, out_dir) -> dict:
     """Run the complete benchmark matrix and write all report files."""
-    return BenchRunner(config, out_dir).run()
+    out = Path(out_dir)
+    runs_dir = out / "runs"
+    runs_dir.mkdir(parents=True, exist_ok=True)
+    runs = []
+    master = tace.normalize(tace.generate(config.data_seed, config.n, jitter=config.jitter))
+    first_predictions = {}
+    for ds_name in sorted(config.datasets):
+        frac = config.datasets[ds_name]
+        for seed in config.seeds:
+            tr, te = tace.split(master, frac, seed)
+            train, test = (tr.x, tr.y), (te.x, te.y)
+            cells = [(f"anfis-{shape}", config.anfis) for shape in config.anfis.shapes]
+            cells += [("mamdani-gd", config.mamdani), ("mamdani-ga", config.mamdani),
+                      ("mlp", config.mlp), ("cart", config.cart)]
+            for paradigm, settings in cells:
+                runs.append(_run_cell(runs_dir, paradigm, ds_name, seed, settings, train, test))
+            if ds_name == "B" and seed == config.seeds[0]:
+                first_predictions = _collect_predictions(runs, ds_name, seed, test)
+    report = _assemble(runs, config, master)
+    _write_outputs(report, config, out, first_predictions)
+    return report
+
+
+def _collect_predictions(runs, ds_name, seed, test) -> dict:
+    """Per-paradigm predictions over the full Dataset B test set (first seed)."""
+    Xte, yte = test
+    cols = {"actual": np.asarray(yte)}
+    for run in runs:
+        if run["dataset"] != ds_name or run["seed"] != seed or "error" in run:
+            continue
+        loaded = load_model(run["model_path"])
+        cols[run["paradigm"]] = loaded.predict_normalized(Xte)
+    return cols
+
+
+def _assemble(runs, config, master) -> dict:
+    summary = {}
+    for run in runs:
+        if "error" in run:
+            continue
+        key = (run["paradigm"], run["dataset"])
+        summary.setdefault(key, []).append(run)
+    rows = []
+    for (paradigm, dataset), entries in sorted(summary.items()):
+        rows.append(
+            {
+                "paradigm": paradigm,
+                "dataset": dataset,
+                "train_rmse": float(np.mean([e["train_rmse"] for e in entries])),
+                "test_rmse": float(np.mean([e["test_rmse"] for e in entries])),
+                "wall_time": float(np.mean([e["wall_time"] for e in entries])),
+                "n_seeds": len(entries),
+            }
+        )
+    # the gaussian-MF network is the Takagi-Sugeno entry in the comparison
+    best = {}
+    for ds_name in sorted(config.datasets):
+        scores = {}
+        for row in rows:
+            name = "anfis" if row["paradigm"] == "anfis-gaussian" else row["paradigm"]
+            if name in COMPARED_PARADIGMS and row["dataset"] == ds_name:
+                scores[name] = row["test_rmse"]
+        if scores:
+            best[ds_name] = min(scores, key=scores.get)
+    failures = [
+        {k: run[k] for k in ("paradigm", "dataset", "seed", "error")}
+        for run in runs
+        if "error" in run
+    ]
+    return {
+        "config": asdict(config),
+        "master_size": len(master),
+        "runs": runs,
+        "summary": rows,
+        "best_paradigm_by_test_rmse": best,
+        "failures": failures,
+    }
+
+
+def _write_outputs(report, config, out, predictions) -> None:
+    summary = report["summary"]
+    write_csv(out / "summary.csv",
+              ["paradigm", "dataset", "train_rmse", "test_rmse", "n_seeds", "wall_time"],
+              ([row["paradigm"], row["dataset"], repr(row["train_rmse"]), repr(row["test_rmse"]),
+                row["n_seeds"], repr(row["wall_time"])] for row in summary))
+    shapes = [f"anfis-{s}" for s in config.anfis.shapes]
+    write_csv(out / "sweep.csv", ["shape", "dataset", "train_rmse", "test_rmse"],
+              ([row["paradigm"].removeprefix("anfis-"), row["dataset"],
+                repr(row["train_rmse"]), repr(row["test_rmse"])]
+               for row in summary if row["paradigm"] in shapes))
+    with open(out / "report.json", "w") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    if predictions:
+        write_csv(out / "predictions_B.csv", list(predictions),
+                  ([repr(float(v)) for v in row] for row in zip(*predictions.values())))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import finite_data, is_finite_number
+from .report import write_csv
 
 _SSE_EPS = 1e-12
 _PAD_RATIO = 2
@@ -62,6 +63,9 @@ class TreeNode:
                 raise ValueError(f"cart tree {name} is {d[name]!r}, not {want}")
 
         need("prediction", is_finite_number(d["prediction"]))
+        need("sample_count", type(d["sample_count"]) is int and d["sample_count"] >= 0,
+             "a non-negative integer")
+        need("sse", is_finite_number(d["sse"]))
         node = cls(d["prediction"], d["sample_count"], d["sse"])
         if "split_variable" in d:
             var = d["split_variable"]
@@ -392,12 +396,7 @@ def select_min_cost(sequence: list[PrunedEntry]) -> TreeNode:
 
 def write_relative_error_csv(path, sequence: list[PrunedEntry]) -> None:
     """Pruning curve: cv cost per subtree, normalized by the root-only tree's cost."""
-    import csv
-
     root_cost = sequence[-1].cv_cost
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["terminal_nodes", "alpha", "cv_cost", "relative_error"])
-        for e in sequence:
-            rel = e.cv_cost / root_cost if root_cost > 0 else float("nan")
-            writer.writerow([e.terminal_count, repr(e.alpha), repr(e.cv_cost), repr(rel)])
+    write_csv(path, ["terminal_nodes", "alpha", "cv_cost", "relative_error"],
+              ([e.terminal_count, repr(e.alpha), repr(e.cv_cost),
+                repr(e.cv_cost / root_cost if root_cost > 0 else float("nan"))] for e in sequence))

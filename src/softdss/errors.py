@@ -25,6 +25,13 @@ def is_finite_number(v) -> bool:
     return type(v) in (int, float) and math.isfinite(v)  # JSON true and false are not numbers
 
 
+def json_typed(v, want: type, name: str):
+    """v if it is a JSON object (`want` dict) or list (`want` list); else ValueError naming it."""
+    if not isinstance(v, want):
+        raise ValueError(f"{name} is {v!r}, not {'an object' if want is dict else 'a list'}")
+    return v
+
+
 def is_range(r) -> bool:
     """r is a [lo, hi] list or tuple of finite numbers with lo < hi."""
     return (isinstance(r, (list, tuple)) and len(r) == 2

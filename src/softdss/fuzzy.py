@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import is_finite_number, is_range
+from .errors import is_finite_number, is_range, json_typed
 from .report import rmse
 
 OUTPUT_GRID_POINTS = 201
@@ -105,8 +105,10 @@ class GaussianMF(MembershipFunction):
         x = np.asarray(x, dtype=float)
         mu = self.evaluate(x)
         d = x - self.c
-        dc = mu * d / self.sigma**2
-        ds = mu * d * d / self.sigma**3
+        with np.errstate(over="ignore"):  # a huge sigma cubes to inf, not to an OverflowError
+            sigma2, sigma3 = np.float64(self.sigma) ** 2, np.float64(self.sigma) ** 3
+        dc = mu * d / sigma2
+        ds = mu * d * d / sigma3
         return np.stack([dc, ds], axis=-1)
 
     @property
@@ -236,8 +238,12 @@ class TrapezoidMF(MembershipFunction):
         den = 3.0 * ((self.d + self.c) - (self.a + self.b))
         if den == 0:  # degenerate spike
             return self.center
-        num = (self.d**2 + self.c**2 + self.c * self.d) - (self.a**2 + self.b**2 + self.a * self.b)
-        return num / den
+        a, b, c, d = map(np.float64, self.params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(((d**2 + c**2 + c * d) - (a**2 + b**2 + a * b)) / den)
+        if not math.isfinite(value):  # knots so far apart that the squares overflow
+            raise ValueError(f"trapezoid {self.params} has no finite centroid")
+        return value
 
 
 class TriangleMF(MembershipFunction):
@@ -279,10 +285,10 @@ MF_SHAPES = {
 }
 
 
-def mf_from_dict(d: dict) -> MembershipFunction:
+def mf_from_dict(d: dict, field: str) -> MembershipFunction:
     try:
-        cls = MF_SHAPES[d["shape"]]
-    except KeyError:
+        cls = MF_SHAPES[json_typed(d, dict, field)["shape"]]
+    except (KeyError, TypeError):
         raise ValueError(f"unknown membership shape {d.get('shape')!r}") from None
     params, n = d["params"], len(cls.__slots__)
     if not (isinstance(params, list) and len(params) == n and all(map(is_finite_number, params))):
@@ -406,12 +412,22 @@ class LinguisticVariable:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "LinguisticVariable":
-        if not is_range(d["range"]):
+    def from_dict(cls, d: dict, field: str = "variable") -> "LinguisticVariable":
+        """The variable a `to_dict` body describes; `field` names it in a ValueError."""
+        if not is_range(json_typed(d, dict, field)["range"]):
             raise ValueError(f"variable {d['name']!r} range {d['range']!r} is not a finite lo < hi")
-        mfs = [mf_from_dict(m) for m in d["mfs"]]
-        labels = [m.get("label", f"mf{i}") for i, m in enumerate(d["mfs"])]
+        entries = json_typed(d["mfs"], list, f"{field} mfs")
+        mfs = [mf_from_dict(m, f"{field} mfs[{j}]") for j, m in enumerate(entries)]
+        labels = [m.get("label", f"mf{j}") for j, m in enumerate(entries)]
         return cls(d["name"], *d["range"], mfs, labels)
+
+
+def inputs_from_dict(d: dict, kind: str, n_inputs: int) -> list[LinguisticVariable]:
+    """The input variables of a fuzzy model's `to_dict` body; ValueError names a bad field."""
+    inputs = json_typed(d["inputs"], list, f"{kind} inputs")
+    if len(inputs) != n_inputs:
+        raise ValueError(f"{kind} inputs hold {len(inputs)} variables, not {n_inputs}")
+    return [LinguisticVariable.from_dict(v, f"{kind} inputs[{i}]") for i, v in enumerate(inputs)]
 
 
 def grid_partition(variables) -> list[tuple[int, ...]]:
@@ -605,15 +621,12 @@ class MamdaniModel:
     @classmethod
     def from_dict(cls, d: dict, n_inputs: int) -> "MamdaniModel":
         """The model a `to_dict` body describes; ValueError names a malformed field."""
-        if len(d["inputs"]) != n_inputs:
-            raise ValueError(f"mamdani inputs hold {len(d['inputs'])} variables, not {n_inputs}")
-        if not d["rules"]:
+        inputs = inputs_from_dict(d, "mamdani", n_inputs)
+        if not json_typed(d["rules"], list, "mamdani rules"):
             raise ValueError("mamdani rules are empty")
-        return cls(
-            inputs=[LinguisticVariable.from_dict(v) for v in d["inputs"]],
-            output=LinguisticVariable.from_dict(d["output"]),
-            rules=[
-                MamdaniRule(tuple(r["antecedent"]), r["consequent"], r["weight"])
-                for r in d["rules"]
-            ],
-        )
+        rules = []
+        for k, r in enumerate(d["rules"]):
+            r = json_typed(r, dict, f"mamdani rules[{k}]")
+            antecedent = json_typed(r["antecedent"], list, f"mamdani rules[{k}] antecedent")
+            rules.append(MamdaniRule(tuple(antecedent), r["consequent"], r["weight"]))
+        return cls(inputs, LinguisticVariable.from_dict(d["output"], "mamdani output"), rules)

@@ -63,7 +63,10 @@ class MlpModel:
                 raise ValueError(f"mlp {name} is {d[name]!r}, not a positive integer")
         if d["input_dim"] != n_inputs:
             raise ValueError(f"mlp input_dim is {d['input_dim']}, not {n_inputs}")
-        return cls(d["input_dim"], d["hidden_units"], np.asarray(d["weights"], dtype=float))
+        w = d["weights"]
+        if not (isinstance(w, list) and all(type(v) in (int, float) for v in w)):
+            raise ValueError("mlp weights must be a list of numbers")
+        return cls(d["input_dim"], d["hidden_units"], np.asarray(w, dtype=float))
 
 
 def mlp_init(input_dim: int, hidden_units: int, seed: int = 0) -> MlpModel:

@@ -18,7 +18,7 @@ import numpy as np
 from . import cart as cart_mod
 from . import tace
 from .anfis import AnfisModel, forward_batch
-from .errors import is_range
+from .errors import is_range, json_typed
 from .fuzzy import MamdaniModel
 from .mlp import MlpModel, mlp_forward_batch
 
@@ -95,6 +95,7 @@ class LoadedModel:
 
 
 def save_model(model, path, input_ranges=tace.FIELD_RANGES, output_range=tace.SCORE_RANGE) -> None:
+    """Write `model`'s file, or raise the ValueError `load_model` would and write nothing."""
     kind = model_kind(model)
     payload = {
         "format": FORMAT_TAG,
@@ -102,16 +103,21 @@ def save_model(model, path, input_ranges=tace.FIELD_RANGES, output_range=tace.SC
         "output_range": list(output_range),
         "model": {"kind": kind, **KINDS[kind].encode(model)},
     }
+    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    _decode_payload(json.loads(text), path)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path) -> LoadedModel:
     """The model of a `save_model` file; ValueError, path first, names a malformed field."""
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != FORMAT_TAG:
+        return _decode_payload(json.load(fh), path)
+
+
+def _decode_payload(payload, path) -> LoadedModel:
+    """The model a parsed file describes; ValueError, `path` first, names a malformed field."""
+    if not (isinstance(payload, dict) and payload.get("format") == FORMAT_TAG):
         raise ValueError(f"{path}: not a {FORMAT_TAG} file")
     try:
         # predict_score normalizes with these, so each field needs a finite lo < hi
@@ -123,8 +129,8 @@ def load_model(path) -> LoadedModel:
             )
         if not is_range(out):
             raise ValueError(f"output_range is {out!r}, not a finite [lo, hi] pair, lo < hi")
-        body = payload["model"]
-        kind = KINDS.get(body["kind"])
+        body = json_typed(payload["model"], dict, "model")
+        kind = KINDS.get(body["kind"]) if isinstance(body["kind"], str) else None
         if kind is None:
             raise ValueError(f"unknown model kind {body['kind']!r}")
         return LoadedModel(body["kind"], kind.decode(body, len(ranges)),

@@ -1,4 +1,4 @@
-"""Training report type and the RMSE shared by every trainable paradigm."""
+"""Training report type, the RMSE shared by every trainable paradigm, and the one CSV writer."""
 
 from __future__ import annotations
 
@@ -25,10 +25,9 @@ def rmse(residuals) -> float:
     return float(np.sqrt(np.mean(residuals**2)))
 
 
-def write_curve_csv(path, values, header=("epoch", "train_rmse")) -> None:
-    """Emit an (index, value) curve; index counts from 1."""
+def write_csv(path, header, rows) -> None:
+    """One CSV file: the header, then the rows, in csv's default dialect (CRLF line ends)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, v in enumerate(values, start=1):
-            writer.writerow([i, repr(float(v))])
+        writer.writerows(rows)

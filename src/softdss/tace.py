@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .report import write_csv
+
 FIELDS = ("fuel", "intercept_time", "weapon", "danger")
 FIELD_RANGES = ((0.0, 1000.0), (0.0, 60.0), (0.0, 100.0), (0.0, 10.0))
 SCORE_RANGE = (0.0, 10.0)
@@ -150,11 +152,8 @@ def denormalize_score(y):
 
 def save_csv(dataset: Dataset, path) -> None:
     data = denormalize(dataset) if dataset.normalized else dataset
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row, score in zip(data.x, data.y):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(score))])
+    write_csv(path, CSV_HEADER, ([repr(float(v)) for v in [*row, score]]
+                                 for row, score in zip(data.x, data.y)))
 
 
 def load_csv(path) -> Dataset:

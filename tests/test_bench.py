@@ -15,9 +15,12 @@ from softdss.bench import (
     CartSettings,
     MamdaniSettings,
     MlpSettings,
+    Trained,
     run_bench,
     train_paradigm,
 )
+from softdss.cart import PrunedEntry, TreeNode, write_relative_error_csv
+from softdss.mlp import mlp_init
 
 
 def small_config(**overrides):
@@ -166,6 +169,25 @@ class TestFiles:
         with open(out / "report.json") as fh:
             report = json.load(fh)
         assert report["master_size"] == 150
+
+
+    def test_csv_bytes(self, tmp_path):
+        """Header line, CRLF line ends and repr floats, byte for byte, for each CSV kind."""
+        curve = tmp_path / "curve.csv"
+        run = Trained(mlp_init(4, 2, seed=1), [0.5, 1 / 3], ("epoch", "train_rmse"), 0.5, None, {})
+        run.save(tmp_path / "model.json", curve)
+        assert curve.read_bytes() == b"epoch,train_rmse\r\n1,0.5\r\n2,0.3333333333333333\r\n"
+        ladder, leaf = tmp_path / "relerr.csv", TreeNode(0.5, 2, 0.32)
+        write_relative_error_csv(ladder, [PrunedEntry(0.0, leaf, 3, 0.1),
+                                          PrunedEntry(0.25, leaf, 1, 0.3)])
+        assert ladder.read_bytes() == (b"terminal_nodes,alpha,cv_cost,relative_error\r\n"
+                                       b"3,0.0,0.1,0.33333333333333337\r\n1,0.25,0.3,1.0\r\n")
+        data = tmp_path / "data.csv"
+        x = np.array([[500.0, 30.0, 60.0, 4.0], [0.1, 59.5, 100.0, 1 / 3]])
+        tace.save_csv(tace.Dataset(x, np.array([5.0, 2.5])), data)
+        assert data.read_bytes() == (b"fuel,intercept_time,weapon,danger,score\r\n"
+                                     b"500.0,30.0,60.0,4.0,5.0\r\n"
+                                     b"0.1,59.5,100.0,0.3333333333333333,2.5\r\n")
 
 
 class TestReproducibility:

@@ -25,7 +25,14 @@ from softdss.cli import main
 from softdss.fuzzy import MF_SHAPES, LinguisticVariable, MamdaniModel, MamdaniRule
 from softdss.mamdani import decode_centers, encode_centers, wang_mendel
 from softdss.mlp import mlp_init
-from softdss.modelio import load_model, predict_normalized, save_model
+from softdss.modelio import (
+    FORMAT_TAG,
+    KINDS,
+    load_model,
+    model_kind,
+    predict_normalized,
+    save_model,
+)
 
 
 def run_cli(capsys, *argv):
@@ -242,15 +249,28 @@ def small_mlp():
     return mlp_init(4, 3, seed=1)
 
 
+def model_payload(model):
+    """The file payload of `model` with the default ranges, built without `save_model`'s checks."""
+    kind = model_kind(model)
+    return {"format": FORMAT_TAG, "input_ranges": [list(r) for r in tace.FIELD_RANGES],
+            "output_range": list(tace.SCORE_RANGE),
+            "model": {"kind": kind, **KINDS[kind].encode(model)}}
+
+
+def small_anfis():
+    return AnfisModel.grid(unit_variables(2, "gaussian"))
+
+
 RULE = ("model", "rules", 0)
-# model maker, (payload key path, new value) or None for the saved file, field the message names
+# model maker, (payload key path, new value) or None for the unedited payload,
+# and the field the message names
 BAD_MODEL_FILES = [
     pytest.param(small_mamdani, (RULE + ("consequent",), 1.5), "consequent", id="float-consequent"),
     pytest.param(small_mamdani, (RULE + ("consequent",), "1"), "consequent", id="string-consequent"),
     pytest.param(small_mamdani, (RULE + ("consequent",), True), "consequent", id="bool-consequent"),
     pytest.param(small_mamdani, (RULE + ("antecedent", 1), True), "antecedent", id="bool-antecedent"),
-    pytest.param(lambda: AnfisModel.grid(unit_variables(2, "gaussian")),
-                 (("model", "rules", 3, 1), True), "antecedent", id="bool-anfis-antecedent"),
+    pytest.param(small_anfis, (("model", "rules", 3, 1), True), "antecedent",
+                 id="bool-anfis-antecedent"),
     pytest.param(small_mamdani, (RULE + ("weight",), "0.5"), "weight", id="string-weight"),
     pytest.param(small_mamdani, (RULE + ("weight",), None), "weight", id="null-weight"),
     pytest.param(small_mamdani, (("model", "rules"), []), "rules", id="no-mamdani-rules"),
@@ -268,6 +288,34 @@ BAD_MODEL_FILES = [
     pytest.param(small_tree, (("model", "tree"), []), "tree", id="list-tree"),
     pytest.param(small_tree, (("output_range",), [10.0, 0.0]), "output_range",
                  id="reversed-output-range"),
+    # fields of the wrong JSON type
+    pytest.param(small_tree, (("model",), []), "model is [], not an object", id="list-model"),
+    pytest.param(small_tree, (("model", "kind"), ["cart"]), "unknown model kind", id="list-kind"),
+    pytest.param(small_anfis, (("model", "rules"), 5), "anfis rules is 5", id="int-anfis-rules"),
+    pytest.param(small_anfis, (("model", "rules", 3), 5), "anfis rules[3] is 5",
+                 id="int-anfis-rule"),
+    pytest.param(small_anfis, (("model", "inputs"), 5), "anfis inputs is 5", id="int-anfis-inputs"),
+    pytest.param(small_anfis, (("model", "inputs", 1), []), "anfis inputs[1] is []",
+                 id="list-variable"),
+    pytest.param(small_anfis, (("model", "inputs", 0, "mfs"), 3), "anfis inputs[0] mfs is 3",
+                 id="int-mfs"),
+    pytest.param(small_anfis, (("model", "inputs", 0, "mfs", 1), 3), "anfis inputs[0] mfs[1] is 3",
+                 id="int-mf"),
+    pytest.param(small_anfis, (("model", "inputs", 0, "mfs", 1, "shape"), []),
+                 "unknown membership shape", id="list-mf-shape"),
+    pytest.param(small_mamdani, (("model", "rules"), 5), "mamdani rules is 5",
+                 id="int-mamdani-rules"),
+    pytest.param(small_mamdani, (RULE, 5), "mamdani rules[0] is 5", id="int-mamdani-rule"),
+    pytest.param(small_mamdani, (RULE + ("antecedent",), 5), "mamdani rules[0] antecedent is 5",
+                 id="int-antecedent"),
+    pytest.param(small_mamdani, (("model", "output"), 5), "mamdani output is 5", id="int-output"),
+    pytest.param(small_mlp, (("model", "weights"), {}), "weights", id="object-weights"),
+    pytest.param(small_mlp, (("model", "weights"), ["a"]), "weights", id="string-weights"),
+    pytest.param(small_tree, (("model", "tree", "sample_count"), "x"), "sample_count",
+                 id="string-sample-count"),
+    pytest.param(small_tree, (("model", "tree", "left", "sample_count"), -1), "sample_count",
+                 id="negative-sample-count"),
+    pytest.param(small_tree, (("model", "tree", "right", "sse"), None), "sse", id="null-sse"),
 ]
 
 
@@ -464,8 +512,7 @@ class TestPredict:
     @pytest.mark.parametrize("make,edit,field", BAD_MODEL_FILES)
     def test_malformed_model_file_named_at_load(self, tmp_path, capsys, make, edit, field):
         path = tmp_path / "model.json"
-        save_model(make(), path)
-        payload = json.loads(path.read_text())
+        payload = model_payload(make())
         if edit is not None:
             keys, value = edit
             node = payload
@@ -481,6 +528,20 @@ class TestPredict:
         assert code == 2
         assert out == ""
         assert field in err
+
+    @pytest.mark.parametrize("make,ranges,field", [
+        (lambda: mlp_init(3, 3, seed=1), {}, "input_dim is 3, not 4"),
+        (lambda: small_mamdani(3), {}, "mamdani inputs hold 3 variables, not 4"),
+        (small_tree, {"output_range": (10.0, 0.0)}, "output_range"),
+        (small_tree, {"input_ranges": tace.FIELD_RANGES[:3]}, "input_ranges"),
+    ], ids=["3-input-mlp", "3-input-mamdani", "reversed-output-range", "three-input-ranges"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, make, ranges, field):
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError) as info:
+            save_model(make(), path, **ranges)
+        assert str(info.value).startswith(f"{path}: ")
+        assert field in str(info.value)
+        assert not path.exists()
 
 
 def random_model(kind, shape, rng):

@@ -362,6 +362,15 @@ class TestEvaluation:
         assert mf.evaluate(-1.0) == 0.0
         assert mf.evaluate(5.0) == 0.0
 
+    def test_trapezoid_centroid(self):
+        a, b, c, d = 0.1, 0.25, 0.7, 0.95
+        num = (d**2 + c**2 + c * d) - (a**2 + b**2 + a * b)
+        assert TrapezoidMF(a, b, c, d).centroid() == num / (3.0 * ((d + c) - (a + b)))
+        assert TrapezoidMF(0.5, 0.5, 0.5, 0.5).centroid() == 0.5
+        # squares past the float range: neither an OverflowError nor a nan
+        with pytest.raises(ValueError, match=r"trapezoid \(-1e\+200, .*\) has no finite centroid"):
+            TrapezoidMF(-1e200, 0.0, 1.0, 1e200).centroid()
+
     def test_range_invariant_random_draws(self):
         rng = np.random.default_rng(0)
         for shape in SHAPES:
@@ -421,6 +430,21 @@ class TestGradients:
                 grad = mf.gradient(x)
                 assert np.all(np.isfinite(grad))
                 np.testing.assert_array_equal(grad, 0.0)
+
+    def test_gaussian_huge_sigma_gives_finite_gradient(self):
+        # sigma**3 passes the float range; Python's float power raised OverflowError
+        for x in (0.5, np.array([-1e50, 0.0, 0.5])):
+            grad = GaussianMF(0.0, 1e103).gradient(x)
+            assert np.all(np.isfinite(grad))
+            np.testing.assert_array_equal(grad[..., 1], 0.0)
+        # ordinary widths keep the bits of Python's float powers
+        x = np.linspace(-1.0, 1.0, 9)
+        for sigma in (1e-3, 0.1, 0.37, 2.0, 9.99):
+            mf = GaussianMF(0.3, sigma)
+            mu, d = mf.evaluate(x), x - 0.3
+            np.testing.assert_array_equal(
+                mf.gradient(x), np.stack([mu * d / sigma**2, mu * d * d / sigma**3], axis=-1)
+            )
 
     def test_all_shapes_match_finite_difference(self):
         rng = np.random.default_rng(1)
