@@ -49,6 +49,7 @@ from .errors import (
     json_typed,
 )
 from .fuzzy import (
+    InputLayer,
     LinguisticVariable,
     antecedent_table,
     grid_partition,
@@ -98,6 +99,10 @@ class AnfisModel:
     def antecedent_index(self) -> np.ndarray:
         """(n_rules, n_inputs) MF index of every rule's antecedent."""
         return antecedent_table(self.rules, self.inputs)
+
+    @cached_property
+    def input_layer(self) -> InputLayer:
+        return InputLayer(self.inputs)
 
     # -- premise parameter vector ------------------------------------------
 
@@ -174,12 +179,8 @@ class ForwardTrace:
 
 def forward_batch(model: AnfisModel, X) -> tuple[np.ndarray, ForwardTrace]:
     """Outputs and full trace for a batch of samples."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != model.n_inputs:
-        raise ValueError(f"expected {model.n_inputs} inputs, got {X.shape[1]}")
-    Xc = np.column_stack([var.clip(X[:, v]) for v, var in enumerate(model.inputs)])
-    # fuzzify clips as var.clip does, and rejects a nan or inf input by name
-    memberships = [var.fuzzify(X[:, v]) for v, var in enumerate(model.inputs)]
+    # one clip and one fuzzification of all inputs; a nan or inf is rejected by its variable's name
+    Xc, memberships = model.input_layer.fuzzify(np.atleast_2d(np.asarray(X, dtype=float)))
     P, R = Xc.shape[0], model.n_rules
     w = rule_strengths(memberships, model.antecedent_index, np.ones((P, R)))
     wsum = w.sum(axis=1)

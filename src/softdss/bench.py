@@ -12,6 +12,7 @@ across paradigms.  Sub-run failures are recorded and the matrix continues.
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -303,6 +304,24 @@ def _collect_predictions(runs, ds_name, seed, test) -> dict:
     return cols
 
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """What a run's bits depend on besides its config: numpy, its BLAS and LAPACK build, the
+    thread variables in effect (None where unset) and the CPU count.  `report.json` only."""
+    try:
+        build = np.show_config(mode="dicts")["Build Dependencies"]
+    except TypeError:  # numpy before 1.26 can only print its build
+        build = None
+    return {
+        "numpy": np.__version__,
+        "build_dependencies": build,
+        "thread_variables": {name: os.environ.get(name) for name in THREAD_VARIABLES},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _assemble(runs, config, master) -> dict:
     summary = {}
     for run in runs:
@@ -344,6 +363,7 @@ def _assemble(runs, config, master) -> dict:
         "summary": rows,
         "best_paradigm_by_test_rmse": best,
         "failures": failures,
+        "environment": _environment(),
     }
 
 

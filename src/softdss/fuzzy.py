@@ -4,13 +4,15 @@ Membership functions come in four parametric shapes (gaussian, generalized
 bell, trapezoid, triangle).  Every shape evaluates through one static,
 broadcasting kernel `degrees(x, *params)`, and knows how to differentiate
 itself with respect to its own parameters (the backbone of gradient tuning).
-A linguistic variable builds a table of its MFs' parameters once and
-fuzzifies with one kernel call per shape present.  Each class's `location`
-names the parameters that "moving the center" shifts; from it the base class
-derives `translate` and `center_gradient` for all four.  The `project`
-classmethod repairs raw parameters after a gradient step: the base version
-sorts the knots of the piecewise-linear shapes and pulls their center into
-range, and the gaussian and gbell override it with their width floors.
+A fuzzy model's `InputLayer` holds the parameters of all its input MFs in one
+table, built once per model, and fuzzifies every input of a batch with one
+kernel call per shape present; a lone variable's `fuzzify` is the one-input
+case.  Each class's `location` names the parameters that "moving the
+center" shifts; from it the base class derives `translate` and
+`center_gradient` for all four.  The `project` classmethod repairs raw
+parameters after a gradient step: the base version sorts the knots of the
+piecewise-linear shapes and pulls their center into range, and the gaussian
+and gbell override it with their width floors.
 
 Both fuzzy systems share the rule layer: a rule fires with the product of
 its antecedent degrees (`rule_strengths`); `strength_backprop` differentiates it.
@@ -103,12 +105,17 @@ class GaussianMF(MembershipFunction):
 
     def gradient(self, x):
         x = np.asarray(x, dtype=float)
-        mu = self.evaluate(x)
         d = x - self.c
-        with np.errstate(over="ignore"):  # a huge sigma cubes to inf, not to an OverflowError
+        # a huge sigma cubes to inf, not to an OverflowError; a tiny one to 0, handled below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            mu = self.evaluate(x)
             sigma2, sigma3 = np.float64(self.sigma) ** 2, np.float64(self.sigma) ** 3
-        dc = mu * d / sigma2
-        ds = mu * d * d / sigma3
+            dc = mu * d / sigma2
+            ds = mu * d * d / sigma3
+            if sigma3 == 0:  # every ds is 0/0 or x/0: divide by sigma once per power instead
+                z = np.where(mu > 0, d / self.sigma, 0.0)  # a zero degree has a zero gradient
+                dc = np.where(np.isfinite(dc), dc, mu * z / self.sigma)
+                ds = mu * z * z / self.sigma
         return np.stack([dc, ds], axis=-1)
 
     @property
@@ -154,8 +161,8 @@ class GBellMF(MembershipFunction):
 
     def gradient(self, x):
         x = np.asarray(x, dtype=float)
-        t = self._t(x, self.a, self.c)
         with np.errstate(over="ignore", invalid="ignore"):
+            t = self._t(x, self.a, self.c)
             u = t**self.b
             mu = 1.0 / (1.0 + u)
             core = u * mu * mu  # u / (1 + u)^2, -> 0 for u -> inf
@@ -163,7 +170,8 @@ class GBellMF(MembershipFunction):
         pos = t > 0
         da = 2.0 * self.b * core / self.a
         with np.errstate(divide="ignore", invalid="ignore"):
-            db = np.where(pos, -core * np.log(np.where(pos, t, 1.0)), 0.0)
+            # where t overflows to inf, core is 0 and so is db's limit: log(1) keeps 0 * inf out
+            db = np.where(pos, -core * np.log(np.where(pos & (t < np.inf), t, 1.0)), 0.0)
             dc = np.where(pos, 2.0 * self.b * core / np.where(pos, x - self.c, 1.0), 0.0)
         return np.stack([da, db, dc], axis=-1)
 
@@ -303,8 +311,10 @@ def mf_from_dict(d: dict, field: str) -> MembershipFunction:
 class LinguisticVariable:
     """A named input or output dimension partitioned into labeled fuzzy sets.
 
-    The first `fuzzify` reads the MFs' parameters into a table that later
-    calls reuse, so change MFs through `replace_mfs`, never in place.
+    The first `fuzzify` reads the MFs' parameters into a one-input
+    `InputLayer` that later calls reuse, so change MFs through `replace_mfs`,
+    never in place.  A model fuzzifies all its inputs through its own layer
+    instead, with one kernel call per shape present in the model.
     """
 
     def __init__(self, name: str, lo: float, hi: float, mfs, labels=None):
@@ -335,39 +345,24 @@ class LinguisticVariable:
 
     def clip(self, x):
         """Values outside the declared physical range are clipped before evaluation."""
-        # the method skips np.clip's dispatch layer, a tenth of a one-row fuzzify
         return np.asarray(x, dtype=float).clip(self.lo, self.hi)
 
     @cached_property
-    def _kernel_table(self) -> list:
-        """One (shape class, MF columns, per-parameter (k, 1) arrays) entry per shape present."""
-        columns: dict[type, list[int]] = {}
-        for j, mf in enumerate(self.mfs):
-            columns.setdefault(type(mf), []).append(j)
-        return [
-            (cls, np.array(cols), tuple(np.array([self.mfs[j].params for j in cols]).T[:, :, None]))
-            for cls, cols in columns.items()
-        ]
+    def _layer(self) -> "InputLayer":
+        return InputLayer([self])
 
     def fuzzify(self, x):
         """Degrees of all MFs at x; shape = x.shape + (n_mfs,), C-ordered.
 
-        A nan or inf in x is a ValueError naming the variable.
-
-        One kernel call per shape class, over an (n_mfs, samples) layout so
-        numpy's inner loops run over the samples.
+        A nan or inf in x is a ValueError naming the variable.  An array is
+        fuzzified as the one input of an `InputLayer`; a scalar goes through
+        each MF's `evaluate`.
         """
         x = np.asarray(x, dtype=float)
-        if np.count_nonzero(np.isfinite(x)) != x.size:  # cheaper than .all() on one row
-            raise ValueError(f"variable {self.name!r} got a non-finite input")
-        cx = self.clip(x)
-        if cx.ndim == 0:  # numpy's scalar power can differ in the last bit from its array power
+        if x.ndim == 0:  # numpy's scalar power can differ in the last bit from its array power
+            cx = self._layer.clip(x.reshape(1, 1))[0, 0]
             return np.array([mf.evaluate(cx) for mf in self.mfs])
-        out = np.empty(cx.shape + (self.n_mfs,))
-        rows, flat = out.reshape(-1, self.n_mfs).T, cx.reshape(-1)
-        for cls, cols, params in self._kernel_table:
-            rows[cols] = cls.degrees(flat, *params)
-        return out
+        return self._layer.fuzzify(x.reshape(-1, 1))[1][0].reshape(x.shape + (self.n_mfs,))
 
     def replace_mfs(self, mfs) -> "LinguisticVariable":
         return LinguisticVariable(self.name, self.lo, self.hi, mfs, self.labels)
@@ -420,6 +415,69 @@ class LinguisticVariable:
         mfs = [mf_from_dict(m, f"{field} mfs[{j}]") for j, m in enumerate(entries)]
         labels = [m.get("label", f"mf{j}") for j, m in enumerate(entries)]
         return cls(d["name"], *d["range"], mfs, labels)
+
+
+class InputLayer:
+    """The input side of a fuzzy model: every input MF's parameters in one table.
+
+    The table groups the MFs by shape class and holds each one's input and
+    its row in a (total MFs, P) degree matrix.  `fuzzify` checks, clips and
+    fuzzifies a whole (P, n_inputs) batch with one kernel call per shape
+    present, whatever the number of inputs.  The kernels are elementwise, so
+    each degree has the bits of that MF's own `evaluate`.  Built from the
+    variables' MFs once: change MFs through `replace_mfs`.
+    """
+
+    def __init__(self, variables):
+        variables = list(variables)
+        self.names = [var.name for var in variables]
+        self.lo = np.array([[var.lo] for var in variables])
+        self.hi = np.array([[var.hi] for var in variables])
+        self.bounds = list(itertools.accumulate((var.n_mfs for var in variables), initial=0))
+        groups: dict[type, list] = {}
+        mfs = [(v, mf) for v, var in enumerate(variables) for mf in var.mfs]
+        for row, (v, mf) in enumerate(mfs):
+            groups.setdefault(type(mf), []).append((v, row, mf.params))
+        # per shape: (class, input of each MF, degree row of each MF, per-parameter (k, 1) arrays)
+        self.kernels = [
+            (cls, np.array([g[0] for g in group]), np.array([g[1] for g in group]),
+             tuple(np.array([g[2] for g in group]).T[:, :, None]))
+            for cls, group in groups.items()
+        ]
+
+    def clip(self, X) -> np.ndarray:
+        """X clipped to each variable's range, as the transpose of a C-ordered (n_inputs, P)
+        array, so each input's column is contiguous.
+
+        X must be (P, n_inputs); a nan or inf is a ValueError naming the first
+        variable that holds one.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != len(self.names):
+            raise ValueError(f"expected (rows, {len(self.names)}) inputs, got shape {X.shape}")
+        finite = np.isfinite(X)
+        if np.count_nonzero(finite) != X.size:  # cheaper than .all() on one row
+            bad = int(np.argmin(finite.all(axis=0)))
+            raise ValueError(f"variable {self.names[bad]!r} got a non-finite input")
+        columns = X.T.clip(self.lo, self.hi, out=np.empty(X.shape[::-1]))
+        # a value equal to its bound keeps its own bits (-0.0 at a bound of 0.0), as numpy's
+        # clip does with scalar bounds, like `LinguisticVariable.clip`, but not with array bounds
+        np.copyto(columns, X.T, where=columns == X.T)
+        return columns.T
+
+    def fuzzify(self, X) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(clipped X as `clip` returns it, per input its C-ordered (P, n_mfs) degrees).
+
+        Each shape's kernel runs over a (its MFs, P) gather of the clipped
+        inputs, so numpy's inner loops run over the samples.  The degrees
+        are copied out per input in C order, because the rule layer gathers
+        their columns about twice as fast from a contiguous array.
+        """
+        Xc = self.clip(X)
+        rows = np.empty((self.bounds[-1], Xc.shape[0]))
+        for cls, source, at, params in self.kernels:
+            rows[at] = cls.degrees(Xc.T[source], *params)
+        return Xc, [np.ascontiguousarray(rows[a:b].T) for a, b in zip(self.bounds, self.bounds[1:])]
 
 
 def inputs_from_dict(d: dict, kind: str, n_inputs: int) -> list[LinguisticVariable]:
@@ -536,6 +594,10 @@ class MamdaniModel:
         return antecedent_table([r.antecedent for r in self.rules], self.inputs)
 
     @cached_property
+    def input_layer(self) -> InputLayer:
+        return InputLayer(self.inputs)
+
+    @cached_property
     def rule_weights(self) -> np.ndarray:
         return np.array([r.weight for r in self.rules], dtype=float)
 
@@ -576,9 +638,8 @@ class MamdaniModel:
         fired_mask); a sample no rule fires for gets the midpoint of the
         output range and a False flag.
         """
-        X = np.asarray(X, dtype=float)
-        P = X.shape[0]
-        mu = [var.fuzzify(X[:, v]) for v, var in enumerate(self.inputs)]
+        _, mu = self.input_layer.fuzzify(X)
+        P = mu[0].shape[0]
         acts = rule_strengths(mu, self.antecedent_index, np.ones((P, len(self.rules))))
         acts *= self.rule_weights
         m_out = self.output.n_mfs

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrainingDivergedError, finite_data
-from .fuzzy import MamdaniModel, MamdaniRule, rule_strengths, strength_backprop
+from .fuzzy import InputLayer, MamdaniModel, MamdaniRule, rule_strengths, strength_backprop
 from .report import TrainReport, rmse
 
 
@@ -41,8 +41,7 @@ def wang_mendel(X, y, inputs, output) -> MamdaniModel:
     if X.shape[0] == 0:
         raise ValueError("wang_mendel needs at least one sample")
     in_idx, in_deg = [], []
-    for v, var in enumerate(inputs):
-        mu = var.fuzzify(X[:, v])
+    for mu in InputLayer(inputs).fuzzify(X)[1]:
         in_idx.append(mu.argmax(axis=1))
         in_deg.append(mu.max(axis=1))
     mu_out = output.fuzzify(y)
@@ -104,15 +103,14 @@ def decode_centers(model: MamdaniModel, genes) -> MamdaniModel:
 
 def _surrogate_forward(model: MamdaniModel, X):
     """Differentiable stand-in: activation-weighted average of consequent centroids."""
-    X = np.asarray(X, dtype=float)
-    mu = [var.fuzzify(X[:, v]) for v, var in enumerate(model.inputs)]
-    acts = rule_strengths(mu, model.antecedent_index, np.tile(model.rule_weights, (X.shape[0], 1)))
+    xc, mu = model.input_layer.fuzzify(X)
+    acts = rule_strengths(mu, model.antecedent_index, np.tile(model.rule_weights, (xc.shape[0], 1)))
     z = np.array([mf.centroid() for mf in model.output.mfs])[model.consequent_index]
     den = acts.sum(axis=1)
     fired = den > 0
     safe = np.where(fired, den, 1.0)
     yhat = np.where(fired, (acts @ z) / safe, model.midpoint)
-    return yhat, acts, den, fired, mu, z
+    return yhat, acts, den, fired, mu, z, xc
 
 
 def surrogate_rmse(model: MamdaniModel, X, y) -> float:
@@ -121,13 +119,13 @@ def surrogate_rmse(model: MamdaniModel, X, y) -> float:
 
 def surrogate_gradient(model: MamdaniModel, X, y) -> np.ndarray:
     """Gradient of the mean squared surrogate error w.r.t. the center vector."""
-    return _surrogate_backward(model, X, y, _surrogate_forward(model, X))
+    return _surrogate_backward(model, y, _surrogate_forward(model, X))
 
 
-def _surrogate_backward(model: MamdaniModel, X, y, forward) -> np.ndarray:
+def _surrogate_backward(model: MamdaniModel, y, forward) -> np.ndarray:
     """`surrogate_gradient` from an existing `_surrogate_forward(model, X)` result."""
     y = np.asarray(y, dtype=float)
-    yhat, acts, den, fired, mu, z = forward
+    yhat, acts, den, fired, mu, z, xc = forward
     P = acts.shape[0]
     safe = np.where(fired, den, 1.0)
     r_err = (yhat - y) / P                                   # d(mean 1/2 err^2)/d yhat
@@ -135,9 +133,8 @@ def _surrogate_backward(model: MamdaniModel, X, y, forward) -> np.ndarray:
     d_mu = strength_backprop(mu, model.antecedent_index, coef, np.tile(model.rule_weights, (P, 1)))
     grads = []
     for v, var in enumerate(model.inputs):
-        x_v = var.clip(X[:, v])
         for j, mf in enumerate(var.mfs):
-            grads.append(float(mf.center_gradient(x_v) @ d_mu[v][j]))
+            grads.append(float(mf.center_gradient(xc[:, v]) @ d_mu[v][j]))
     # output centers: d yhat / d z_j = sum of activations with consequent j / den
     act_over_den = np.where(fired[:, None], acts / safe[:, None], 0.0)
     for j in range(model.output.n_mfs):
@@ -174,7 +171,7 @@ def gd_tune(
             initial = err
         elif initial > 0 and err > 1e6 * initial:
             raise TrainingDivergedError(epoch, f"gd_tune diverged at epoch {epoch}")
-        grad = _surrogate_backward(model, X, y, forward)
+        grad = _surrogate_backward(model, y, forward)
         velocity = momentum * velocity - learning_rate * grad
         genes = np.clip(genes + velocity, lo, hi)
         model = decode_centers(model, genes)

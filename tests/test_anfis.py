@@ -92,6 +92,21 @@ class TestForward:
         with pytest.raises(ValueError, match="'x1'.*non-finite"):
             forward_batch(small_model(2, 2, seed=3), X)
 
+    def test_trace_x_is_the_clipped_input(self):
+        # one clip serves the fuzzification and the regressors: trace.x is each column
+        # clipped by its variable, bit for bit, -0.0 at a bound included
+        variables = [LinguisticVariable.uniform("x0", 0.0, 1.0, 2),
+                     LinguisticVariable.uniform("x1", -3.0, 5.0, 3, shape="trapezoid")]
+        model = AnfisModel.grid(variables, np.random.default_rng(4).normal(size=(6, 3)))
+        X = np.array([[-0.5, 9.0], [1.5, -3.5], [-0.0, -3.0], [1.0, 5.0 + 1e-15],
+                      [np.nextafter(0.0, -1.0), -0.0], [0.25, 4.0]])
+        _, trace = forward_batch(model, X)
+        want = np.column_stack([var.clip(X[:, v]) for v, var in enumerate(variables)])
+        assert np.array_equal(trace.x, want)
+        assert np.array_equal(np.signbit(trace.x), np.signbit(want))
+        assert np.array_equal(trace.xa[:, :2], trace.x)
+        assert trace.x[:4].tolist() == [[0.0, 5.0], [1.0, -3.0], [-0.0, -3.0], [1.0, 5.0]]
+
     def test_rule_reorder_invariance(self):
         model = small_model(2, 3, seed=3)
         rng = np.random.default_rng(3)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from softdss.bench import (
     MamdaniSettings,
     MlpSettings,
     Trained,
+    _environment,
     run_bench,
     train_paradigm,
 )
@@ -169,6 +171,23 @@ class TestFiles:
         with open(out / "report.json") as fh:
             report = json.load(fh)
         assert report["master_size"] == 150
+
+    def test_report_json_records_environment(self, bench_out, monkeypatch):
+        out, _ = bench_out
+        env = json.loads((out / "report.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["build_dependencies"] == np.show_config(mode="dicts")["Build Dependencies"]
+        assert set(env["thread_variables"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                                "MKL_NUM_THREADS"}
+        assert env["cpu_count"] == os.cpu_count()
+        # the environment never reaches the byte-compared tables
+        for name in ("summary.csv", "sweep.csv"):
+            text = (out / name).read_text()
+            assert "numpy" not in text and "THREADS" not in text and np.__version__ not in text
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        threads = _environment()["thread_variables"]
+        assert threads["OMP_NUM_THREADS"] == "3" and threads["MKL_NUM_THREADS"] is None
 
 
     def test_csv_bytes(self, tmp_path):

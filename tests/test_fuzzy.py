@@ -1,6 +1,7 @@
 """Membership shapes, gradients vs finite differences, and Mamdani inference."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from softdss.fuzzy import (
     OUTPUT_GRID_POINTS,
     GaussianMF,
     GBellMF,
+    InputLayer,
     LinguisticVariable,
     MamdaniModel,
     MamdaniRule,
@@ -295,6 +297,146 @@ class TestShapeKernels:
         assert got[2].tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
 
 
+def per_variable_oracle(var, x):
+    """`LinguisticVariable.fuzzify` as it was before the input layer: the variable's own
+    table of (shape class, MF columns, (k, 1) parameter arrays), one kernel call per shape
+    over that one variable's clipped samples (test oracle)."""
+    x = np.asarray(x, dtype=float)
+    columns = {}
+    for j, mf in enumerate(var.mfs):
+        columns.setdefault(type(mf), []).append(j)
+    cx = x.clip(var.lo, var.hi)
+    out = np.empty(cx.shape + (var.n_mfs,))
+    rows, flat = out.reshape(-1, var.n_mfs).T, cx.reshape(-1)
+    for cls, cols in columns.items():
+        params = np.array([var.mfs[j].params for j in cols]).T[:, :, None]
+        rows[cols] = cls.degrees(flat, *params)
+    return out
+
+
+def mixed_variables():
+    """Mixed shapes within a variable and across variables, on unlike ranges."""
+    return [
+        LinguisticVariable("a", 0.0, 1.0, [
+            TriangleMF(0.0, 0.0, 0.5), GaussianMF(0.5, 0.2), TrapezoidMF(0.4, 0.6, 0.8, 1.0),
+        ]),
+        LinguisticVariable("b", -2.0, 3.0, [GBellMF(1.5, 2.7, 0.0), GBellMF(1.0, 2.0, 2.5)]),
+        LinguisticVariable.uniform("c", 0.0, 1.0, 3, shape="triangle"),
+        LinguisticVariable("d", 10.0, 20.0, [
+            TrapezoidMF(10.0, 10.0, 12.0, 15.0), GaussianMF(15.0, 2.0),
+            TriangleMF(12.0, 18.0, 20.0), GBellMF(3.0, 0.7, 20.0),
+        ]),
+    ]
+
+
+def awkward_rows(variables, n_rows, seed):
+    """(n_rows, n_inputs) inputs: knots, one ulp either side of them, the range ends,
+    values past them (clipped), subnormals and -0.0, the rest uniform over the range."""
+    rng = np.random.default_rng(seed)
+    X = np.empty((n_rows, len(variables)))
+    tiny = np.array([5e-324, -5e-324, 1e-310, -0.0, 0.0])
+    for v, var in enumerate(variables):
+        knots = np.array(sorted({float(p) for mf in var.mfs for p in mf.params
+                                 if var.lo <= p <= var.hi} | {var.lo, var.hi}))
+        special = np.concatenate([
+            knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+            var.lo + tiny, [var.lo - 0.5 * (var.hi - var.lo), var.hi + 7.0], tiny,
+        ])
+        column = rng.uniform(var.lo, var.hi, size=n_rows)
+        picks = rng.random(n_rows) < 0.5
+        column[picks] = rng.choice(special, size=int(picks.sum()))
+        X[:, v] = column
+    return X
+
+
+class TestInputLayer:
+    """One pass over every input of a model: the same bits as each variable's and each MF's own code."""
+
+    @staticmethod
+    def _layouts(X):
+        """X C-ordered, F-ordered, and as a column slice of a wider array."""
+        wide = np.zeros((X.shape[0], 2 * X.shape[1] + 1))
+        wide[:, 1::2] = X
+        return [np.ascontiguousarray(X), np.asfortranarray(X), wide[:, 1::2]]
+
+    @pytest.mark.parametrize("n_rows", [1, 159, 160, 161, 900])
+    def test_matches_per_variable_and_per_mf(self, n_rows):
+        variables = mixed_variables()
+        layer = InputLayer(variables)
+        for X in self._layouts(awkward_rows(variables, n_rows, seed=n_rows)):
+            with np.errstate(over="ignore", under="ignore"):
+                Xc, memberships = layer.fuzzify(X)
+            assert Xc.shape == X.shape and len(memberships) == len(variables)
+            for v, (var, mu) in enumerate(zip(variables, memberships)):
+                clipped = var.clip(X[:, v])
+                assert np.array_equal(Xc[:, v], clipped)
+                assert np.array_equal(np.signbit(Xc[:, v]), np.signbit(clipped))
+                with np.errstate(over="ignore", under="ignore"):
+                    stacked = np.stack([mf.evaluate(clipped) for mf in var.mfs], axis=-1)
+                    for want in (per_variable_oracle(var, X[:, v]), stacked, var.fuzzify(X[:, v])):
+                        assert mu.shape == want.shape == (n_rows, var.n_mfs)
+                        assert np.array_equal(mu, want)
+                        assert np.array_equal(np.signbit(mu), np.signbit(want))
+
+    def test_models_read_their_layer(self):
+        variables = mixed_variables()
+        X = awkward_rows(variables, 161, seed=5)
+        rules = [MamdaniRule(ant, 0) for ant in grid_partition(variables)]
+        output = LinguisticVariable.uniform("y", 0.0, 1.0, 2, shape="triangle")
+        mamdani = MamdaniModel(inputs=variables, output=output, rules=rules)
+        anfis = AnfisModel.grid(variables, np.random.default_rng(2).normal(size=(len(rules), 5)))
+        for model in (mamdani, anfis):
+            assert model.input_layer is model.input_layer
+            assert model.input_layer.names == ["a", "b", "c", "d"]
+        # forward_batch's memberships are the layer's, and the Mamdani activations are
+        # the product of the per-variable degrees, in input order
+        _, trace = forward_batch(anfis, X)
+        per_var = [per_variable_oracle(var, X[:, v]) for v, var in enumerate(variables)]
+        for mu, want in zip(trace.memberships, per_var):
+            assert np.array_equal(mu, want)
+        out, fired = mamdani.infer_batch(X)
+        want_out, want_fired = dense_infer_batch(mamdani, X)
+        assert np.array_equal(out, want_out) and np.array_equal(fired, want_fired)
+
+    @pytest.mark.parametrize("n_rows", [1, 160])
+    def test_first_bad_variable_named(self, n_rows):
+        layer = InputLayer(mixed_variables())
+        X = np.full((n_rows, 4), 0.5)
+        X[:, 3] = 15.0
+        for marks, name in [
+            ({(0, 2): np.nan}, "'c'"),
+            ({(n_rows - 1, 3): np.inf, (0, 2): -np.inf}, "'c'"),
+            ({(0, 3): np.nan, (n_rows - 1, 1): np.inf}, "'b'"),
+            ({(n_rows - 1, 0): -np.inf, (0, 1): np.nan}, "'a'"),
+        ]:
+            bad = X.copy()
+            for at, value in marks.items():
+                bad[at] = value
+            with pytest.raises(ValueError, match=f"variable {name} got a non-finite input"):
+                layer.fuzzify(bad)
+            with pytest.raises(ValueError, match=f"variable {name} got a non-finite input"):
+                layer.fuzzify(np.asfortranarray(bad))
+
+    def test_wrong_width_rejected(self):
+        layer = InputLayer(mixed_variables())
+        for X in (np.zeros((3, 3)), np.zeros((3, 1)), np.zeros(4), np.zeros((2, 4, 1))):
+            with pytest.raises(ValueError, match=r"expected \(rows, 4\) inputs"):
+                layer.fuzzify(X)
+
+    def test_scalar_branch_unchanged(self):
+        # a 0-d input still takes numpy's scalar power through each MF's evaluate; at 0.55
+        # the array power of the gbell with b = 2.7 differs in the last bit
+        for var in mixed_variables():
+            for x in [0.55, -0.0, var.lo - 1.0, var.hi + 1.0, 5e-324, *np.linspace(var.lo, var.hi, 7)]:
+                got = var.fuzzify(x)
+                want = np.array([mf.evaluate(var.clip(x)) for mf in var.mfs])
+                assert got.shape == (var.n_mfs,)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+            with pytest.raises(ValueError, match=f"variable {var.name!r} got a non-finite input"):
+                var.fuzzify(np.nan)
+
+
 def triangle_gradient_oracle(mf, x):
     """The triangle's own ramp-mask gradient, before it became a trapezoid with b == c (test oracle)."""
     x = np.asarray(x, dtype=float)
@@ -445,6 +587,23 @@ class TestGradients:
             np.testing.assert_array_equal(
                 mf.gradient(x), np.stack([mu * d / sigma**2, mu * d * d / sigma**3], axis=-1)
             )
+
+    def test_tiny_width_gives_finite_gradient(self):
+        # the width's powers underflow to 0, which gave 0/0 and x/0: nan with RuntimeWarnings
+        x = np.array([0.0, 1e-170, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gauss = GaussianMF(0.0, 1e-160).gradient(x)
+            bell = GBellMF(1e-200, 2.0, 0.0).gradient(0.5)
+        assert np.all(np.isfinite(gauss)) and np.all(np.isfinite(bell))
+        # dc = mu * d / sigma**2 was finite (sigma**2 is subnormal) and keeps its bits;
+        # ds = mu * (d / sigma)**2 / sigma, and 0 where the degree is 0
+        with np.errstate(under="ignore"):
+            assert gauss[:, 0].tolist() == [0.0, 1e-170 / np.float64(1e-160) ** 2, 0.0]
+        assert gauss[0, 1] == 0.0 and gauss[2, 1] == 0.0
+        assert gauss[1, 1] == pytest.approx(1e140, rel=1e-12)
+        # t = ((x - c) / a)**2 overflows to inf, where every partial's limit is 0
+        assert bell.tolist() == [0.0, 0.0, 0.0]
 
     def test_all_shapes_match_finite_difference(self):
         rng = np.random.default_rng(1)
