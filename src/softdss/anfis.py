@@ -169,7 +169,7 @@ class ForwardTrace:
     """Every intermediate layer of a batch forward pass, kept for backprop."""
 
     x: np.ndarray            # clipped inputs (P, d)
-    memberships: list        # per variable: (P, n_mfs) degrees (layer 2)
+    memberships: list        # per variable: (n_mfs, P) degrees (layer 2)
     w: np.ndarray            # firing strengths (P, R) (layer 3)
     wsum: np.ndarray         # (P,)
     wbar: np.ndarray         # normalized strengths (P, R) (layer 4)
@@ -182,7 +182,7 @@ def forward_batch(model: AnfisModel, X) -> tuple[np.ndarray, ForwardTrace]:
     # one clip and one fuzzification of all inputs; a nan or inf is rejected by its variable's name
     Xc, memberships = model.input_layer.fuzzify(np.atleast_2d(np.asarray(X, dtype=float)))
     P, R = Xc.shape[0], model.n_rules
-    w = rule_strengths(memberships, model.antecedent_index, np.ones((P, R)))
+    w = rule_strengths(memberships, model.antecedent_index)
     wsum = w.sum(axis=1)
     dead = wsum <= 0.0
     if np.any(dead):
@@ -242,7 +242,7 @@ def premise_gradient(model: AnfisModel, trace: ForwardTrace, residuals) -> np.nd
     f = trace.xa @ model.consequents.T                    # (P, R) rule outputs
     y = (trace.wbar * f).sum(axis=1)
     coef = residuals[:, None] * (f - y[:, None]) / trace.wsum[:, None]
-    d_mu = strength_backprop(trace.memberships, model.antecedent_index, coef, np.ones_like(trace.w))
+    d_mu = strength_backprop(trace.memberships, model.antecedent_index, coef)
     parts = []
     for v, var in enumerate(model.inputs):
         x_v = trace.x[:, v]
@@ -339,6 +339,8 @@ def anfis_train(
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if mode != "hybrid":
         raise ValueError(f"mode must be 'hybrid', got {mode!r}")
+    if not (np.isfinite(k0) and k0 > 0):
+        raise ValueError(f"k0 must be a finite step size > 0, got {k0}")
     X, y = finite_data(*train)
     controller = StepSizeController(k0)
     curve = []

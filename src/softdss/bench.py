@@ -74,6 +74,12 @@ class CartSettings:
     min_leaf: int = 5
     folds: int = 10
 
+    def __post_init__(self):
+        for name, least in (("min_leaf", 1), ("folds", 2)):
+            value = getattr(self, name)
+            if not (type(value) is int and value >= least):
+                raise ValueError(f"cart {name} must be an integer >= {least}, got {value!r}")
+
 
 @dataclass
 class BenchConfig:

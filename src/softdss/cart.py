@@ -358,13 +358,15 @@ def prune_sequence(tree: TreeNode, X, y, folds: int = 10, seed: int = 0,
     alpha ladder; the master sequence is scored at the geometric mean of
     consecutive master alphas (the conventional representative value).
     cv_cost is held-out mean squared error.  Non-finite or mismatched (X, y),
-    or fewer than two samples (no fold split can hold any out), is a
-    ValueError, raised before any fold is grown.
+    fewer than two samples (no fold split can hold any out), or `folds`
+    outside [2, samples] is a ValueError, raised before any fold is grown.
     """
     X, y = finite_data(X, y)
     n = y.shape[0]
     if n < 2:
         raise ValueError(f"cross-validated pruning needs at least 2 samples, got {n}")
+    if not 2 <= folds <= n:
+        raise ValueError(f"folds must be in [2, {n}] for {n} samples, got {folds}")
     if X.ndim == 1:
         X = X[:, None]
     view = _PruneView(tree)
@@ -373,7 +375,6 @@ def prune_sequence(tree: TreeNode, X, y, folds: int = 10, seed: int = 0,
         float(np.sqrt(alphas[k] * alphas[k + 1])) if k + 1 < len(alphas) else alphas[k]
         for k in range(len(alphas))
     ]
-    folds = max(2, min(folds, n))
     assignment = np.random.default_rng(seed).permutation(n) % folds
     cv_sse = np.zeros(len(alphas))
     for f in range(folds):

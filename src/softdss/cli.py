@@ -133,7 +133,10 @@ def _train_settings(args):
         if args.model not in EPOCH_FIELDS:
             raise _UsageError(f"--epochs does not apply to {args.model}")
         opts[EPOCH_FIELDS[args.model]] = args.epochs
-    return SETTINGS[args.model](**opts)
+    try:
+        return SETTINGS[args.model](**opts)
+    except ValueError as exc:
+        raise _UsageError(f"{args.model} --config: {exc}") from None
 
 
 def _cmd_train(args) -> int:

@@ -100,8 +100,9 @@ class GaussianMF(MembershipFunction):
 
     @staticmethod
     def degrees(x, c, sigma):
-        z = (x - c) / sigma
-        return np.exp(-0.5 * z * z)
+        with np.errstate(over="ignore"):  # a tiny sigma sends z * z to inf, and the degree to 0
+            z = (x - c) / sigma
+            return np.exp(-0.5 * z * z)
 
     def gradient(self, x):
         x = np.asarray(x, dtype=float)
@@ -362,7 +363,7 @@ class LinguisticVariable:
         if x.ndim == 0:  # numpy's scalar power can differ in the last bit from its array power
             cx = self._layer.clip(x.reshape(1, 1))[0, 0]
             return np.array([mf.evaluate(cx) for mf in self.mfs])
-        return self._layer.fuzzify(x.reshape(-1, 1))[1][0].reshape(x.shape + (self.n_mfs,))
+        return self._layer.fuzzify(x.reshape(-1, 1))[1][0].T.copy().reshape(x.shape + (self.n_mfs,))
 
     def replace_mfs(self, mfs) -> "LinguisticVariable":
         return LinguisticVariable(self.name, self.lo, self.hi, mfs, self.labels)
@@ -466,18 +467,18 @@ class InputLayer:
         return columns.T
 
     def fuzzify(self, X) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(clipped X as `clip` returns it, per input its C-ordered (P, n_mfs) degrees).
+        """(clipped X as `clip` returns it, per input its (n_mfs, P) degrees).
 
         Each shape's kernel runs over a (its MFs, P) gather of the clipped
-        inputs, so numpy's inner loops run over the samples.  The degrees
-        are copied out per input in C order, because the rule layer gathers
-        their columns about twice as fast from a contiguous array.
+        inputs, so numpy's inner loops run over the samples.  Each input's
+        degrees are a C-contiguous row block of the one (total MFs, P)
+        degree matrix: views, not copies.
         """
         Xc = self.clip(X)
         rows = np.empty((self.bounds[-1], Xc.shape[0]))
         for cls, source, at, params in self.kernels:
             rows[at] = cls.degrees(Xc.T[source], *params)
-        return Xc, [np.ascontiguousarray(rows[a:b].T) for a, b in zip(self.bounds, self.bounds[1:])]
+        return Xc, [rows[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
 
 
 def inputs_from_dict(d: dict, kind: str, n_inputs: int) -> list[LinguisticVariable]:
@@ -524,19 +525,21 @@ def antecedent_table(antecedents, inputs) -> np.ndarray:
     return table
 
 
-def rule_strengths(memberships, antecedents, start) -> np.ndarray:
-    """(P, R) strengths: a copy of `start` times each rule's degrees, in input order.
+def rule_strengths(memberships, antecedents, start=1.0) -> np.ndarray:
+    """(P, R) strengths: `start` ((R, P) or broadcast) times the rules' degrees, in input order.
 
-    `memberships[v]` holds input v's (P, n_mfs) degrees; `antecedents` is (R, n_inputs).
-    The copy keeps the C order of a full (P, R) `start`; row sums over the result depend on it.
+    `memberships[v]` is input v's (n_mfs, P) degrees, `antecedents` is (R, n_inputs).  Row
+    gathers take the product in place, never in `start`.  Row sums need the result's C order.
     """
-    strengths = np.array(start, dtype=float)
+    strengths = np.asarray(start, dtype=float)
     for v, mu in enumerate(memberships):
-        strengths *= mu[:, antecedents[:, v]]
-    return strengths
+        gathered = mu[antecedents[:, v]]
+        gathered *= strengths
+        strengths = gathered
+    return np.array(strengths.T, order="C")
 
 
-def strength_backprop(memberships, antecedents, coef, start) -> list[np.ndarray]:
+def strength_backprop(memberships, antecedents, coef, start=1.0) -> list[np.ndarray]:
     """d sum(coef * rule_strengths(...)) / d degree, one (n_mfs, P) array per input.
 
     A rule's other degrees are multiplied out, never divided out, so a zero degree is safe.
@@ -546,7 +549,7 @@ def strength_backprop(memberships, antecedents, coef, start) -> list[np.ndarray]
         others = memberships[:v] + memberships[v + 1 :]
         weighted = coef * rule_strengths(others, np.delete(antecedents, v, axis=1), start)
         uses = antecedents[:, v]
-        grads.append(np.stack([weighted[:, uses == j].sum(axis=1) for j in range(mu.shape[1])]))
+        grads.append(np.stack([weighted[:, uses == j].sum(axis=1) for j in range(mu.shape[0])]))
     return grads
 
 
@@ -621,7 +624,7 @@ class MamdaniModel:
     @cached_property
     def consequent_sets(self) -> np.ndarray:
         """(n_output_mfs, grid points) degrees of every output set on the output grid."""
-        return _read_only(np.ascontiguousarray(self.output.fuzzify(self._grid).T))
+        return _read_only(InputLayer([self.output]).fuzzify(self._grid[:, None])[1][0])
 
     @cached_property
     def consequent_rules(self) -> list[np.ndarray]:
@@ -639,8 +642,8 @@ class MamdaniModel:
         output range and a False flag.
         """
         _, mu = self.input_layer.fuzzify(X)
-        P = mu[0].shape[0]
-        acts = rule_strengths(mu, self.antecedent_index, np.ones((P, len(self.rules))))
+        P = mu[0].shape[1]
+        acts = rule_strengths(mu, self.antecedent_index)
         acts *= self.rule_weights
         m_out = self.output.n_mfs
         act_by_cons = np.zeros((P, m_out))

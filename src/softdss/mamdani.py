@@ -40,10 +40,8 @@ def wang_mendel(X, y, inputs, output) -> MamdaniModel:
     X, y = finite_data(X, y)
     if X.shape[0] == 0:
         raise ValueError("wang_mendel needs at least one sample")
-    in_idx, in_deg = [], []
-    for mu in InputLayer(inputs).fuzzify(X)[1]:
-        in_idx.append(mu.argmax(axis=1))
-        in_deg.append(mu.max(axis=1))
+    mu_in = InputLayer(inputs).fuzzify(X)[1]  # per input, (n_mfs, P)
+    in_idx, in_deg = [mu.argmax(axis=0) for mu in mu_in], [mu.max(axis=0) for mu in mu_in]
     mu_out = output.fuzzify(y)
     out_idx = mu_out.argmax(axis=1)
     # degree = product over inputs in variable order, then the output degree
@@ -104,7 +102,7 @@ def decode_centers(model: MamdaniModel, genes) -> MamdaniModel:
 def _surrogate_forward(model: MamdaniModel, X):
     """Differentiable stand-in: activation-weighted average of consequent centroids."""
     xc, mu = model.input_layer.fuzzify(X)
-    acts = rule_strengths(mu, model.antecedent_index, np.tile(model.rule_weights, (xc.shape[0], 1)))
+    acts = rule_strengths(mu, model.antecedent_index, model.rule_weights[:, None])
     z = np.array([mf.centroid() for mf in model.output.mfs])[model.consequent_index]
     den = acts.sum(axis=1)
     fired = den > 0
@@ -130,7 +128,7 @@ def _surrogate_backward(model: MamdaniModel, y, forward) -> np.ndarray:
     safe = np.where(fired, den, 1.0)
     r_err = (yhat - y) / P                                   # d(mean 1/2 err^2)/d yhat
     coef = np.where(fired[:, None], r_err[:, None] * (z[None, :] - yhat[:, None]) / safe[:, None], 0.0)
-    d_mu = strength_backprop(mu, model.antecedent_index, coef, np.tile(model.rule_weights, (P, 1)))
+    d_mu = strength_backprop(mu, model.antecedent_index, coef, model.rule_weights[:, None])
     grads = []
     for v, var in enumerate(model.inputs):
         for j, mf in enumerate(var.mfs):
@@ -152,8 +150,10 @@ def gd_tune(
     epochs: int = 10,
 ) -> tuple[MamdaniModel, TrainReport]:
     """Batch gradient descent with classical momentum on all MF centers."""
-    if learning_rate < 0:
-        raise ValueError(f"learning_rate must be >= 0, got {learning_rate}")
+    if not (np.isfinite(learning_rate) and learning_rate >= 0):
+        raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")
+    if not np.isfinite(momentum):
+        raise ValueError(f"momentum must be finite, got {momentum}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     X, y = finite_data(X, y)

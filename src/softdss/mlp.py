@@ -71,6 +71,9 @@ class MlpModel:
 
 def mlp_init(input_dim: int, hidden_units: int, seed: int = 0) -> MlpModel:
     """Uniform +/- 1/sqrt(fan-in) init, seeded."""
+    for name, units in (("input_dim", input_dim), ("hidden_units", hidden_units)):
+        if not (isinstance(units, (int, np.integer)) and units >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {units!r}")
     rng = np.random.default_rng(seed)
     d, h = input_dim, hidden_units
     lim1 = 1.0 / np.sqrt(d)

@@ -316,6 +316,12 @@ class TestTraining:
         with pytest.raises(ValueError, match="mode"):
             anfis_train(small_model(2, 2), (X, X[:, 0]), None, epochs=1, mode=mode)
 
+    @pytest.mark.parametrize("k0", [np.nan, np.inf, 0.0, -0.1])
+    def test_bad_step_size_named(self, k0):
+        X = np.random.default_rng(12).uniform(0, 1, size=(20, 2))
+        with pytest.raises(ValueError, match=f"^k0 must be a finite step size > 0, got {k0}$"):
+            anfis_train(small_model(2, 2), (X, X[:, 0]), None, epochs=1, k0=k0)
+
     def test_zero_epochs_rejected(self):
         model = small_model(2, 2)
         with pytest.raises(ValueError):

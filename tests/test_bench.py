@@ -238,6 +238,17 @@ class TestReproducibility:
         }
         assert BenchConfig.from_dict(blob) == cfg
 
+    @pytest.mark.parametrize("key,value,least", [
+        ("folds", 0, 2), ("folds", 1, 2), ("folds", 2.0, 2),
+        ("min_leaf", 0, 1), ("min_leaf", "5", 1),
+    ])
+    def test_cart_settings_checked(self, key, value, least):
+        message = rf"^cart {key} must be an integer >= {least}, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            CartSettings(**{key: value})
+        with pytest.raises(ValueError, match=message):
+            BenchConfig.from_dict({"cart": {key: value}})
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             BenchConfig(datasets={"A": 1.5})

@@ -428,6 +428,16 @@ class TestPruneSequence:
         with pytest.raises(ValueError, match=message):
             prune_sequence(tree, X, y, folds=5, seed=0)
 
+    @pytest.mark.parametrize("folds", [0, 1, 41])
+    def test_folds_outside_two_to_samples_rejected(self, folds, monkeypatch):
+        # no silent clamp: folds 0, 1 and 2 used to give the same costs
+        X, y = self._data(n=40)
+        tree = grow(X, y, min_leaf=5)
+        monkeypatch.setattr(cart, "grow", lambda *a, **k: pytest.fail("a fold tree was grown"))
+        message = rf"^folds must be in \[2, 40\] for 40 samples, got {folds}$"
+        with pytest.raises(ValueError, match=message):
+            prune_sequence(tree, X, y, folds=folds, seed=0)
+
     @pytest.mark.parametrize("seed,quantized,min_leaf", [
         (0, False, 5), (1, False, 2), (2, True, 3), (3, True, 1),
     ])

@@ -182,6 +182,16 @@ class TestTrain:
         assert code == 1
         assert "populaton" in err
 
+    def test_bad_cart_folds_is_usage_error(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "cart.json"
+        code, _, err = run_cli(
+            capsys, "train", "--model", "cart", "--data", str(data_csv),
+            "--out", str(out), "--config", '{"folds": 0}',
+        )
+        assert code == 1
+        assert "cart --config: cart folds must be an integer >= 2, got 0" in err
+        assert not out.exists()
+
     def test_epochs_for_cart_is_usage_error(self, data_csv, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "train", "--model", "cart", "--data", str(data_csv),
@@ -227,6 +237,14 @@ class TestBenchConfig:
         code, _, err = run_cli(capsys, "bench", "--out", str(tmp_path), "--config", config)
         assert code == 1
         assert key in err
+
+    def test_bad_cart_folds_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        config = '{"cart": {"folds": 0}}'
+        code, _, err = run_cli(capsys, "bench", "--out", str(out), "--config", config)
+        assert code == 1
+        assert "bench --config: cart folds must be an integer >= 2, got 0" in err
+        assert not out.exists()  # rejected before any cell runs
 
     def test_non_object_section_is_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "bench", "--out", str(tmp_path), "--config", '{"anfis": 5}')

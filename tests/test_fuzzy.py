@@ -367,7 +367,7 @@ class TestInputLayer:
             with np.errstate(over="ignore", under="ignore"):
                 Xc, memberships = layer.fuzzify(X)
             assert Xc.shape == X.shape and len(memberships) == len(variables)
-            for v, (var, mu) in enumerate(zip(variables, memberships)):
+            for v, (var, mu) in enumerate(zip(variables, (m.T for m in memberships))):
                 clipped = var.clip(X[:, v])
                 assert np.array_equal(Xc[:, v], clipped)
                 assert np.array_equal(np.signbit(Xc[:, v]), np.signbit(clipped))
@@ -393,10 +393,29 @@ class TestInputLayer:
         _, trace = forward_batch(anfis, X)
         per_var = [per_variable_oracle(var, X[:, v]) for v, var in enumerate(variables)]
         for mu, want in zip(trace.memberships, per_var):
-            assert np.array_equal(mu, want)
+            assert np.array_equal(mu.T, want)
         out, fired = mamdani.infer_batch(X)
         want_out, want_fired = dense_infer_batch(mamdani, X)
         assert np.array_equal(out, want_out) and np.array_equal(fired, want_fired)
+
+    def test_degrees_are_row_views_of_one_matrix(self):
+        # each input's (n_mfs, P) block is a C-contiguous view into the layer's degree matrix,
+        # and the rule layer reads those rows into a C-ordered (P, R) result
+        variables = mixed_variables()
+        X = awkward_rows(variables, 161, seed=6)
+        with np.errstate(over="ignore", under="ignore"):
+            _, memberships = InputLayer(variables).fuzzify(X)
+        matrix = memberships[0].base
+        assert matrix.shape == (sum(var.n_mfs for var in variables), 161)
+        for var, mu in zip(variables, memberships):
+            assert mu.shape == (var.n_mfs, 161) and mu.flags.c_contiguous
+            assert not mu.flags.owndata and mu.base is matrix and np.shares_memory(mu, matrix)
+        antecedents = np.array(grid_partition(variables))
+        start = np.random.default_rng(7).uniform(size=(len(antecedents), 161))
+        before = start.copy()
+        w = rule_strengths(memberships, antecedents, start)
+        assert w.shape == (161, len(antecedents)) and w.flags.c_contiguous
+        assert np.array_equal(start, before)
 
     @pytest.mark.parametrize("n_rows", [1, 160])
     def test_first_bad_variable_named(self, n_rows):
@@ -512,6 +531,24 @@ class TestEvaluation:
         # squares past the float range: neither an OverflowError nor a nan
         with pytest.raises(ValueError, match=r"trapezoid \(-1e\+200, .*\) has no finite centroid"):
             TrapezoidMF(-1e200, 0.0, 1.0, 1e200).centroid()
+
+    def test_tiny_gaussian_width_evaluates_quietly(self):
+        # (x - c) / sigma squares past the float range: degree 0, which used to come with
+        # an overflow RuntimeWarning; the degrees keep the bits of the unguarded formula
+        mf = GaussianMF(0.0, 1e-160)
+        var = LinguisticVariable("x", 0.0, 1.0, [mf, GaussianMF(1.0, 0.5)])
+        x = np.array([0.0, 1e-170, 1e-150, 0.5, 1.0])
+        with np.errstate(over="ignore"):
+            want = np.exp(-0.5 * (x / 1e-160) * (x / 1e-160))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mf.evaluate(0.5) == 0.0
+            layer_rows = InputLayer([var]).fuzzify(x[:, None])[1][0]
+            got = [mf.evaluate(x), var.fuzzify(x)[:, 0], layer_rows[0]]
+        assert want[0] == 1.0 and want[-1] == 0.0
+        for degrees in got:
+            assert np.array_equal(degrees, want)
+            assert np.array_equal(np.signbit(degrees), np.signbit(want))
 
     def test_range_invariant_random_draws(self):
         rng = np.random.default_rng(0)
@@ -927,23 +964,26 @@ class TestRuleKernels:
 
     @staticmethod
     def _case(X, n_mfs=(3, 2, 2)):
-        """Triangle degrees of X, the grid antecedent table and a random coef."""
+        """Triangle degrees of X, (n_mfs, P) per input, the grid antecedent table and a
+        random (P, R) coef."""
         variables = [
             LinguisticVariable.uniform(f"x{v}", 0.0, 1.0, m, shape="triangle")
             for v, m in enumerate(n_mfs)
         ]
-        memberships = [var.fuzzify(X[:, v]) for v, var in enumerate(variables)]
+        memberships = [var.fuzzify(X[:, v]).T for v, var in enumerate(variables)]
         antecedents = np.array(grid_partition(variables))
         coef = np.random.default_rng(31).normal(size=(X.shape[0], antecedents.shape[0]))
         return memberships, antecedents, coef
 
     @staticmethod
     def _assert_matches(memberships, antecedents, coef, start):
+        """The kernels on (n_mfs, P) degrees and an (R, P) start, the oracles on the transposes."""
         before = start.copy()
+        old_layout = [mu.T for mu in memberships]
         got = rule_strengths(memberships, antecedents, start)
-        assert np.array_equal(got, reference_strengths(memberships, antecedents, start))
+        assert np.array_equal(got, reference_strengths(old_layout, antecedents, start.T))
         grads = strength_backprop(memberships, antecedents, coef, start)
-        want = reference_backprop(memberships, antecedents, coef, start)
+        want = reference_backprop(old_layout, antecedents, coef, start.T)
         assert len(grads) == len(want)
         for g, w in zip(grads, want):
             assert np.array_equal(g, w)
@@ -955,7 +995,7 @@ class TestRuleKernels:
         X = np.array([[0.9, 0.3, 0.6], [0.2, 0.5, 1.0], [0.45, 0.0, 0.75]])
         memberships, antecedents, coef = self._case(X)
         assert memberships[0][0, 0] == 0.0
-        got, grads = self._assert_matches(memberships, antecedents, coef, np.ones(coef.shape))
+        got, grads = self._assert_matches(memberships, antecedents, coef, np.ones(coef.T.shape))
         assert np.all(got[0, antecedents[:, 0] == 0] == 0.0)
         # the rules using that MF still pass the other inputs' degrees back to it
         assert np.all(np.isfinite(grads[0])) and grads[0][0, 0] != 0.0
@@ -965,7 +1005,7 @@ class TestRuleKernels:
         memberships, _, _ = self._case(X)
         antecedents = np.zeros((0, 3), dtype=int)
         no_rules = np.zeros((5, 0))
-        got, grads = self._assert_matches(memberships, antecedents, no_rules, no_rules + 1.0)
+        got, grads = self._assert_matches(memberships, antecedents, no_rules, no_rules.T + 1.0)
         assert got.shape == (5, 0)
         assert [g.shape for g in grads] == [(3, 5), (2, 5), (2, 5)]
         assert not any(g.any() for g in grads)
@@ -975,7 +1015,7 @@ class TestRuleKernels:
         X = rng.uniform(-0.1, 1.1, size=(40, 3))
         memberships, antecedents, coef = self._case(X)
         weights = rng.uniform(0.05, 1.0, size=antecedents.shape[0])
-        self._assert_matches(memberships, antecedents, coef, np.tile(weights, (40, 1)))
+        self._assert_matches(memberships, antecedents, coef, np.tile(weights, (40, 1)).T)
 
 
 def _one_row_models(shape, seed):

@@ -260,6 +260,18 @@ class TestGdTune:
         with pytest.raises(ValueError):
             gd_tune(model, X, y, learning_rate=-0.1)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"momentum": np.nan}, "momentum must be finite, got nan"),
+        ({"momentum": -np.inf}, "momentum must be finite, got -inf"),
+        ({"learning_rate": np.inf}, "learning_rate must be finite and >= 0, got inf"),
+        ({"learning_rate": np.nan}, "learning_rate must be finite and >= 0, got nan"),
+    ])
+    def test_non_finite_step_named(self, kwargs, message):
+        # these used to fail inside decode_centers, naming a triangle's knots
+        model, X, y = tace_style_model(np.random.default_rng(7))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gd_tune(model, X, y, **kwargs)
+
 
 class TestGaOptimize:
     def test_elitism_monotone_best_fitness(self):

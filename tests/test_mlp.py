@@ -327,6 +327,16 @@ class TestScg:
         with pytest.raises(ValueError):
             scg_train(mlp_init(2, 2), (np.zeros((2, 2)), np.zeros(2)), None, epochs=0)
 
+    @pytest.mark.parametrize("args,message", [
+        ((4, 0), "hidden_units must be an integer >= 1, got 0"),
+        ((0, 3), "input_dim must be an integer >= 1, got 0"),
+        ((4, 2.5), "hidden_units must be an integer >= 1, got 2.5"),
+    ])
+    def test_init_names_a_bad_size(self, args, message):
+        # (4, 0) used to warn of a division by zero, then raise an OverflowError from the RNG
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mlp_init(*args)
+
     def test_init_is_seeded_and_bounded(self):
         a = mlp_init(4, 10, seed=9)
         b = mlp_init(4, 10, seed=9)
