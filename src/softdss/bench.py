@@ -23,8 +23,8 @@ import numpy as np
 from . import cart as cart_mod
 from . import tace
 from .anfis import AnfisModel, anfis_train
-from .errors import finite_data
-from .fuzzy import LinguisticVariable
+from .errors import finite_data, is_finite_number
+from .fuzzy import MF_SHAPES, LinguisticVariable
 from .mamdani import GaConfig, ga_optimize, gd_tune, wang_mendel
 from .mlp import mlp_init, scg_train
 from .modelio import load_model, save_model
@@ -41,12 +41,36 @@ SCORE_LABELS = ("bad", "acceptable", "good")
 COMPARED_PARADIGMS = ("anfis", "mamdani-ga", "mlp", "cart")
 
 
+def _check_ints(section: str, settings, least: dict) -> None:
+    """ValueError naming the first field of `least` that is not an integer >= its bound."""
+    for name, bound in least.items():
+        value = getattr(settings, name)
+        if not (type(value) is int and value >= bound):  # JSON true and 2.0 are not integers
+            raise ValueError(f"{section} {name} must be an integer >= {bound}, got {value!r}")
+
+
+def _check_number(section: str, settings, name: str, ok, want: str) -> None:
+    value = getattr(settings, name)
+    if not (is_finite_number(value) and ok(value)):
+        raise ValueError(f"{section} {name} must be {want}, got {value!r}")
+
+
 @dataclass
 class AnfisSettings:
     epochs: int = 15
     mf_count: int = 3
     shapes: tuple = ("gaussian", "gbell", "trapezoid", "triangle")
     step_size: float = 0.01
+
+    def __post_init__(self):
+        _check_ints("anfis", self, {"epochs": 1, "mf_count": 1})
+        shapes = self.shapes
+        if not (isinstance(shapes, (list, tuple)) and all(s in MF_SHAPES for s in shapes)
+                and len(set(shapes)) == len(shapes)):
+            raise ValueError(f"anfis shapes must be distinct names from {sorted(MF_SHAPES)}, "
+                             f"got {shapes!r}")
+        self.shapes = tuple(shapes)
+        _check_number("anfis", self, "step_size", lambda v: v > 0, "a finite number > 0")
 
 
 @dataclass
@@ -62,6 +86,17 @@ class MamdaniSettings:
     tournament_size: int = 3
     elite_count: int = 1
 
+    def __post_init__(self):
+        _check_ints("mamdani", self, {"input_mfs": 1, "output_mfs": 1, "gd_epochs": 1,
+                                      "population": 2, "generations": 1, "tournament_size": 1,
+                                      "elite_count": 0})
+        if not self.elite_count < self.population:
+            raise ValueError(f"mamdani elite_count must be < population ({self.population}), "
+                             f"got {self.elite_count}")
+        _check_number("mamdani", self, "learning_rate", lambda v: v >= 0, "a finite number >= 0")
+        _check_number("mamdani", self, "momentum", lambda v: True, "a finite number")
+        _check_number("mamdani", self, "mutation_rate", lambda v: 0 <= v <= 1, "a number in [0, 1]")
+
 
 @dataclass
 class MlpSettings:
@@ -75,10 +110,7 @@ class CartSettings:
     folds: int = 10
 
     def __post_init__(self):
-        for name, least in (("min_leaf", 1), ("folds", 2)):
-            value = getattr(self, name)
-            if not (type(value) is int and value >= least):
-                raise ValueError(f"cart {name} must be an integer >= {least}, got {value!r}")
+        _check_ints("cart", self, {"min_leaf": 1, "folds": 2})
 
 
 @dataclass
@@ -94,13 +126,21 @@ class BenchConfig:
     cart: CartSettings = field(default_factory=CartSettings)
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        seeds = self.seeds
+        if not (isinstance(seeds, (list, tuple)) and seeds
+                and all(type(s) is int and s >= 0 for s in seeds)
+                and len(set(seeds)) == len(seeds)):  # a repeated seed would rewrite its runs
+            raise ValueError(f"seeds must be distinct integers >= 0, at least one, got {seeds!r}")
+        self.seeds = tuple(seeds)
+        _check_ints("config", self, {"n": 1, "data_seed": 0})
         for name, frac in self.datasets.items():
-            if not 0.0 < frac < 1.0:
+            if not (is_finite_number(frac) and 0.0 < frac < 1.0):
                 raise ValueError(f"dataset {name!r} fraction must be in (0, 1), got {frac}")
+        # `tace.split`'s training rows; CART cross-validates on them
+        rows = min((int(round(self.n * frac)) for frac in self.datasets.values()), default=None)
+        if rows is not None and self.cart.folds > rows:
+            raise ValueError(f"cart.folds must be <= {rows}, the rows of the smallest training "
+                             f"split for n = {self.n}, got {self.cart.folds}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchConfig":
@@ -113,10 +153,6 @@ class BenchConfig:
                     raise ValueError(f"config section {key!r} must be an object")
                 check_keys(kwargs[key], field_names(sub), key)
                 kwargs[key] = sub(**kwargs[key])
-        if "seeds" in kwargs:
-            kwargs["seeds"] = tuple(kwargs["seeds"])
-        if "anfis" in kwargs:
-            kwargs["anfis"] = replace(kwargs["anfis"], shapes=tuple(kwargs["anfis"].shapes))
         return cls(**kwargs)
 
 

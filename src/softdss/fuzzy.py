@@ -9,10 +9,13 @@ table, built once per model, and fuzzifies every input of a batch with one
 kernel call per shape present; a lone variable's `fuzzify` is the one-input
 case.  Each class's `location` names the parameters that "moving the
 center" shifts; from it the base class derives `translate` and
-`center_gradient` for all four.  The `project` classmethod repairs raw
-parameters after a gradient step: the base version sorts the knots of the
-piecewise-linear shapes and pulls their center into range, and the gaussian
-and gbell override it with their width floors.
+`center_gradient` for all four.  The static `gradients` and `center_of`
+kernels take the same (k, 1) parameter arrays as `degrees`, so a layer
+moves its centers (`InputLayer.moved`) and differentiates by them
+(`center_gradients`) without an MF object.  The `project` classmethod
+repairs raw parameters after a gradient step: the base version sorts the
+knots of the piecewise-linear shapes and pulls their center into range, and
+the gaussian and gbell override it with their width floors.
 
 Both fuzzy systems share the rule layer: a rule fires with the product of
 its antecedent degrees (`rule_strengths`); `strength_backprop` differentiates it.
@@ -25,6 +28,7 @@ output sets on it and each set's rule columns once, at its first inference.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,7 +53,9 @@ _MIN_WIDTH_FACTOR = 1e-6
 class MembershipFunction:
     """Base of the four shapes: the constructor takes the parameters in `__slots__` order,
     and `location` holds the indices of those a center move shifts.  Each shape's static
-    `degrees(x, *params)` evaluates it, broadcasting `x` against scalar or array parameters."""
+    kernels broadcast `x` against scalar or (k, 1) array parameters: `degrees(x, *params)`
+    evaluates it, `gradients(x, *params)` gives d degree / d parameter, one array per
+    parameter, and `center_of(*params)` its center."""
 
     __slots__ = ()
     location: tuple[int, ...] = ()
@@ -64,6 +70,14 @@ class MembershipFunction:
     def evaluate(self, x):
         return self.degrees(np.asarray(x, dtype=float), *self.params)
 
+    def gradient(self, x):
+        """d degree / d parameter at x; the last axis runs over the parameters."""
+        return np.stack(self.gradients(np.asarray(x, dtype=float), *self.params), axis=-1)
+
+    @property
+    def center(self) -> float:
+        return self.center_of(*self.params)
+
     def centroid(self) -> float:
         return self.center  # by symmetry; the piecewise-linear shapes override it
 
@@ -77,6 +91,16 @@ class MembershipFunction:
     def center_gradient(self, x):
         """d degree / d center: the parameter gradient summed over `location`."""
         return self.gradient(x)[..., self.location].sum(axis=-1)
+
+    @classmethod
+    def center_gradients(cls, x, *params):
+        """`center_gradient` bit for bit, for scalar or (k, 1) parameters: numpy sums the
+        `location` gradients in order from 0.0, so a lone -0.0 comes out 0.0."""
+        grads = cls.gradients(x, *params)
+        total = 0.0
+        for i in cls.location:
+            total = total + grads[i]
+        return total
 
     @classmethod
     def project(cls, params, lo, hi) -> "MembershipFunction":
@@ -104,24 +128,27 @@ class GaussianMF(MembershipFunction):
             z = (x - c) / sigma
             return np.exp(-0.5 * z * z)
 
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x - self.c
+    @staticmethod
+    def gradients(x, c, sigma):
+        d = x - c
         # a huge sigma cubes to inf, not to an OverflowError; a tiny one to 0, handled below
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            mu = self.evaluate(x)
-            sigma2, sigma3 = np.float64(self.sigma) ** 2, np.float64(self.sigma) ** 3
+            mu = GaussianMF.degrees(x, c, sigma)
+            sigma2, sigma3 = _powers(sigma, 2), _powers(sigma, 3)
             dc = mu * d / sigma2
             ds = mu * d * d / sigma3
-            if sigma3 == 0:  # every ds is 0/0 or x/0: divide by sigma once per power instead
-                z = np.where(mu > 0, d / self.sigma, 0.0)  # a zero degree has a zero gradient
-                dc = np.where(np.isfinite(dc), dc, mu * z / self.sigma)
-                ds = mu * z * z / self.sigma
-        return np.stack([dc, ds], axis=-1)
+            tiny = sigma3 == 0
+            if np.any(tiny):  # every ds is 0/0 or x/0: divide by sigma once per power instead
+                z = np.where(mu > 0, d / sigma, 0.0)  # a zero degree has a zero gradient
+                dc = np.where(tiny & ~np.isfinite(dc), mu * z / sigma, dc)
+                ds = np.where(tiny, mu * z * z / sigma, ds)
+        return dc, ds
 
-    @property
-    def center(self) -> float:
-        return self.c
+    gradient = MembershipFunction.gradient  # each shape's own: perfbench wraps it by class
+
+    @staticmethod
+    def center_of(c, sigma):
+        return c
 
     @classmethod
     def project(cls, params, lo, hi) -> "GaussianMF":
@@ -149,36 +176,41 @@ class GBellMF(MembershipFunction):
         return z * z
 
     @staticmethod
+    def _u(t, b):
+        """t ** b; over (k, 1) parameters one scalar exponent per MF row: numpy squares a
+        scalar 2 exactly, while an exponent array takes its SIMD pow, whose last bit differs."""
+        if np.ndim(b) == 0:
+            return t**b
+        return np.stack([row**e for row, e in zip(t, np.ravel(b))])
+
+    @staticmethod
     def degrees(x, a, b, c):
         t = GBellMF._t(x, a, c)
         with np.errstate(over="ignore"):
-            if np.ndim(b) == 0:
-                u = t**b
-            else:
-                # one scalar exponent per MF row: numpy squares a scalar 2 exactly, while an
-                # exponent array takes its SIMD pow, whose last bit differs
-                u = np.stack([row**e for row, e in zip(t, np.ravel(b))])
+            u = GBellMF._u(t, b)
         return 1.0 / (1.0 + u)
 
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
+    @staticmethod
+    def gradients(x, a, b, c):
         with np.errstate(over="ignore", invalid="ignore"):
-            t = self._t(x, self.a, self.c)
-            u = t**self.b
+            t = GBellMF._t(x, a, c)
+            u = GBellMF._u(t, b)
             mu = 1.0 / (1.0 + u)
             core = u * mu * mu  # u / (1 + u)^2, -> 0 for u -> inf
         core = np.where(np.isfinite(u), core, 0.0)
         pos = t > 0
-        da = 2.0 * self.b * core / self.a
+        da = 2.0 * b * core / a
         with np.errstate(divide="ignore", invalid="ignore"):
             # where t overflows to inf, core is 0 and so is db's limit: log(1) keeps 0 * inf out
             db = np.where(pos, -core * np.log(np.where(pos & (t < np.inf), t, 1.0)), 0.0)
-            dc = np.where(pos, 2.0 * self.b * core / np.where(pos, x - self.c, 1.0), 0.0)
-        return np.stack([da, db, dc], axis=-1)
+            dc = np.where(pos, 2.0 * b * core / np.where(pos, x - c, 1.0), 0.0)
+        return da, db, dc
 
-    @property
-    def center(self) -> float:
-        return self.c
+    gradient = MembershipFunction.gradient  # each shape's own: perfbench wraps it by class
+
+    @staticmethod
+    def center_of(a, b, c):
+        return c
 
     @classmethod
     def project(cls, params, lo, hi) -> "GBellMF":
@@ -200,21 +232,12 @@ def _ramps(rising, falling):
     return np.fmax(np.minimum(rising, falling), 0.0) + 0.0
 
 
-def _trapezoid_gradient(x, a, b, c, d):
-    """d degree / d (a, b, c, d) of a trapezoid; at a kink, the derivative from the left."""
-    zeros = np.zeros(np.shape(x))
-    da, db, dc, dd = zeros, zeros, zeros, zeros
-    with np.errstate(over="ignore"):  # a gap past 1e154 squares to inf, not to an OverflowError
-        rise, fall = np.float64(b - a) ** 2, np.float64(d - c) ** 2
-    if b > a:
-        r = (x > a) & (x <= b)
-        da = np.where(r, (x - b) / rise, zeros)
-        db = np.where(r, -(x - a) / rise, zeros)
-    if d > c:
-        f = (x > c) & (x <= d)
-        dc = np.where(f, (d - x) / fall, zeros)
-        dd = np.where(f, (x - c) / fall, zeros)
-    return np.stack([da, db, dc, dd], axis=-1)
+def _powers(v, e):
+    """v ** e as numpy's scalar power, element by element: an array power can differ in the
+    last bit, so a (k, 1) parameter array gets the bits of each MF's own scalar power."""
+    if np.ndim(v) == 0:
+        return np.float64(v) ** e
+    return np.array([np.float64(s) ** e for s in np.ravel(v)]).reshape(np.shape(v))
 
 
 class TrapezoidMF(MembershipFunction):
@@ -236,12 +259,22 @@ class TrapezoidMF(MembershipFunction):
             falling = (d - x) / (d - c)
         return np.where((x >= b) & (x <= c), 1.0, _ramps(rising, falling))
 
-    def gradient(self, x):
-        return _trapezoid_gradient(np.asarray(x, dtype=float), self.a, self.b, self.c, self.d)
+    @staticmethod
+    def gradients(x, a, b, c, d):
+        """At a kink, the derivative from the left; a ramp of zero width has none."""
+        with np.errstate(over="ignore"):  # a gap past 1e154 squares to inf, not to an OverflowError
+            rise, fall = _powers(b - a, 2), _powers(d - c, 2)
+        r = (x > a) & (x <= b) & (b > a)
+        f = (x > c) & (x <= d) & (d > c)
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero widths: masked out below
+            return (np.where(r, (x - b) / rise, 0.0), np.where(r, -(x - a) / rise, 0.0),
+                    np.where(f, (d - x) / fall, 0.0), np.where(f, (x - c) / fall, 0.0))
 
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.b + self.c)
+    gradient = MembershipFunction.gradient  # each shape's own: perfbench wraps it by class
+
+    @staticmethod
+    def center_of(a, b, c, d):
+        return 0.5 * (b + c)
 
     def centroid(self) -> float:
         den = 3.0 * ((self.d + self.c) - (self.a + self.b))
@@ -271,16 +304,18 @@ class TriangleMF(MembershipFunction):
     def degrees(x, a, b, c):
         return TrapezoidMF.degrees(x, a, b, b, c)
 
-    def gradient(self, x):
+    @staticmethod
+    def gradients(x, a, b, c):
         # the trapezoid with b == c; the peak's two columns never both hold a ramp, and
         # picking the live one (not summing) keeps the sign of an underflowed -0.0
-        x = np.asarray(x, dtype=float)
-        g = _trapezoid_gradient(x, self.a, self.b, self.b, self.c)
-        return np.stack([g[..., 0], np.where(x > self.b, g[..., 2], g[..., 1]), g[..., 3]], axis=-1)
+        da, db, dc, dd = TrapezoidMF.gradients(x, a, b, b, c)
+        return da, np.where(x > b, dc, db), dd
 
-    @property
-    def center(self) -> float:
-        return self.b
+    gradient = MembershipFunction.gradient  # each shape's own: perfbench wraps it by class
+
+    @staticmethod
+    def center_of(a, b, c):
+        return b
 
     def centroid(self) -> float:
         return (self.a + self.b + self.c) / 3.0
@@ -422,16 +457,18 @@ class InputLayer:
     """The input side of a fuzzy model: every input MF's parameters in one table.
 
     The table groups the MFs by shape class and holds each one's input and
-    its row in a (total MFs, P) degree matrix.  `fuzzify` checks, clips and
-    fuzzifies a whole (P, n_inputs) batch with one kernel call per shape
-    present, whatever the number of inputs.  The kernels are elementwise, so
-    each degree has the bits of that MF's own `evaluate`.  Built from the
-    variables' MFs once: change MFs through `replace_mfs`.
+    its row in a (total MFs, P) degree matrix; rows run variable by variable,
+    MF by MF.  `fuzzify` checks, clips and fuzzifies a whole (P, n_inputs)
+    batch with one kernel call per shape present, whatever the number of
+    inputs.  The kernels are elementwise, so each degree has the bits of that
+    MF's own `evaluate`.  Built from the variables' MFs once: change MFs
+    through `replace_mfs`, or move the table's centers with `moved`.
     """
 
     def __init__(self, variables):
         variables = list(variables)
         self.names = [var.name for var in variables]
+        self.labels = [var.labels for var in variables]
         self.lo = np.array([[var.lo] for var in variables])
         self.hi = np.array([[var.hi] for var in variables])
         self.bounds = list(itertools.accumulate((var.n_mfs for var in variables), initial=0))
@@ -467,18 +504,67 @@ class InputLayer:
         return columns.T
 
     def fuzzify(self, X) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(clipped X as `clip` returns it, per input its (n_mfs, P) degrees).
-
-        Each shape's kernel runs over a (its MFs, P) gather of the clipped
-        inputs, so numpy's inner loops run over the samples.  Each input's
-        degrees are a C-contiguous row block of the one (total MFs, P)
-        degree matrix: views, not copies.
-        """
+        """(clipped X as `clip` returns it, `degrees` of it)."""
         Xc = self.clip(X)
+        return Xc, self.degrees(Xc)
+
+    def _rows(self, kernel: str, Xc) -> np.ndarray:
+        """(total MFs, P): each shape's `kernel` over a (its MFs, P) gather of the clipped
+        inputs, so numpy's inner loops run over the samples."""
         rows = np.empty((self.bounds[-1], Xc.shape[0]))
         for cls, source, at, params in self.kernels:
-            rows[at] = cls.degrees(Xc.T[source], *params)
-        return Xc, [rows[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
+            rows[at] = getattr(cls, kernel)(Xc.T[source], *params)
+        return rows
+
+    def degrees(self, Xc) -> list[np.ndarray]:
+        """Per input its (n_mfs, P) degrees at `Xc`, inputs already clipped by `clip`.
+
+        Each input's degrees are a C-contiguous row block of the one (total
+        MFs, P) degree matrix: views, not copies.
+        """
+        rows = self._rows("degrees", Xc)
+        return [rows[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
+
+    def center_gradients(self, Xc) -> np.ndarray:
+        """(total MFs, P): each MF's `center_gradient` at its input's column of clipped `Xc`."""
+        return self._rows("center_gradients", Xc)
+
+    def centers(self) -> np.ndarray:
+        """Every MF's center, in row order."""
+        out = np.empty(self.bounds[-1])
+        for cls, _, at, params in self.kernels:
+            out[at] = np.ravel(cls.center_of(*params))
+        return out
+
+    def moved(self, deltas) -> "InputLayer":
+        """The layer with MF row r translated by deltas[r], with `translate`'s bits.
+
+        A moved center outside its variable's range (or nan) raises the
+        ValueError that the moved MFs and their `LinguisticVariable` raise.
+        """
+        deltas = np.asarray(deltas, dtype=float)
+        layer = copy.copy(self)
+        layer.kernels, in_range = [], True
+        for cls, source, at, params in self.kernels:
+            shift = deltas[at][:, None]
+            params = tuple(p + shift if i in cls.location else p for i, p in enumerate(params))
+            c = cls.center_of(*params)
+            in_range = in_range and bool(np.all((self.lo[source] <= c) & (c <= self.hi[source])))
+            layer.kernels.append((cls, source, at, params))
+        if not in_range:
+            layer.to_variables()  # the variables' own check names the first bad MF
+        return layer
+
+    def to_variables(self) -> list[LinguisticVariable]:
+        """The layer's variables with the MFs its table holds, as `moved` left them."""
+        mfs = [None] * self.bounds[-1]
+        for cls, _, at, params in self.kernels:
+            for i, row in enumerate(at):
+                mfs[row] = cls(*(float(p[i, 0]) for p in params))
+        ranges = zip(self.lo[:, 0].tolist(), self.hi[:, 0].tolist())
+        return [LinguisticVariable(name, lo, hi, mfs[a:b], labels)
+                for name, labels, (lo, hi), a, b in zip(
+                    self.names, self.labels, ranges, self.bounds, self.bounds[1:])]
 
 
 def inputs_from_dict(d: dict, kind: str, n_inputs: int) -> list[LinguisticVariable]:
@@ -601,6 +687,10 @@ class MamdaniModel:
         return InputLayer(self.inputs)
 
     @cached_property
+    def output_layer(self) -> InputLayer:
+        return InputLayer([self.output])
+
+    @cached_property
     def rule_weights(self) -> np.ndarray:
         return np.array([r.weight for r in self.rules], dtype=float)
 
@@ -622,9 +712,14 @@ class MamdaniModel:
         return _read_only(self.output_grid())
 
     @cached_property
+    def grid_column(self) -> np.ndarray:
+        """The output grid as `output_layer.clip` returns it, for `output_layer.degrees`."""
+        return _read_only(self.output_layer.clip(self._grid[:, None]))
+
+    @cached_property
     def consequent_sets(self) -> np.ndarray:
         """(n_output_mfs, grid points) degrees of every output set on the output grid."""
-        return _read_only(InputLayer([self.output]).fuzzify(self._grid[:, None])[1][0])
+        return _read_only(self.output_layer.degrees(self.grid_column)[0])
 
     @cached_property
     def consequent_rules(self) -> list[np.ndarray]:
@@ -641,7 +736,12 @@ class MamdaniModel:
         fired_mask); a sample no rule fires for gets the midpoint of the
         output range and a False flag.
         """
-        _, mu = self.input_layer.fuzzify(X)
+        return self.infer_degrees(self.input_layer.fuzzify(X)[1], self.consequent_sets)
+
+    def infer_degrees(self, mu, cons_vals) -> tuple[np.ndarray, np.ndarray]:
+        """`infer_batch` from the input degrees `mu`, per input (n_mfs, P), and the output
+        sets `cons_vals` on the output grid, through this model's rules: a tuner passes the
+        degrees and sets of a moved table."""
         P = mu[0].shape[1]
         acts = rule_strengths(mu, self.antecedent_index)
         acts *= self.rule_weights
@@ -650,7 +750,7 @@ class MamdaniModel:
         for j, cols in enumerate(self.consequent_rules):
             if cols.size:
                 act_by_cons[:, j] = acts[:, cols].max(axis=1)
-        grid, cons_vals = self._grid, self.consequent_sets
+        grid = self._grid
         # max over consequents of activation x consequent set, one row block
         # at a time so the product temporary stays cache-sized
         agg = np.empty((P, grid.size))

@@ -15,10 +15,15 @@ Parameters are then tuned two ways:
 * `ga_optimize` - a real-valued genetic algorithm over the same centers with
   tournament selection, one-point crossover, re-initialising mutation and
   elitism, scored by the full pipeline RMSE.
+
+Both tuners move the centers in the model's input and output layer tables
+(`InputLayer.moved`), with the bits `decode_centers` gives, and build a
+model only for the result.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -49,14 +54,15 @@ def wang_mendel(X, y, inputs, output) -> MamdaniModel:
     for d in in_deg[1:]:
         degree = degree * d
     degree = degree * mu_out.max(axis=1)
-    best: dict[tuple, tuple[float, int]] = {}
-    for p in range(X.shape[0]):
-        ant = tuple(int(idx[p]) for idx in in_idx)
-        if ant not in best or degree[p] > best[ant][0]:
-            best[ant] = (float(degree[p]), int(out_idx[p]))
+    # rows by antecedent, then by falling degree; the sort is stable, so among rows of one
+    # antecedent and the maximal degree the first row leads its group
+    order = np.lexsort([-degree] + in_idx[::-1])
+    ants = np.stack(in_idx, axis=1)[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (ants[1:] != ants[:-1]).any(axis=1)
     rules = [
-        MamdaniRule(ant, cons, weight)
-        for ant, (weight, cons) in sorted(best.items())
+        MamdaniRule(tuple(map(int, ant)), int(out_idx[p]), float(degree[p]))
+        for ant, p in zip(ants[first], order[first])
     ]
     return MamdaniModel(inputs=list(inputs), output=output, rules=rules)
 
@@ -81,7 +87,10 @@ def encode_centers(model: MamdaniModel) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def decode_centers(model: MamdaniModel, genes) -> MamdaniModel:
-    """Rebuild the model with every MF translated so its center hits the gene."""
+    """Rebuild the model with every MF translated so its center hits the gene.
+
+    The tuners get the same bits from `_moved_layers` without building a model.
+    """
     genes = np.asarray(genes, dtype=float)
     pos = 0
     new_vars = []
@@ -95,44 +104,65 @@ def decode_centers(model: MamdaniModel, genes) -> MamdaniModel:
     return MamdaniModel(inputs=new_vars[:-1], output=new_vars[-1], rules=model.rules)
 
 
+def _moved_layers(layer, out_layer, genes, lo, hi):
+    """The input and output layer tables with every center moved to its gene, clipped, as
+    `decode_centers` moves the MFs of the model the tables hold."""
+    deltas = np.clip(genes, lo, hi) - np.concatenate([layer.centers(), out_layer.centers()])
+    n_in = layer.bounds[-1]
+    return layer.moved(deltas[:n_in]), out_layer.moved(deltas[n_in:])
+
+
 # ---------------------------------------------------------------------------
 # gradient-descent tuning
 # ---------------------------------------------------------------------------
 
-def _surrogate_forward(model: MamdaniModel, X):
-    """Differentiable stand-in: activation-weighted average of consequent centroids."""
-    xc, mu = model.input_layer.fuzzify(X)
+def _centroids(output) -> np.ndarray:
+    return np.array([mf.centroid() for mf in output.mfs])
+
+
+def _surrogate_forward(model: MamdaniModel, mu, z):
+    """Differentiable stand-in: activation-weighted average of consequent centroids.
+
+    `mu` are the input degrees and `z` the output sets' centroids, the model's
+    own or those of moved tables; the model gives the rules.
+    """
     acts = rule_strengths(mu, model.antecedent_index, model.rule_weights[:, None])
-    z = np.array([mf.centroid() for mf in model.output.mfs])[model.consequent_index]
+    z = z[model.consequent_index]
     den = acts.sum(axis=1)
     fired = den > 0
     safe = np.where(fired, den, 1.0)
     yhat = np.where(fired, (acts @ z) / safe, model.midpoint)
-    return yhat, acts, den, fired, mu, z, xc
+    return yhat, acts, den, fired, mu, z
+
+
+def _surrogate(model: MamdaniModel, X):
+    """(clipped X, `_surrogate_forward` of the model's own tables)."""
+    xc, mu = model.input_layer.fuzzify(X)
+    return xc, _surrogate_forward(model, mu, _centroids(model.output))
 
 
 def surrogate_rmse(model: MamdaniModel, X, y) -> float:
-    return rmse(_surrogate_forward(model, X)[0] - np.asarray(y, dtype=float))
+    return rmse(_surrogate(model, X)[1][0] - np.asarray(y, dtype=float))
 
 
 def surrogate_gradient(model: MamdaniModel, X, y) -> np.ndarray:
     """Gradient of the mean squared surrogate error w.r.t. the center vector."""
-    return _surrogate_backward(model, y, _surrogate_forward(model, X))
+    xc, forward = _surrogate(model, X)
+    return _surrogate_backward(model, y, forward, model.input_layer.center_gradients(xc))
 
 
-def _surrogate_backward(model: MamdaniModel, y, forward) -> np.ndarray:
-    """`surrogate_gradient` from an existing `_surrogate_forward(model, X)` result."""
+def _surrogate_backward(model: MamdaniModel, y, forward, slopes) -> np.ndarray:
+    """`surrogate_gradient` from a `_surrogate_forward` result and the input layer's
+    `center_gradients` at the same clipped X."""
     y = np.asarray(y, dtype=float)
-    yhat, acts, den, fired, mu, z, xc = forward
+    yhat, acts, den, fired, mu, z = forward
     P = acts.shape[0]
     safe = np.where(fired, den, 1.0)
     r_err = (yhat - y) / P                                   # d(mean 1/2 err^2)/d yhat
     coef = np.where(fired[:, None], r_err[:, None] * (z[None, :] - yhat[:, None]) / safe[:, None], 0.0)
     d_mu = strength_backprop(mu, model.antecedent_index, coef, model.rule_weights[:, None])
-    grads = []
-    for v, var in enumerate(model.inputs):
-        for j, mf in enumerate(var.mfs):
-            grads.append(float(mf.center_gradient(xc[:, v]) @ d_mu[v][j]))
+    # one product per MF row, each summed as the per-MF `center_gradient(x) @ d_mu` was
+    grads = [float(s @ d) for s, d in zip(slopes, itertools.chain.from_iterable(d_mu))]
     # output centers: d yhat / d z_j = sum of activations with consequent j / den
     act_over_den = np.where(fired[:, None], acts / safe[:, None], 0.0)
     for j in range(model.output.n_mfs):
@@ -149,7 +179,12 @@ def gd_tune(
     momentum: float = 0.3,
     epochs: int = 10,
 ) -> tuple[MamdaniModel, TrainReport]:
-    """Batch gradient descent with classical momentum on all MF centers."""
+    """Batch gradient descent with classical momentum on all MF centers.
+
+    Each epoch moves the layer tables from the epoch's own centers, as a
+    `decode_centers` of the previous epoch's model would; one model is built,
+    at the end.
+    """
     if not (np.isfinite(learning_rate) and learning_rate >= 0):
         raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")
     if not np.isfinite(momentum):
@@ -158,23 +193,27 @@ def gd_tune(
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     X, y = finite_data(X, y)
     genes, lo, hi = encode_centers(model)
+    xc = model.input_layer.clip(X)
+    layer, out_layer = model.input_layer, model.output_layer
     velocity = np.zeros_like(genes)
     curve = []
     initial = None
     start = time.perf_counter()
     for epoch in range(1, epochs + 1):
         # one surrogate pass gives the epoch's error and its gradient
-        forward = _surrogate_forward(model, X)
+        z = _centroids(out_layer.to_variables()[0])
+        forward = _surrogate_forward(model, layer.degrees(xc), z)
         err = rmse(forward[0] - y)
         curve.append(err)
         if initial is None:
             initial = err
         elif initial > 0 and err > 1e6 * initial:
             raise TrainingDivergedError(epoch, f"gd_tune diverged at epoch {epoch}")
-        grad = _surrogate_backward(model, y, forward)
+        grad = _surrogate_backward(model, y, forward, layer.center_gradients(xc))
         velocity = momentum * velocity - learning_rate * grad
         genes = np.clip(genes + velocity, lo, hi)
-        model = decode_centers(model, genes)
+        layer, out_layer = _moved_layers(layer, out_layer, genes, lo, hi)
+    model = MamdaniModel(layer.to_variables(), out_layer.to_variables()[0], model.rules)
     final_train = model.rmse(X, y)
     report = TrainReport(curve, final_train, None, time.perf_counter() - start, 0)
     return model, report
@@ -206,6 +245,21 @@ class GaConfig:
             raise ValueError("elite_count must be < population")
 
 
+def _fitness(model: MamdaniModel, X, y):
+    """genes -> -decode_centers(model, genes).rmse(X, y), bit for bit, from the model's
+    moved layer tables: X is checked and clipped once, and no model is built."""
+    y = np.asarray(y, dtype=float)
+    _, lo, hi = encode_centers(model)
+    xc = model.input_layer.clip(X)
+
+    def fitness(genes) -> float:
+        layer, out_layer = _moved_layers(model.input_layer, model.output_layer, genes, lo, hi)
+        sets = out_layer.degrees(model.grid_column)[0]
+        return -rmse(model.infer_degrees(layer.degrees(xc), sets)[0] - y)
+
+    return fitness
+
+
 def ga_optimize(
     model: MamdaniModel,
     X,
@@ -225,7 +279,9 @@ def ga_optimize(
     of the genes, so re-scoring a copy (an elite, a clone from crossover)
     would only repeat the same arithmetic.  A given `evaluations` counter
     gets "distinct", the genomes scored, and "lookups", the fitness values
-    the GA asked for.
+    the GA asked for.  A genome is scored on the base model's moved tables,
+    `-decode_centers(model, genes).rmse(X, y)` bit for bit; only the best is
+    decoded into a model.
     """
     X, y = finite_data(X, y)
     rng = np.random.default_rng(config.seed)
@@ -241,11 +297,12 @@ def ga_optimize(
         pop[1:] = rng.uniform(lo, hi, size=(config.population - 1, n_genes))
 
     scored: dict[bytes, float] = {}
+    fitness = _fitness(model, X, y)
 
     def fitness_of(genes):
         key = genes.tobytes()
         if key not in scored:
-            scored[key] = -decode_centers(model, genes).rmse(X, y)
+            scored[key] = fitness(genes)
         return scored[key]
 
     def tournament(fit):

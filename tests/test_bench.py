@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -248,6 +249,57 @@ class TestReproducibility:
             CartSettings(**{key: value})
         with pytest.raises(ValueError, match=message):
             BenchConfig.from_dict({"cart": {key: value}})
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("anfis", "epochs", 0, "anfis epochs must be an integer >= 1, got 0"),
+        ("anfis", "mf_count", 2.0, "anfis mf_count must be an integer >= 1, got 2.0"),
+        ("anfis", "shapes", ["nope"], "anfis shapes must be distinct names from "
+                                      "['gaussian', 'gbell', 'trapezoid', 'triangle'], got ['nope']"),
+        ("anfis", "shapes", "gaussian", "anfis shapes must be distinct names from "
+                                        "['gaussian', 'gbell', 'trapezoid', 'triangle'], got 'gaussian'"),
+        ("anfis", "shapes", ["gbell", "gbell"], "anfis shapes must be distinct names from "
+                                                "['gaussian', 'gbell', 'trapezoid', 'triangle'], "
+                                                "got ['gbell', 'gbell']"),
+        ("anfis", "step_size", 0, "anfis step_size must be a finite number > 0, got 0"),
+        ("anfis", "step_size", "0.1", "anfis step_size must be a finite number > 0, got '0.1'"),
+        ("mamdani", "input_mfs", 0, "mamdani input_mfs must be an integer >= 1, got 0"),
+        ("mamdani", "output_mfs", True, "mamdani output_mfs must be an integer >= 1, got True"),
+        ("mamdani", "gd_epochs", 0, "mamdani gd_epochs must be an integer >= 1, got 0"),
+        ("mamdani", "population", 1, "mamdani population must be an integer >= 2, got 1"),
+        ("mamdani", "generations", 0, "mamdani generations must be an integer >= 1, got 0"),
+        ("mamdani", "tournament_size", 0, "mamdani tournament_size must be an integer >= 1, got 0"),
+        ("mamdani", "elite_count", -1, "mamdani elite_count must be an integer >= 0, got -1"),
+        ("mamdani", "elite_count", 50, "mamdani elite_count must be < population (50), got 50"),
+        ("mamdani", "learning_rate", -0.5, "mamdani learning_rate must be a finite number >= 0, "
+                                           "got -0.5"),
+        ("mamdani", "momentum", float("nan"), "mamdani momentum must be a finite number, got nan"),
+        ("mamdani", "mutation_rate", 1.5, "mamdani mutation_rate must be a number in [0, 1], got 1.5"),
+    ])
+    def test_fuzzy_settings_checked(self, section, key, value, message):
+        settings = {"anfis": AnfisSettings, "mamdani": MamdaniSettings}[section]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            settings(**{key: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BenchConfig.from_dict({section: {key: value}})
+
+    def test_shapes_list_becomes_tuple(self):
+        assert AnfisSettings(shapes=["triangle"]).shapes == ("triangle",)
+
+    @pytest.mark.parametrize("seeds", [["a"], [1, 1], [], [-1], [2.0], [True], 3, "12"])
+    def test_seeds_are_distinct_integers(self, seeds):
+        message = f"seeds must be distinct integers >= 0, at least one, got {seeds!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BenchConfig.from_dict({"seeds": seeds})
+
+    def test_cart_folds_checked_against_the_smallest_training_split(self):
+        # n = 10 gives 9 (A, 0.9) and 8 (B, 0.8) training rows
+        assert BenchConfig.from_dict({"n": 10, "cart": {"folds": 8}}).cart.folds == 8
+        message = ("cart.folds must be <= 8, the rows of the smallest training split for "
+                   "n = 10, got 10")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BenchConfig.from_dict({"seeds": [1], "n": 10})
+        with pytest.raises(ValueError, match=r"^cart.folds must be <= 8, .* got 9$"):
+            BenchConfig(n=10, cart=CartSettings(folds=9))
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):

@@ -192,6 +192,16 @@ class TestTrain:
         assert "cart --config: cart folds must be an integer >= 2, got 0" in err
         assert not out.exists()
 
+    def test_bad_mamdani_setting_is_usage_error(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "ga.json"
+        code, _, err = run_cli(
+            capsys, "train", "--model", "mamdani-ga", "--data", str(data_csv),
+            "--out", str(out), "--config", '{"input_mfs": 0}',
+        )
+        assert code == 1
+        assert "mamdani-ga --config: mamdani input_mfs must be an integer >= 1, got 0" in err
+        assert not out.exists()
+
     def test_epochs_for_cart_is_usage_error(self, data_csv, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "train", "--model", "cart", "--data", str(data_csv),
@@ -245,6 +255,20 @@ class TestBenchConfig:
         assert code == 1
         assert "bench --config: cart folds must be an integer >= 2, got 0" in err
         assert not out.exists()  # rejected before any cell runs
+
+    @pytest.mark.parametrize("config,message", [
+        ('{"anfis": {"epochs": 0}}', "anfis epochs must be an integer >= 1, got 0"),
+        ('{"seeds": ["a"]}', "seeds must be distinct integers >= 0, at least one, got ['a']"),
+        ('{"seeds": [1, 1]}', "seeds must be distinct integers >= 0, at least one, got [1, 1]"),
+        ('{"seeds": [1], "n": 10}', "cart.folds must be <= 8, the rows of the smallest "
+                                    "training split for n = 10, got 10"),
+    ])
+    def test_bad_setting_is_usage_error_before_any_cell(self, config, message, tmp_path, capsys):
+        out = tmp_path / "bench"
+        code, _, err = run_cli(capsys, "bench", "--out", str(out), "--config", config)
+        assert code == 1
+        assert f"bench --config: {message}" in err
+        assert not out.exists()
 
     def test_non_object_section_is_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "bench", "--out", str(tmp_path), "--config", '{"anfis": 5}')

@@ -1,6 +1,7 @@
 """Membership shapes, gradients vs finite differences, and Mamdani inference."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -454,6 +455,180 @@ class TestInputLayer:
                 assert np.array_equal(np.signbit(got), np.signbit(want))
             with pytest.raises(ValueError, match=f"variable {var.name!r} got a non-finite input"):
                 var.fuzzify(np.nan)
+
+
+def same_bits(a, b) -> bool:
+    """Equal float64 arrays bit for bit: signs of zero and nan positions included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def awkward_mfs(shape, rng):
+    """MFs of one shape: coincident knots, a -0.0 center, tiny and huge widths, and random ones."""
+    extra = {
+        "gaussian": [GaussianMF(-0.0, 0.5), GaussianMF(0.0, 1e-160), GaussianMF(0.3, 1e-300),
+                     GaussianMF(0.1, 1e200), GaussianMF(1.0, 5e-324)],
+        "gbell": [GBellMF(0.5, 2.7, -0.0), GBellMF(1e-200, 2.0, 0.0), GBellMF(1e200, 2.7, 0.5),
+                  GBellMF(0.2, 1e-6, 0.3), GBellMF(0.7, 40.0, -0.2)],
+        "trapezoid": [TrapezoidMF(0, 0, 1, 1), TrapezoidMF(0.2, 0.2, 0.2, 0.2),
+                      TrapezoidMF(-0.0, -0.0, 0.0, 0.5), TrapezoidMF(-1e200, 0, 0, 1e200),
+                      TrapezoidMF(0, 1e-170, 2e-170, 3e-170)],
+        "triangle": [TriangleMF(0.2, 0.2, 0.2), TriangleMF(0.0, 0.0, 1.0), TriangleMF(-0.0, 0.0, 0.0),
+                     TriangleMF(-1e200, 0, 1e200), TriangleMF(0, 1e-170, 2e-170)],
+    }[shape]
+    return extra + [random_mf(shape, rng) for _ in range(60)]
+
+
+def awkward_points(mfs, rng):
+    """Random points, every knot with one ulp either side, signed zeros and subnormals."""
+    knots = np.array(sorted({float(p) for mf in mfs for p in mf.params if abs(p) < 1e10}))
+    return np.concatenate([
+        rng.uniform(-4, 4, size=200), knots, np.nextafter(knots, -np.inf),
+        np.nextafter(knots, np.inf), [-0.0, 0.0, 5e-324, -5e-324, 1e-170, 1.5e-170, -1e-310],
+    ])
+
+
+class TestCenterGradientKernels:
+    """Each shape's static `center_gradients` over (k, 1) parameter arrays, and the input
+    layer's one call per shape, against each MF's own `center_gradient`, bit for bit."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rows_match_per_mf(self, shape):
+        rng = np.random.default_rng(11)
+        mfs = awkward_mfs(shape, rng)
+        x = awkward_points(mfs, rng)
+        params = np.array([mf.params for mf in mfs]).T[:, :, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = MF_SHAPES[shape].center_gradients(x, *params)
+        assert rows.shape == (len(mfs), x.size)
+        with np.errstate(all="ignore"):
+            for mf, row in zip(mfs, rows):
+                assert same_bits(row, mf.center_gradient(x))
+                # the oracle picks one gradient column of a gaussian or gbell where the base
+                # class sums it, so it may hold a -0.0 for a 0.0: equal values, not bits
+                assert np.array_equal(row, center_gradient_oracle(mf, x), equal_nan=True)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_scalar_parameters(self, shape):
+        rng = np.random.default_rng(12)
+        mfs = awkward_mfs(shape, rng)
+        x = awkward_points(mfs, rng)
+        with np.errstate(all="ignore"):
+            for mf in mfs:
+                assert same_bits(type(mf).center_gradients(x, *mf.params), mf.center_gradient(x))
+
+    @pytest.mark.parametrize("n_rows", [1, 161])
+    def test_layer_matches_per_mf(self, n_rows):
+        variables = mixed_variables()
+        layer = InputLayer(variables)
+        with np.errstate(over="ignore", under="ignore"):
+            Xc = layer.clip(awkward_rows(variables, n_rows, seed=3))
+            slopes = layer.center_gradients(Xc)
+        mfs = [(v, mf) for v, var in enumerate(variables) for mf in var.mfs]
+        assert slopes.shape == (len(mfs), n_rows)
+        with np.errstate(all="ignore"):
+            for row, (v, mf) in zip(slopes, mfs):
+                assert same_bits(row, mf.center_gradient(Xc[:, v]))
+
+    def test_gaussian_widths_powered_per_row(self):
+        # widths whose array square and cube differ in the last bit from the scalar ones
+        widths = np.random.default_rng(13).uniform(0.05, 3.0, size=4000)
+        assert not np.array_equal(widths**2, [np.float64(s) ** 2 for s in widths])
+        assert not np.array_equal(widths**3, [np.float64(s) ** 3 for s in widths])
+        mfs = [GaussianMF(0.1, s) for s in widths]
+        x = np.linspace(-1.0, 1.0, 41)
+        rows = GaussianMF.center_gradients(x, *np.array([mf.params for mf in mfs]).T[:, :, None])
+        for mf, row in zip(mfs, rows):
+            assert same_bits(row, mf.center_gradient(x))
+
+    def test_gbell_exponents_powered_per_row(self):
+        # numpy squares a scalar exponent 2 exactly; an exponent array takes its SIMD pow
+        mfs = [GBellMF(0.4, b, 0.1) for b in (2.0, 2.5, 0.7, 3.0, 4.0)]
+        x = np.random.default_rng(1).uniform(-1, 1, size=900)
+        a, b, c = np.array([mf.params for mf in mfs]).T[:, :, None]
+        t = GBellMF._t(x, a, c)
+        assert not np.array_equal(t**b, np.stack([row**e for row, e in zip(t, b.ravel())]))
+        for mf, row in zip(mfs, GBellMF.center_gradients(x, a, b, c)):
+            assert same_bits(row, mf.center_gradient(x))
+
+
+class TestMovedLayer:
+    """`InputLayer.moved`: each MF row translated in the table, with `translate`'s bits."""
+
+    @staticmethod
+    def _deltas(variables, rng):
+        """Per MF row, a move that keeps its center inside its variable's range."""
+        return np.array([rng.uniform(var.lo, var.hi) - mf.center
+                         for var in variables for mf in var.mfs])
+
+    def test_matches_translated_variables(self):
+        variables = mixed_variables()
+        layer = InputLayer(variables)
+        rng = np.random.default_rng(21)
+        X = awkward_rows(variables, 161, seed=4)
+        before = [tuple(p.copy() for p in kernel[3]) for kernel in layer.kernels]
+        for _ in range(20):
+            deltas = self._deltas(variables, rng)
+            moved = layer.moved(deltas)
+            rows = iter(deltas)
+            want = [var.replace_mfs([mf.translate(next(rows)) for mf in var.mfs]) for var in variables]
+            got = moved.to_variables()
+            assert [var.name for var in got] == layer.names
+            assert [var.labels for var in got] == [var.labels for var in variables]
+            for g, w in zip(got, want):
+                assert (g.lo, g.hi) == (w.lo, w.hi)
+                assert [mf.params for mf in g.mfs] == [mf.params for mf in w.mfs]
+                assert [type(mf) for mf in g.mfs] == [type(mf) for mf in w.mfs]
+            assert same_bits(moved.centers(), [mf.center for var in want for mf in var.mfs])
+            with np.errstate(over="ignore", under="ignore"):
+                Xc, mu = moved.fuzzify(X)
+                _, want_mu = InputLayer(want).fuzzify(X)
+            for a, b in zip(mu, want_mu):
+                assert same_bits(a, b)
+            with np.errstate(all="ignore"):
+                assert same_bits(moved.center_gradients(Xc), InputLayer(want).center_gradients(Xc))
+        # the layer moved from is unchanged
+        for kernel, params in zip(layer.kernels, before):
+            assert all(same_bits(a, b) for a, b in zip(kernel[3], params))
+
+    def test_centers_in_row_order(self):
+        variables = mixed_variables()
+        assert InputLayer(variables).centers().tolist() == [
+            mf.center for var in variables for mf in var.mfs]
+
+    @pytest.mark.parametrize("pushed", [[1], [4, 10], [10, 4, 0], [7]])
+    def test_center_outside_range_named_as_the_variable_names_it(self, pushed):
+        # moving MF rows out of range raises the ValueError the variable raises for the first
+        variables = mixed_variables()
+        deltas = np.zeros(sum(var.n_mfs for var in variables))
+        deltas[pushed] = 50.0
+        bounds = np.cumsum([0] + [var.n_mfs for var in variables])
+        first = min(pushed)
+        v = int(np.searchsorted(bounds, first, side="right")) - 1
+        var = variables[v]
+        moved = [mf.translate(deltas[bounds[v] + j]) for j, mf in enumerate(var.mfs)]
+        with pytest.raises(ValueError) as want:
+            var.replace_mfs(moved)
+        with pytest.raises(ValueError) as got:
+            InputLayer(variables).moved(deltas)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"variable {var.name!r}: MF center ")
+
+    @pytest.mark.parametrize("row,message", [
+        (1, "variable 'a': MF center nan outside [0.0, 1.0]"),
+        (5, "triangle knots must be ordered, got (nan, nan, nan)"),
+    ])
+    def test_nan_move_rejected_as_translate_is(self, row, message):
+        variables = mixed_variables()
+        deltas = np.zeros(12)
+        deltas[row] = np.nan
+        var = variables[0 if row < 3 else 2]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            var.replace_mfs([mf.translate(float(deltas[row])) if j == row % 3 else mf
+                             for j, mf in enumerate(var.mfs)])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            InputLayer(variables).moved(deltas)
 
 
 def triangle_gradient_oracle(mf, x):

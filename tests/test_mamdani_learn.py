@@ -1,14 +1,25 @@
 """Wang-Mendel extraction, gradient tuning, the genetic optimizer, and the trainers' data check."""
 
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from softdss import mamdani
 from softdss.anfis import AnfisModel, anfis_train
 from softdss.cart import grow
 from softdss.errors import TrainingDivergedError
-from softdss.fuzzy import LinguisticVariable, TriangleMF
+from softdss.fuzzy import (
+    MF_SHAPES,
+    LinguisticVariable,
+    MamdaniModel,
+    MembershipFunction,
+    TrapezoidMF,
+    TriangleMF,
+    rule_strengths,
+    strength_backprop,
+)
 from softdss.mamdani import (
     GaConfig,
     decode_centers,
@@ -20,6 +31,7 @@ from softdss.mamdani import (
     wang_mendel,
 )
 from softdss.mlp import mlp_init, scg_train
+from softdss.report import rmse
 
 
 def worked_example_setup():
@@ -105,6 +117,55 @@ def reference_ga(model, X, y, config, initial_population=None):
         fit = score(pop)
         curve.append(float(fit.max()))
     return pop[int(np.argmax(fit))], curve, len(seen)
+
+
+def reference_surrogate(model, X, y):
+    """The surrogate pass and its center gradient MF by MF, through `center_gradient`
+    (test oracle): (surrogate RMSE, gradient)."""
+    xc, mu = model.input_layer.fuzzify(X)
+    acts = rule_strengths(mu, model.antecedent_index, model.rule_weights[:, None])
+    z = np.array([mf.centroid() for mf in model.output.mfs])[model.consequent_index]
+    den = acts.sum(axis=1)
+    fired = den > 0
+    safe = np.where(fired, den, 1.0)
+    yhat = np.where(fired, (acts @ z) / safe, model.midpoint)
+    r_err = (yhat - y) / acts.shape[0]
+    coef = np.where(fired[:, None], r_err[:, None] * (z[None, :] - yhat[:, None]) / safe[:, None], 0.0)
+    d_mu = strength_backprop(mu, model.antecedent_index, coef, model.rule_weights[:, None])
+    grads = [float(mf.center_gradient(xc[:, v]) @ d_mu[v][j])
+             for v, var in enumerate(model.inputs) for j, mf in enumerate(var.mfs)]
+    act_over_den = np.where(fired[:, None], acts / safe[:, None], 0.0)
+    for j in range(model.output.n_mfs):
+        grads.append(float(r_err @ act_over_den[:, model.consequent_index == j].sum(axis=1)))
+    return rmse(yhat - y), np.array(grads)
+
+
+def reference_gd(model, X, y, learning_rate, momentum, epochs):
+    """Gradient descent decoding a model every epoch (test oracle): (model, curve)."""
+    genes, lo, hi = encode_centers(model)
+    velocity = np.zeros_like(genes)
+    curve = []
+    for _ in range(epochs):
+        err, grad = reference_surrogate(model, X, y)
+        curve.append(err)
+        velocity = momentum * velocity - learning_rate * grad
+        genes = np.clip(genes + velocity, lo, hi)
+        model = decode_centers(model, genes)
+    return model, curve
+
+
+def mf_params(model):
+    return [mf.params for var in list(model.inputs) + [model.output] for mf in var.mfs]
+
+
+def shaped_model(shape, rng, n=120, output_shape="triangle"):
+    """A Wang-Mendel model with `shape` input MFs on unlike ranges, and its data."""
+    inputs = [LinguisticVariable.uniform("x0", 0.0, 1.0, 3, shape=shape),
+              LinguisticVariable.uniform("x1", -2.0, 3.0, 2, shape=shape)]
+    output = LinguisticVariable.uniform("y", 0.0, 1.0, 3, shape=output_shape)
+    X = np.column_stack([rng.uniform(0, 1, n), rng.uniform(-2.5, 3.5, n)])
+    y = np.clip(0.5 * X[:, 0] + 0.1 * X[:, 1] + 0.1 * rng.standard_normal(n), 0, 1)
+    return wang_mendel(X, y, inputs, output), X, y
 
 
 def tace_style_model(rng):
@@ -404,3 +465,132 @@ class TestRowCounts:
         message = rf"^X has shape \(60, 2\) but y has shape \({targets},\): row counts differ$"
         with pytest.raises(ValueError, match=message):
             calls[trainer]()
+
+
+class TestWangMendelOrder:
+    def test_rules_sorted_by_antecedent(self):
+        rng = np.random.default_rng(17)
+        inputs = [LinguisticVariable.uniform(f"x{i}", 0.0, 1.0, 2 + i, shape="triangle")
+                  for i in range(3)]
+        output = LinguisticVariable.uniform("y", 0.0, 1.0, 3, shape="triangle")
+        X, y = rng.uniform(0, 1, size=(300, 3)), rng.uniform(0, 1, size=300)
+        model = wang_mendel(X, y, inputs, output)
+        oracle = brute_force_rules(X, y, inputs, output)
+        assert [r.antecedent for r in model.rules] == sorted(oracle)
+        assert [(r.weight, r.consequent) for r in model.rules] == [oracle[a] for a in sorted(oracle)]
+
+    def test_first_row_of_maximal_degree_wins(self):
+        # y = 0.2 and y = 0.3 have the same degree (0.6) in different output sets, so the
+        # row that comes first picks the consequent
+        output = LinguisticVariable.uniform("y", 0.0, 1.0, 3, shape="triangle")
+        inputs = [LinguisticVariable.uniform("x", 0.0, 1.0, 3, shape="triangle")]
+        X = np.array([[0.1], [0.1], [0.9]])
+        first = wang_mendel(X, np.array([0.2, 0.3, 0.9]), inputs, output)
+        second = wang_mendel(X, np.array([0.3, 0.2, 0.9]), inputs, output)
+        assert [(r.antecedent, r.consequent) for r in first.rules] == [((0,), 0), ((2,), 2)]
+        assert [(r.antecedent, r.consequent) for r in second.rules] == [((0,), 1), ((2,), 2)]
+        assert first.rules[0].weight == second.rules[0].weight
+
+
+class TestTableTuning:
+    """Both tuners on the base model's layer tables: the bits of a model decoded per step."""
+
+    @pytest.mark.parametrize("shape", ["gaussian", "gbell", "trapezoid", "triangle"])
+    def test_fitness_is_decoded_rmse(self, shape):
+        rng = np.random.default_rng(31)
+        model, X, y = shaped_model(shape, rng, output_shape="trapezoid" if shape == "gbell" else "triangle")
+        base, lo, hi = encode_centers(model)
+        fitness = mamdani._fitness(model, X, y)
+        genomes = [base, lo, hi, np.where(lo == 0.0, -0.0, lo), lo - 1.0, hi + 1.0]
+        for _ in range(60):
+            genes = rng.uniform(lo, hi)
+            at_bound = rng.random(genes.size) < 0.3
+            genes[at_bound] = np.where(rng.random(genes.size) < 0.5, lo, hi)[at_bound]
+            genomes.append(genes)
+        for genes in genomes:
+            try:
+                want = -decode_centers(model, genes).rmse(X, y)
+            except ValueError as exc:  # a moved trapezoid center may round past its bound
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    fitness(genes)
+                continue
+            assert fitness(genes) == want
+
+    def test_center_rounded_out_of_range_raises_as_decode_does(self):
+        # this trapezoid's center moved to 0.0 lands on -5.6e-17, outside [0, 1]
+        knots = (0.35779519670907023, 0.4858353588317891, 0.8894878343490003, 0.9340435159562497)
+        inputs = [LinguisticVariable("x", 0.0, 1.0, [TrapezoidMF(*knots)])]
+        output = LinguisticVariable.uniform("y", 0.0, 1.0, 2, shape="triangle")
+        X, y = np.array([[0.6], [0.7]]), np.array([0.2, 0.9])
+        model = wang_mendel(X, y, inputs, output)
+        genes = encode_centers(model)[0]
+        genes[0] = 0.0
+        with pytest.raises(ValueError) as decoded:
+            decode_centers(model, genes)
+        assert str(decoded.value) == "variable 'x': MF center -5.551115123125783e-17 outside [0.0, 1.0]"
+        with pytest.raises(ValueError) as moved:
+            mamdani._fitness(model, X, y)(genes)
+        assert str(moved.value) == str(decoded.value)
+        with pytest.raises(ValueError) as tuned:
+            ga_optimize(model, X, y, GaConfig(population=2, generations=1, seed=1),
+                        initial_population=[genes, genes])
+        assert str(tuned.value) == str(decoded.value)
+
+    @pytest.mark.parametrize("shape,seed", [("triangle", 41), ("gaussian", 42), ("gbell", 43),
+                                            ("trapezoid", 44)])
+    def test_gd_matches_a_decode_per_epoch(self, shape, seed):
+        model, X, y = shaped_model(shape, np.random.default_rng(seed))
+        tuned, report = gd_tune(model, X, y, learning_rate=0.5, momentum=0.3, epochs=6)
+        want, curve = reference_gd(model, X, y, 0.5, 0.3, 6)
+        assert mf_params(tuned) == mf_params(want)
+        assert report.rmse_per_epoch == curve
+        assert report.final_train_rmse == want.rmse(X, y)
+        assert [v.labels for v in tuned.inputs] == [v.labels for v in model.inputs]
+        assert tuned.rules == model.rules
+
+    def test_surrogate_gradient_matches_per_mf(self):
+        for shape, seed in (("triangle", 45), ("gaussian", 46), ("gbell", 47), ("trapezoid", 48)):
+            model, X, y = shaped_model(shape, np.random.default_rng(seed))
+            err, grad = reference_surrogate(model, X, y)
+            assert surrogate_rmse(model, X, y) == err
+            assert np.array_equal(surrogate_gradient(model, X, y), grad)
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        built = []
+        post_init = MamdaniModel.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(MamdaniModel, "__post_init__", counting)
+        return built
+
+    def test_ga_builds_only_the_returned_model(self, monkeypatch):
+        model, X, y = tace_style_model(np.random.default_rng(51))
+        built = self._count_builds(monkeypatch)
+        decoded = []
+        monkeypatch.setattr(mamdani, "decode_centers",
+                            lambda m, g: decoded.append(g) or decode_centers(m, g))
+
+        def no_inference(self, X):
+            raise AssertionError("ga_optimize ran infer_batch")
+
+        monkeypatch.setattr(MamdaniModel, "infer_batch", no_inference)
+        best, _ = ga_optimize(model, X, y, GaConfig(population=10, generations=8, seed=2))
+        assert built == [best] and len(decoded) == 1
+
+    def test_gd_builds_one_model_and_no_per_mf_gradient(self, monkeypatch):
+        model, X, y = tace_style_model(np.random.default_rng(52))
+        built = self._count_builds(monkeypatch)
+
+        def per_mf(self, x):
+            raise AssertionError("gd_tune differentiated MF by MF")
+
+        monkeypatch.setattr(MembershipFunction, "center_gradient", per_mf)
+        for cls in MF_SHAPES.values():
+            monkeypatch.setattr(cls, "gradient", per_mf)
+        monkeypatch.setattr(mamdani, "decode_centers", per_mf)
+        tuned, _ = gd_tune(model, X, y, epochs=5)
+        assert built == [tuned]
