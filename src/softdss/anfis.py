@@ -11,6 +11,9 @@ Hybrid learning alternates, once per epoch:
   * steepest descent on the membership parameters with the consequents
     frozen, with step length k along the normalized gradient direction
     (learning rate = k / ||gradient||).
+The premise parameters (set S1) live in one place, the input layer's table
+(`fuzzy.InputLayer`): its per-shape kernels give the gradient
+(`param_gradients`) and take the step, with each shape's `project` (`stepped`).
 The step size k adapts by two heuristics: four consecutive error reductions
 grow it by 10%, four strictly alternating changes shrink it by 10%.
 
@@ -103,41 +106,6 @@ class AnfisModel:
     @cached_property
     def input_layer(self) -> InputLayer:
         return InputLayer(self.inputs)
-
-    # -- premise parameter vector ------------------------------------------
-
-    def premise_vector(self) -> np.ndarray:
-        """All MF shape parameters flattened: variable order, MF order, parameter order."""
-        out = []
-        for var in self.inputs:
-            for mf in var.mfs:
-                out.extend(mf.params)
-        return np.array(out)
-
-    def with_premise_vector(self, vec, project: bool = True) -> "AnfisModel":
-        """Rebuild the model from a flat premise vector.
-
-        With `project` enabled each MF's class repairs its raw parameters
-        first (`MembershipFunction.project`: widths clamped positive, knots
-        re-sorted, centers pulled back into range) so gradient steps can
-        never produce an invalid shape.
-        """
-        vec = np.asarray(vec, dtype=float)
-        pos = 0
-        new_inputs = []
-        for var in self.inputs:
-            new_mfs = []
-            for mf in var.mfs:
-                n = len(mf.params)
-                params = vec[pos : pos + n]
-                pos += n
-                new_mfs.append(
-                    type(mf).project(params, var.lo, var.hi) if project else mf.with_params(params)
-                )
-            new_inputs.append(var.replace_mfs(new_mfs))
-        if pos != vec.shape[0]:
-            raise ValueError(f"premise vector length {vec.shape[0]} != expected {pos}")
-        return replace(self, inputs=new_inputs)
 
     def to_dict(self) -> dict:
         return {
@@ -233,30 +201,26 @@ def update_step_size(controller: StepSizeController, new_error: float) -> StepSi
 
 
 def premise_gradient(model: AnfisModel, trace: ForwardTrace, residuals) -> np.ndarray:
-    """Gradient of E = 1/2 sum(residual^2) w.r.t. the flat premise vector.
+    """Gradient of E = 1/2 sum(residual^2) w.r.t. the premise parameters, flat in the input
+    layer's order (variable, MF, parameter).
 
-    Backpropagates through the normalization layer here and through the
-    product layer with `strength_backprop`.
+    Backpropagates through the normalization layer here, through the product
+    layer with `strength_backprop` and through the MFs with `param_gradients`.
     """
     residuals = np.asarray(residuals, dtype=float)
     f = trace.xa @ model.consequents.T                    # (P, R) rule outputs
     y = (trace.wbar * f).sum(axis=1)
     coef = residuals[:, None] * (f - y[:, None]) / trace.wsum[:, None]
     d_mu = strength_backprop(trace.memberships, model.antecedent_index, coef)
-    parts = []
-    for v, var in enumerate(model.inputs):
-        x_v = trace.x[:, v]
-        for j, mf in enumerate(var.mfs):
-            parts.append(mf.gradient(x_v).T @ d_mu[v][j])
-    return np.concatenate(parts)
+    return model.input_layer.param_gradients(trace.x, d_mu)
 
 
 def _apply_premise_step(model: AnfisModel, grad: np.ndarray, k: float) -> AnfisModel:
-    """Move every premise parameter by -eta * grad with eta = k / ||grad||."""
+    """Move every premise parameter by -eta * grad, eta = k / ||grad||, on the layer's table."""
     norm = float(np.sqrt(grad @ grad))
     if norm == 0.0:
         return model
-    return model.with_premise_vector(model.premise_vector() - (k / norm) * grad)
+    return replace(model, inputs=model.input_layer.stepped((k / norm) * grad).to_variables())
 
 
 def _certified_rank_deficient(regressors, n_inputs: int) -> bool:

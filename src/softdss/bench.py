@@ -100,8 +100,17 @@ class MamdaniSettings:
 
 @dataclass
 class MlpSettings:
-    hidden: dict = field(default_factory=lambda: {"A": 30, "B": 32})  # units per dataset
+    # units per dataset; one run's count once `_run_cell` or `train` has picked it
+    hidden: dict = field(default_factory=lambda: {"A": 30, "B": 32})
     epochs: int = 1000
+
+    def __post_init__(self):
+        _check_ints("mlp", self, {"epochs": 1})
+        hidden = self.hidden
+        if not all(type(units) is int and units >= 1
+                   for units in (hidden.values() if isinstance(hidden, dict) else [hidden])):
+            raise ValueError(f"mlp hidden must be an integer >= 1, or an object mapping datasets "
+                             f"to one, got {hidden!r}")
 
 
 @dataclass
@@ -133,12 +142,22 @@ class BenchConfig:
             raise ValueError(f"seeds must be distinct integers >= 0, at least one, got {seeds!r}")
         self.seeds = tuple(seeds)
         _check_ints("config", self, {"n": 1, "data_seed": 0})
+        if type(self.jitter) is not bool:
+            raise ValueError(f"config jitter must be true or false, got {self.jitter!r}")
+        if not (isinstance(self.datasets, dict) and self.datasets):
+            raise ValueError(f"config datasets must be a non-empty object of fractions, "
+                             f"got {self.datasets!r}")
+        hidden = self.mlp.hidden
+        if not (isinstance(hidden, dict) and set(self.datasets) <= set(hidden)):
+            names = ", ".join(sorted(self.datasets))
+            raise ValueError(f"mlp hidden must map every dataset ({names}) to an integer >= 1, "
+                             f"got {hidden!r}")
         for name, frac in self.datasets.items():
             if not (is_finite_number(frac) and 0.0 < frac < 1.0):
                 raise ValueError(f"dataset {name!r} fraction must be in (0, 1), got {frac}")
         # `tace.split`'s training rows; CART cross-validates on them
-        rows = min((int(round(self.n * frac)) for frac in self.datasets.values()), default=None)
-        if rows is not None and self.cart.folds > rows:
+        rows = min(int(round(self.n * frac)) for frac in self.datasets.values())
+        if self.cart.folds > rows:
             raise ValueError(f"cart.folds must be <= {rows}, the rows of the smallest training "
                              f"split for n = {self.n}, got {self.cart.folds}")
 

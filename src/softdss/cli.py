@@ -128,7 +128,9 @@ def _train_settings(args):
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     if args.model == "mlp":
-        opts["hidden"] = opts.pop("hidden_units", HIDDEN_UNITS)
+        units = opts["hidden"] = opts.pop("hidden_units", HIDDEN_UNITS)
+        if not (type(units) is int and units >= 1):  # `MlpSettings` also takes the bench's table
+            raise _UsageError(f"mlp --config: hidden_units must be an integer >= 1, got {units!r}")
     if args.epochs is not None:
         if args.model not in EPOCH_FIELDS:
             raise _UsageError(f"--epochs does not apply to {args.model}")

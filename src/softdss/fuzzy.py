@@ -9,13 +9,14 @@ table, built once per model, and fuzzifies every input of a batch with one
 kernel call per shape present; a lone variable's `fuzzify` is the one-input
 case.  Each class's `location` names the parameters that "moving the
 center" shifts; from it the base class derives `translate` and
-`center_gradient` for all four.  The static `gradients` and `center_of`
-kernels take the same (k, 1) parameter arrays as `degrees`, so a layer
-moves its centers (`InputLayer.moved`) and differentiates by them
-(`center_gradients`) without an MF object.  The `project` classmethod
-repairs raw parameters after a gradient step: the base version sorts the
-knots of the piecewise-linear shapes and pulls their center into range, and
-the gaussian and gbell override it with their width floors.
+`center_gradient` for all four.  The static `gradients`, `center_of` and
+`project` kernels take the same scalar or (k, 1) parameter arrays as
+`degrees`; `project` repairs raw parameters after a gradient step (the base
+version sorts the knots and pulls the center into range, the gaussian and
+gbell floor their widths).  So a layer's table is where MF parameters are
+read, differentiated and stepped, with no MF object: it moves centers
+(`InputLayer.moved`), steps every parameter (`stepped`) and differentiates
+by either (`center_gradients`, `param_gradients`).
 
 Both fuzzy systems share the rule layer: a rule fires with the product of
 its antecedent degrees (`rule_strengths`); `strength_backprop` differentiates it.
@@ -103,10 +104,12 @@ class MembershipFunction:
         return total
 
     @classmethod
-    def project(cls, params, lo, hi) -> "MembershipFunction":
-        """The shape from raw knots: sorted, then translated so the center lies in [lo, hi]."""
-        mf = cls(*np.sort(params))
-        return mf.translate(np.clip(mf.center, lo, hi) - mf.center)
+    def project(cls, lo, hi, *params):
+        """Raw knots repaired: sorted, then translated so the center lies in [lo, hi]."""
+        knots = np.sort(params, axis=0)
+        center = cls.center_of(*knots)
+        shift = _clip(center, lo, hi) - center
+        return tuple(k + shift if i in cls.location else k for i, k in enumerate(knots))
 
 
 class GaussianMF(MembershipFunction):
@@ -150,10 +153,9 @@ class GaussianMF(MembershipFunction):
     def center_of(c, sigma):
         return c
 
-    @classmethod
-    def project(cls, params, lo, hi) -> "GaussianMF":
-        c, sigma = params
-        return cls(np.clip(c, lo, hi), max(sigma, _MIN_WIDTH_FACTOR * (hi - lo)))
+    @staticmethod
+    def project(lo, hi, c, sigma):
+        return _clip(c, lo, hi), np.maximum(sigma, _MIN_WIDTH_FACTOR * (hi - lo))
 
 
 class GBellMF(MembershipFunction):
@@ -212,11 +214,10 @@ class GBellMF(MembershipFunction):
     def center_of(a, b, c):
         return c
 
-    @classmethod
-    def project(cls, params, lo, hi) -> "GBellMF":
-        a, b, c = params
+    @staticmethod
+    def project(lo, hi, a, b, c):
         min_width = _MIN_WIDTH_FACTOR * (hi - lo)
-        return cls(max(a, min_width), max(b, _MIN_WIDTH_FACTOR), np.clip(c, lo, hi))
+        return np.maximum(a, min_width), np.maximum(b, _MIN_WIDTH_FACTOR), _clip(c, lo, hi)
 
 
 def _ramps(rising, falling):
@@ -230,6 +231,12 @@ def _ramps(rising, falling):
     a nan from a nan input to 0, as the masks did; `+ 0.0` turns a -0.0 into their 0.0.
     """
     return np.fmax(np.minimum(rising, falling), 0.0) + 0.0
+
+
+def _clip(v, lo, hi):
+    """np.clip, where a value equal to its (k, 1) array bound keeps its own bits as with scalars."""
+    clipped = np.clip(v, lo, hi)
+    return np.where(clipped == v, v, clipped)
 
 
 def _powers(v, e):
@@ -482,6 +489,16 @@ class InputLayer:
              tuple(np.array([g[2] for g in group]).T[:, :, None]))
             for cls, group in groups.items()
         ]
+        self.n_params = sum(at.size * len(params) for _, _, at, params in self.kernels)
+
+    @cached_property
+    def param_index(self) -> list[np.ndarray]:
+        """Per shape, (k, parameters per MF) positions in the flat variable, MF, parameter order."""
+        sizes = np.zeros(self.bounds[-1], dtype=int)
+        for _, _, at, params in self.kernels:
+            sizes[at] = len(params)
+        starts = np.cumsum(sizes) - sizes
+        return [starts[at][:, None] + np.arange(len(params)) for _, _, at, params in self.kernels]
 
     def clip(self, X) -> np.ndarray:
         """X clipped to each variable's range, as the transpose of a C-ordered (n_inputs, P)
@@ -536,6 +553,23 @@ class InputLayer:
             out[at] = np.ravel(cls.center_of(*params))
         return out
 
+    def param_gradients(self, Xc, d_mu) -> np.ndarray:
+        """d E / d parameter, flat in variable, MF, parameter order, at clipped `Xc`, from
+        d E / d degree `d_mu` (per input, (n_mfs, P)): one `gradients` call and one stacked
+        product per shape, with the bits of each MF's own `gradient(x).T @ d`."""
+        d_mu = np.concatenate(d_mu)
+        out = np.empty(self.n_params)
+        for (cls, source, at, params), index in zip(self.kernels, self.param_index):
+            grads = np.stack(cls.gradients(Xc.T[source], *params), axis=-1)  # (k, P, parameters)
+            out[index] = np.matmul(grads.transpose(0, 2, 1), d_mu[at][:, :, None])[:, :, 0]
+        return out
+
+    def _with_params(self, params) -> "InputLayer":
+        """The layer with each shape's parameter arrays replaced, in `kernels` order."""
+        layer = copy.copy(self)
+        layer.kernels = [(cls, src, at, p) for (cls, src, at, _), p in zip(self.kernels, params)]
+        return layer
+
     def moved(self, deltas) -> "InputLayer":
         """The layer with MF row r translated by deltas[r], with `translate`'s bits.
 
@@ -543,20 +577,28 @@ class InputLayer:
         ValueError that the moved MFs and their `LinguisticVariable` raise.
         """
         deltas = np.asarray(deltas, dtype=float)
-        layer = copy.copy(self)
-        layer.kernels, in_range = [], True
-        for cls, source, at, params in self.kernels:
-            shift = deltas[at][:, None]
-            params = tuple(p + shift if i in cls.location else p for i, p in enumerate(params))
+        layer = self._with_params(
+            tuple(p + deltas[at][:, None] if i in cls.location else p for i, p in enumerate(params))
+            for cls, _, at, params in self.kernels)
+        for cls, source, _, params in layer.kernels:
             c = cls.center_of(*params)
-            in_range = in_range and bool(np.all((self.lo[source] <= c) & (c <= self.hi[source])))
-            layer.kernels.append((cls, source, at, params))
-        if not in_range:
-            layer.to_variables()  # the variables' own check names the first bad MF
+            if not np.all((self.lo[source] <= c) & (c <= self.hi[source])):
+                layer.to_variables()  # the variables' own check names the first bad MF
         return layer
 
+    def stepped(self, step) -> "InputLayer":
+        """The layer with every parameter moved by -step (flat, in `param_gradients`' order) and
+        repaired by its shape's `project`; a nan width raises its ValueError at `to_variables`."""
+        step = np.asarray(step, dtype=float)
+        if step.shape != (self.n_params,):
+            raise ValueError(f"step of shape {step.shape} for {self.n_params} parameters")
+        return self._with_params(
+            cls.project(self.lo[source], self.hi[source],
+                        *(p - step[i][:, None] for p, i in zip(params, index.T)))
+            for (cls, source, _, params), index in zip(self.kernels, self.param_index))
+
     def to_variables(self) -> list[LinguisticVariable]:
-        """The layer's variables with the MFs its table holds, as `moved` left them."""
+        """The layer's variables with the MFs its table holds, as `moved` or `stepped` left them."""
         mfs = [None] * self.bounds[-1]
         for cls, _, at, params in self.kernels:
             for i, row in enumerate(at):

@@ -17,8 +17,8 @@ Parameters are then tuned two ways:
   elitism, scored by the full pipeline RMSE.
 
 Both tuners move the centers in the model's input and output layer tables
-(`InputLayer.moved`), with the bits `decode_centers` gives, and build a
-model only for the result.
+(`InputLayer.moved`) and build a model only for the result, as
+`decode_centers` does from the base model's tables.
 """
 
 from __future__ import annotations
@@ -87,26 +87,16 @@ def encode_centers(model: MamdaniModel) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def decode_centers(model: MamdaniModel, genes) -> MamdaniModel:
-    """Rebuild the model with every MF translated so its center hits the gene.
-
-    The tuners get the same bits from `_moved_layers` without building a model.
-    """
-    genes = np.asarray(genes, dtype=float)
-    pos = 0
-    new_vars = []
-    for var in list(model.inputs) + [model.output]:
-        mfs = []
-        for mf in var.mfs:
-            target = float(np.clip(genes[pos], var.lo, var.hi))
-            mfs.append(mf.translate(target - mf.center))
-            pos += 1
-        new_vars.append(var.replace_mfs(mfs))
-    return MamdaniModel(inputs=new_vars[:-1], output=new_vars[-1], rules=model.rules)
+    """Rebuild the model with every MF translated so its center hits the gene, clipped to its
+    variable's range: the `_moved_layers` tables the tuners score, built into a model."""
+    _, lo, hi = encode_centers(model)
+    layer, out_layer = _moved_layers(model.input_layer, model.output_layer, genes, lo, hi)
+    return MamdaniModel(layer.to_variables(), out_layer.to_variables()[0], model.rules)
 
 
 def _moved_layers(layer, out_layer, genes, lo, hi):
-    """The input and output layer tables with every center moved to its gene, clipped, as
-    `decode_centers` moves the MFs of the model the tables hold."""
+    """The input and output layer tables with every center moved to its gene, clipped to its
+    variable's range."""
     deltas = np.clip(genes, lo, hi) - np.concatenate([layer.centers(), out_layer.centers()])
     n_in = layer.bounds[-1]
     return layer.moved(deltas[:n_in]), out_layer.moved(deltas[n_in:])

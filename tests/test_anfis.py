@@ -1,6 +1,7 @@
 """Takagi-Sugeno network: layer math, regressor rows, hybrid learning, step size."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,9 +171,11 @@ class TestHybridEpoch:
         y = rng.uniform(0, 1, size=40)
         pred, trace = forward_batch(model, X)
         g = premise_gradient(model, trace, pred - y)
-        before = model.premise_vector()
         stepped = anfis._apply_premise_step(model, g, k)
-        delta = stepped.premise_vector() - before
+        # the gradient's order is the input layer's: variable, MF, parameter
+        delta = np.concatenate([np.subtract(new.params, old.params)
+                                for v, var in enumerate(model.inputs)
+                                for new, old in zip(stepped.inputs[v].mfs, var.mfs)])
         np.testing.assert_allclose(delta, -(k / np.linalg.norm(g)) * g, atol=1e-12)
 
     def test_premise_gradient_matches_finite_difference(self):
@@ -183,15 +186,15 @@ class TestHybridEpoch:
             y = rng.uniform(0, 1, size=30)
             pred, trace = forward_batch(model, X)
             grad = premise_gradient(model, trace, pred - y)
-            vec = model.premise_vector()
+            layer = model.input_layer
             h = 1e-6
             checked = 0
-            for k in rng.permutation(vec.shape[0]):
-                up, down = vec.copy(), vec.copy()
-                up[k] += h
-                down[k] -= h
-                e_up = total_error(model.with_premise_vector(up, project=False), X, y)
-                e_dn = total_error(model.with_premise_vector(down, project=False), X, y)
+            for k in rng.permutation(grad.shape[0]):
+                # one parameter moved by -+h; `project` leaves these interior MFs as they are
+                step = np.zeros(grad.shape[0])
+                step[k] = h
+                e_up = total_error(replace(model, inputs=layer.stepped(-step).to_variables()), X, y)
+                e_dn = total_error(replace(model, inputs=layer.stepped(step).to_variables()), X, y)
                 numeric = (e_up - e_dn) / (2 * h)
                 if abs(numeric) < 1e-10:  # flat directions carry no signal to compare
                     continue

@@ -301,6 +301,33 @@ class TestReproducibility:
         with pytest.raises(ValueError, match=r"^cart.folds must be <= 8, .* got 9$"):
             BenchConfig(n=10, cart=CartSettings(folds=9))
 
+    @pytest.mark.parametrize("config,message", [
+        ({"jitter": "no"}, "config jitter must be true or false, got 'no'"),
+        ({"jitter": 1}, "config jitter must be true or false, got 1"),
+        ({"datasets": [1]}, "config datasets must be a non-empty object of fractions, got [1]"),
+        ({"datasets": {}}, "config datasets must be a non-empty object of fractions, got {}"),
+        ({"datasets": {"A": 0.9, "C": 0.5}},
+         "mlp hidden must map every dataset (A, C) to an integer >= 1, got {'A': 30, 'B': 32}"),
+        ({"mlp": {"hidden": 5}}, "mlp hidden must map every dataset (A, B) to an integer >= 1, "
+                                 "got 5"),
+        ({"mlp": {"hidden": "x"}}, "mlp hidden must be an integer >= 1, or an object mapping "
+                                   "datasets to one, got 'x'"),
+        ({"mlp": {"hidden": {"A": 30, "B": 0}}}, "mlp hidden must be an integer >= 1, or an "
+                                                 "object mapping datasets to one, "
+                                                 "got {'A': 30, 'B': 0}"),
+        ({"mlp": {"epochs": 2.5}}, "mlp epochs must be an integer >= 1, got 2.5"),
+        ({"mlp": {"epochs": 0}}, "mlp epochs must be an integer >= 1, got 0"),
+    ])
+    def test_data_and_mlp_settings_checked(self, config, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BenchConfig.from_dict(config)
+
+    @pytest.mark.parametrize("hidden", [4, {"A": 5, "C": 1}])
+    def test_mlp_settings_take_a_count_or_a_table(self, hidden):
+        assert MlpSettings(hidden=hidden).hidden == hidden
+        with pytest.raises(ValueError, match="^mlp hidden must be an integer >= 1"):
+            MlpSettings(hidden=True)
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             BenchConfig(datasets={"A": 1.5})
@@ -308,8 +335,10 @@ class TestReproducibility:
 
 class TestFailureIsolation:
     def test_failed_subrun_recorded_and_matrix_continues(self, tmp_path):
-        # an mlp hidden-unit table missing dataset B breaks only the mlp runs
-        cfg = small_config(seeds=(1,), mlp=MlpSettings(hidden={"A": 5}, epochs=10))
+        # an mlp hidden-unit table missing dataset B breaks only the mlp runs; the config
+        # refuses such a table, so the entry goes after the check
+        cfg = small_config(seeds=(1,), mlp=MlpSettings(hidden={"A": 5, "B": 5}, epochs=10))
+        del cfg.mlp.hidden["B"]
         report = run_bench(cfg, tmp_path)
         failed = {(f["paradigm"], f["dataset"]) for f in report["failures"]}
         assert failed == {("mlp", "B")}

@@ -202,6 +202,22 @@ class TestTrain:
         assert "mamdani-ga --config: mamdani input_mfs must be an integer >= 1, got 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config,message", [
+        ('{"epochs": 2.5}', "mlp --config: mlp epochs must be an integer >= 1, got 2.5"),
+        ('{"hidden_units": "x"}', "mlp --config: hidden_units must be an integer >= 1, got 'x'"),
+        ('{"hidden_units": {"A": 5}}',
+         "mlp --config: hidden_units must be an integer >= 1, got {'A': 5}"),
+    ], ids=["epochs-float", "hidden-string", "hidden-table"])
+    def test_bad_mlp_setting_is_usage_error(self, config, message, data_csv, tmp_path, capsys):
+        out = tmp_path / "mlp.json"
+        code, _, err = run_cli(
+            capsys, "train", "--model", "mlp", "--data", str(data_csv), "--out", str(out),
+            "--config", config,
+        )
+        assert code == 1
+        assert message in err
+        assert not out.exists()
+
     def test_epochs_for_cart_is_usage_error(self, data_csv, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "train", "--model", "cart", "--data", str(data_csv),
@@ -262,6 +278,12 @@ class TestBenchConfig:
         ('{"seeds": [1, 1]}', "seeds must be distinct integers >= 0, at least one, got [1, 1]"),
         ('{"seeds": [1], "n": 10}', "cart.folds must be <= 8, the rows of the smallest "
                                     "training split for n = 10, got 10"),
+        ('{"jitter": "no"}', "config jitter must be true or false, got 'no'"),
+        ('{"datasets": [1]}', "config datasets must be a non-empty object of fractions, got [1]"),
+        ('{"datasets": {}}', "config datasets must be a non-empty object of fractions, got {}"),
+        ('{"datasets": {"C": 0.5}}', "mlp hidden must map every dataset (C) to an integer >= 1, "
+                                     "got {'A': 30, 'B': 32}"),
+        ('{"mlp": {"epochs": 2.5}}', "mlp epochs must be an integer >= 1, got 2.5"),
     ])
     def test_bad_setting_is_usage_error_before_any_cell(self, config, message, tmp_path, capsys):
         out = tmp_path / "bench"
@@ -591,8 +613,8 @@ def random_model(kind, shape, rng):
     X, y = rng.uniform(size=(60, 4)), rng.uniform(size=60)
     if kind == "anfis":
         model = AnfisModel.grid(unit_variables(2, shape))
-        premise = model.premise_vector()
-        model = model.with_premise_vector(premise + rng.normal(scale=0.02, size=premise.shape))
+        noise = rng.normal(scale=0.02, size=model.input_layer.n_params)
+        model = replace(model, inputs=model.input_layer.stepped(-noise).to_variables())
         return replace(model, consequents=rng.normal(size=model.consequents.shape))
     if kind == "mamdani":
         output = LinguisticVariable.uniform("score", 0.0, 1.0, 3, shape=shape)

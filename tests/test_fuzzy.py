@@ -631,6 +631,90 @@ class TestMovedLayer:
             InputLayer(variables).moved(deltas)
 
 
+def unit_layer(mf):
+    """The input layer of one variable on [0, 1] holding `mf` alone."""
+    return InputLayer([LinguisticVariable("v", 0.0, 1.0, [mf])])
+
+
+def table_variables():
+    """`mixed_variables`, degenerate triangles and trapezoids, and -0.0 centers and bounds."""
+    return mixed_variables() + [
+        LinguisticVariable("e", 0.0, 1.0, [
+            TriangleMF(0.2, 0.2, 0.2), TrapezoidMF(0.0, 0.0, 1.0, 1.0),
+            TrapezoidMF(0.5, 0.5, 0.5, 0.5), TriangleMF(0.0, 1.0, 1.0), TriangleMF(0.3, 0.6, 0.6),
+            GaussianMF(-0.0, 0.3), GBellMF(0.2, 2.0, -0.0),
+        ]),
+        LinguisticVariable("f", -0.0, 1.0, [TriangleMF(-0.0, 0.0, 1.0),
+                                            TrapezoidMF(-0.0, 0.0, 0.0, 0.5)]),
+    ]
+
+
+class TestParamTable:
+    """`InputLayer.param_gradients` and `stepped`: every MF parameter differentiated and
+    stepped in the table, flat in variable, MF, parameter order, against each MF's own
+    `gradient` and the shape switch ANFIS's `project` replaced."""
+
+    @pytest.mark.parametrize("n_rows", [1, 161])
+    def test_param_gradients_match_per_mf(self, n_rows):
+        variables = table_variables()
+        layer = InputLayer(variables)
+        rng = np.random.default_rng(31)
+        with np.errstate(over="ignore", under="ignore"):
+            Xc = layer.clip(awkward_rows(variables, n_rows, seed=5))
+        for _ in range(5):
+            d_mu = [rng.normal(size=(var.n_mfs, n_rows)) * (rng.random((var.n_mfs, n_rows)) < 0.8)
+                    for var in variables]
+            with np.errstate(all="ignore"):
+                got = layer.param_gradients(Xc, d_mu)
+                want = np.concatenate([mf.gradient(Xc[:, v]).T @ d_mu[v][j]
+                                       for v, var in enumerate(variables)
+                                       for j, mf in enumerate(var.mfs)])
+            assert same_bits(got, want)
+
+    @staticmethod
+    def _table_rows(layer):
+        """Each MF row's (class, parameters) as the layer's table holds them, unchecked."""
+        rows = [None] * layer.bounds[-1]
+        for cls, _, at, params in layer.kernels:
+            for i, row in enumerate(at):
+                rows[row] = (cls, [float(p[i, 0]) for p in params])
+        return rows
+
+    def test_stepped_matches_project_oracle(self):
+        variables = table_variables()
+        layer = InputLayer(variables)
+        mfs = [(var, mf) for var in variables for mf in var.mfs]
+        rng = np.random.default_rng(32)
+        # a zero step (each value at its bound keeps its bits), then from interior steps to
+        # unsorted knots and negative widths
+        steps = [np.zeros(layer.n_params)] + [rng.normal(scale=scale, size=layer.n_params)
+                                              for scale in (1e-3, 0.1, 1.0, 10.0)]
+        for step in steps:
+            pos = 0
+            for (var, mf), (cls, params) in zip(mfs, self._table_rows(layer.stepped(step))):
+                n = len(mf.params)
+                raw = np.array(mf.params) - step[pos:pos + n]
+                pos += n
+                assert cls is type(mf)
+                assert same_bits(params, project_params_oracle(mf.shape, raw, var.lo, var.hi))
+            assert pos == layer.n_params
+        got = layer.stepped(steps[0]).to_variables()
+        assert [(var.name, var.lo, var.hi, var.labels) for var in got] == [
+            (var.name, var.lo, var.hi, var.labels) for var in variables]
+        # the layer stepped from is unchanged
+        assert self._table_rows(layer) == [(type(mf), list(mf.params)) for _, mf in mfs]
+
+    def test_step_length_checked(self):
+        layer = InputLayer(mixed_variables())
+        with pytest.raises(ValueError, match=f"for {layer.n_params} parameters"):
+            layer.stepped(np.zeros(layer.n_params - 1))
+
+    def test_nan_width_raises_at_to_variables(self):
+        stepped = unit_layer(GaussianMF(0.5, 0.2)).stepped([0.0, np.nan])
+        with pytest.raises(ValueError, match="sigma must be positive, got nan"):
+            stepped.to_variables()
+
+
 def triangle_gradient_oracle(mf, x):
     """The triangle's own ramp-mask gradient, before it became a trapezoid with b == c (test oracle)."""
     x = np.asarray(x, dtype=float)
@@ -747,9 +831,9 @@ class TestEvaluation:
         lambda nan: GaussianMF(0.5, nan),
         lambda nan: GBellMF(nan, 2.0, 0.5),
         lambda nan: GBellMF(0.2, nan, 0.5),
-        lambda nan: GaussianMF.project([0.5, nan], 0.0, 1.0),
-        lambda nan: GBellMF.project([nan, 2.0, 0.5], 0.0, 1.0),
-        lambda nan: GBellMF.project([0.2, nan, 0.5], 0.0, 1.0),
+        lambda nan: unit_layer(GaussianMF(0.5, 0.2)).stepped([0.0, nan]).to_variables(),
+        lambda nan: unit_layer(GBellMF(0.2, 2.0, 0.5)).stepped([nan, 0.0, 0.0]).to_variables(),
+        lambda nan: unit_layer(GBellMF(0.2, 2.0, 0.5)).stepped([0.0, nan, 0.0]).to_variables(),
     ], ids=["gaussian-sigma", "gbell-a", "gbell-b",
             "project-gaussian-sigma", "project-gbell-a", "project-gbell-b"])
     def test_nan_width_rejected(self, make):
@@ -873,17 +957,20 @@ class TestShapeLocation:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_project_matches_oracle(self, shape):
+        # the kernel over scalars and over (k, 1) arrays, one MF per row
         rng = np.random.default_rng(4)
         cls = MF_SHAPES[shape]
-        for _ in range(500):
-            lo = rng.uniform(-2, 1)
-            hi = lo + rng.uniform(0.1, 3)
-            # negative widths, unordered knots and centers outside [lo, hi]
-            raw = rng.uniform(lo - 2, hi + 2, size=len(cls.__slots__))
-            before = raw.copy()
-            want = cls(*project_params_oracle(shape, raw, lo, hi))
-            assert cls.project(raw, lo, hi).params == want.params
-            np.testing.assert_array_equal(raw, before)
+        lo = rng.uniform(-2, 1, size=(500, 1))
+        hi = lo + rng.uniform(0.1, 3, size=(500, 1))
+        # negative widths, unordered knots and centers outside [lo, hi]
+        raw = rng.uniform(lo - 2, hi + 2, size=(500, len(cls.__slots__)))
+        before = raw.copy()
+        rows = cls.project(lo, hi, *raw.T[:, :, None])
+        for i in range(500):
+            want = project_params_oracle(shape, raw[i], lo[i, 0], hi[i, 0])
+            assert same_bits([p[i, 0] for p in rows], want)
+            assert same_bits(cls.project(lo[i, 0], hi[i, 0], *raw[i]), want)
+        np.testing.assert_array_equal(raw, before)
 
 
 class TestLinguisticVariable:
