@@ -3,7 +3,10 @@
 The model grid-partitions its input variables into rules whose consequents
 are linear in the inputs.  A forward pass fuzzifies (layer 2), takes product
 firing strengths (layer 3), normalizes them (layer 4), weights the linear
-rule outputs (layer 5) and sums (layer 6).
+rule outputs (layer 5) and sums (layer 6): y = sum_r wbar_r * f_r with
+f_r = p_r . x + q_r, from the (P, R) rule outputs `xa @ consequents.T`.
+The flattened (P, R * (d + 1)) regressor matrix, wbar outer [x, 1], is
+built only for the consequent solve, which is linear in it.
 
 Hybrid learning alternates, once per epoch:
   * consequent identification by least squares with the premises frozen,
@@ -134,7 +137,11 @@ class AnfisModel:
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate layer of a batch forward pass, kept for backprop."""
+    """Every intermediate layer of a batch forward pass, kept for backprop.
+
+    `regressors` is built on first access, by the consequent solve; a
+    prediction never reads it.
+    """
 
     x: np.ndarray            # clipped inputs (P, d)
     memberships: list        # per variable: (n_mfs, P) degrees (layer 2)
@@ -142,14 +149,23 @@ class ForwardTrace:
     wsum: np.ndarray         # (P,)
     wbar: np.ndarray         # normalized strengths (P, R) (layer 4)
     xa: np.ndarray           # inputs with appended 1 (P, d + 1)
-    regressors: np.ndarray   # (P, R * (d + 1)): wbar outer xa, flattened per rule
+
+    @cached_property
+    def regressors(self) -> np.ndarray:
+        """(P, R * (d + 1)): wbar outer xa, flattened per rule."""
+        return (self.wbar[:, :, None] * self.xa[:, None, :]).reshape(self.wbar.shape[0], -1)
+
+
+def _rule_outputs(wbar, xa, consequents) -> tuple[np.ndarray, np.ndarray]:
+    """Layers 5-6: the (P, R) rule outputs f = xa @ consequents.T and y = sum_r wbar_r f_r."""
+    f = xa @ consequents.T
+    return f, (wbar * f).sum(axis=1)
 
 
 def forward_batch(model: AnfisModel, X) -> tuple[np.ndarray, ForwardTrace]:
     """Outputs and full trace for a batch of samples."""
     # one clip and one fuzzification of all inputs; a nan or inf is rejected by its variable's name
     Xc, memberships = model.input_layer.fuzzify(np.atleast_2d(np.asarray(X, dtype=float)))
-    P, R = Xc.shape[0], model.n_rules
     w = rule_strengths(memberships, model.antecedent_index)
     wsum = w.sum(axis=1)
     dead = wsum <= 0.0
@@ -158,10 +174,9 @@ def forward_batch(model: AnfisModel, X) -> tuple[np.ndarray, ForwardTrace]:
             f"no rule fires for sample {int(np.argmax(dead))}; cannot normalize"
         )
     wbar = w / wsum[:, None]
-    xa = np.column_stack([Xc, np.ones(P)])
-    regressors = (wbar[:, :, None] * xa[:, None, :]).reshape(P, R * (model.n_inputs + 1))
-    y = regressors @ model.consequents.ravel()
-    return y, ForwardTrace(Xc, memberships, w, wsum, wbar, xa, regressors)
+    xa = np.column_stack([Xc, np.ones(Xc.shape[0])])
+    _, y = _rule_outputs(wbar, xa, model.consequents)
+    return y, ForwardTrace(Xc, memberships, w, wsum, wbar, xa)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +223,7 @@ def premise_gradient(model: AnfisModel, trace: ForwardTrace, residuals) -> np.nd
     layer with `strength_backprop` and through the MFs with `param_gradients`.
     """
     residuals = np.asarray(residuals, dtype=float)
-    f = trace.xa @ model.consequents.T                    # (P, R) rule outputs
-    y = (trace.wbar * f).sum(axis=1)
+    f, y = _rule_outputs(trace.wbar, trace.xa, model.consequents)
     coef = residuals[:, None] * (f - y[:, None]) / trace.wsum[:, None]
     d_mu = strength_backprop(trace.memberships, model.antecedent_index, coef)
     return model.input_layer.param_gradients(trace.x, d_mu)
@@ -259,11 +273,15 @@ def _identify_consequents(regressors, y, n_inputs: int, solves: Counter | None =
 
 
 def _fit_consequents(model: AnfisModel, X, y, solves: Counter | None):
-    """Consequents by least squares with the premises frozen; (model, trace, residuals)."""
+    """Consequents by least squares with the premises frozen; (model, trace, residuals).
+
+    The returned model keeps the input layer `forward_batch` built: its inputs are the same.
+    """
     _, trace = forward_batch(model, X)
     flat = _identify_consequents(trace.regressors, y, model.n_inputs, solves)
-    model = replace(model, consequents=flat.reshape(model.n_rules, model.n_inputs + 1))
-    return model, trace, trace.regressors @ flat - y
+    fitted = replace(model, consequents=flat.reshape(model.n_rules, model.n_inputs + 1))
+    fitted.__dict__["input_layer"] = model.input_layer  # seeds the cached_property
+    return fitted, trace, trace.regressors @ flat - y
 
 
 def hybrid_epoch(
@@ -315,8 +333,10 @@ def anfis_train(
         curve.append(epoch_rmse)
         controller = update_step_size(controller, epoch_rmse)
     # consequents are defined by least squares given the premises; after the
-    # last premise step re-identify them so the returned model is coherent
-    model, _, residuals = _fit_consequents(model, X, y, solves)
+    # last premise step re-identify them so the returned model is coherent, and
+    # report its train RMSE off its own layer-5 output, as `forward_batch` gives it
+    model, trace, _ = _fit_consequents(model, X, y, solves)
+    residuals = _rule_outputs(trace.wbar, trace.xa, model.consequents)[1] - y
     final_test = None
     if test is not None:
         Xt, yt = test

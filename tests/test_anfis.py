@@ -1,5 +1,6 @@
 """Takagi-Sugeno network: layer math, regressor rows, hybrid learning, step size."""
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -145,6 +146,34 @@ class TestRegressorRow:
         assert trace.regressors[0].shape == (405,)
 
 
+class TestLayerFive:
+    """The output as sum_r wbar_r * f_r; the regressor matrix only on demand."""
+
+    def test_forward_builds_no_regressors(self):
+        rng = np.random.default_rng(40)
+        model = small_model(3, 2, seed=40)
+        y, trace = forward_batch(model, rng.uniform(0, 1, size=(30, 3)))
+        assert "regressors" not in trace.__dict__
+        assert np.array_equal(y, (trace.wbar * (trace.xa @ model.consequents.T)).sum(axis=1))
+        want = (trace.wbar[:, :, None] * trace.xa[:, None, :]).reshape(30, -1)
+        assert np.array_equal(trace.regressors, want)
+        assert trace.regressors is trace.regressors  # built once
+
+    def test_batch_peak_memory_below_the_regressor_matrix(self):
+        model = small_model(4, 3, seed=41)
+        X = np.random.default_rng(41).uniform(0, 1, size=(5000, 4))
+        forward_batch(model, X[:10])  # the model's cached layer and rule table, outside the peak
+        regressor_bytes = X.shape[0] * model.n_rules * (model.n_inputs + 1) * 8
+        tracemalloc.start()
+        try:
+            y, trace = forward_batch(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (5000,) and "regressors" not in trace.__dict__
+        assert peak < regressor_bytes, f"peak {peak} B >= {regressor_bytes} B"
+
+
 class TestHybridEpoch:
     def test_realizable_target_nails_consequents(self):
         # data generated by a model with identical premises: post-LSE RMSE ~ 0
@@ -201,6 +230,21 @@ class TestHybridEpoch:
                 assert grad[k] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
                 checked += 1
             assert checked >= 3
+
+    def test_one_input_layer_per_epoch(self, monkeypatch):
+        # the consequent step's model keeps the layer forward_batch built, so the premise
+        # gradient and step reuse it: one InputLayer per epoch
+        built = []
+        init = anfis.InputLayer.__init__
+        monkeypatch.setattr(anfis.InputLayer, "__init__",
+                            lambda layer, variables: built.append(1) or init(layer, variables))
+        rng = np.random.default_rng(18)
+        X = rng.uniform(0, 1, size=(50, 2))
+        y = np.sin(3 * X[:, 0]) * 0.3 + 0.4 * X[:, 1]
+        model = small_model(2, 3)
+        for epoch in range(1, 4):
+            model, _ = hybrid_epoch(model, X, y, StepSizeController(0.05))
+            assert len(built) == epoch
 
     def test_lse_is_optimal_in_consequent_space(self):
         rng = np.random.default_rng(10)
@@ -344,7 +388,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("shape", ["gaussian", "gbell", "trapezoid", "triangle"])
     def test_final_train_rmse_is_the_returned_models(self, shape):
-        # hybrid mode reads the final RMSE off the re-identification's regressors
+        # the final RMSE is the returned model's own output's, as forward_batch gives it
         rng = np.random.default_rng(16)
         X = rng.uniform(0, 1, size=(120, 2))
         y = np.sin(3 * X[:, 0]) * 0.3 + 0.4 * X[:, 1]

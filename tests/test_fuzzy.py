@@ -155,7 +155,9 @@ def center_gradient_oracle(mf, x):
 
 
 def project_params_oracle(shape, params, lo, hi):
-    """The shape switch ANFIS used before `MembershipFunction.project` (test oracle)."""
+    """The shape switch ANFIS used before `MembershipFunction.project` (test oracle), plus
+    the repair of a knot center that the translation rounds past its bound: the knots move
+    farther inward by a nudge that starts at the miss and doubles until the center lies inside."""
     params = np.asarray(params, dtype=float).copy()
     min_width = 1e-6 * (hi - lo)
     if shape == "gaussian":
@@ -167,8 +169,15 @@ def project_params_oracle(shape, params, lo, hi):
         params[2] = np.clip(params[2], lo, hi)
     elif shape in ("triangle", "trapezoid"):
         params.sort()
-        center = params[1] if shape == "triangle" else 0.5 * (params[1] + params[2])
-        params += np.clip(center, lo, hi) - center
+        center_of = (lambda p: p[1]) if shape == "triangle" else (lambda p: 0.5 * (p[1] + p[2]))
+        center = center_of(params)
+        target = np.clip(center, lo, hi)
+        shift, nudge, knots = target - center, 0.0, params.copy()
+        params = knots + shift
+        while not lo <= center_of(params) <= hi:
+            nudge = 2 * nudge + (target - center_of(params))
+            shift += nudge
+            params = knots + shift
     return params
 
 
@@ -703,6 +712,20 @@ class TestParamTable:
             (var.name, var.lo, var.hi, var.labels) for var in variables]
         # the layer stepped from is unchanged
         assert self._table_rows(layer) == [(type(mf), list(mf.params)) for _, mf in mfs]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_stepped_centers_stay_in_range(self, shape):
+        # a trapezoid's center 0.5 * (b + c) recomputed from translated knots can round past
+        # its bound (-2.8e-17 below 0.0); `project` must bring it back inside
+        layer = InputLayer([LinguisticVariable.uniform("x", 0, 1, 3, shape)])
+        rng = np.random.default_rng(0)
+        failures = []
+        for _ in range(2000):
+            try:
+                layer.stepped(rng.normal(scale=0.3, size=layer.n_params)).to_variables()
+            except ValueError as exc:
+                failures.append(str(exc))
+        assert failures == []
 
     def test_step_length_checked(self):
         layer = InputLayer(mixed_variables())
