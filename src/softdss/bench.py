@@ -152,11 +152,14 @@ class BenchConfig:
             names = ", ".join(sorted(self.datasets))
             raise ValueError(f"mlp hidden must map every dataset ({names}) to an integer >= 1, "
                              f"got {hidden!r}")
+        rows = self.n
         for name, frac in self.datasets.items():
             if not (is_finite_number(frac) and 0.0 < frac < 1.0):
                 raise ValueError(f"dataset {name!r} fraction must be in (0, 1), got {frac}")
-        # `tace.split`'s training rows; CART cross-validates on them
-        rows = min(int(round(self.n * frac)) for frac in self.datasets.values())
+            try:  # `tace.split`'s training rows; CART cross-validates on them
+                rows = min(rows, tace.train_rows(self.n, frac))
+            except ValueError as exc:
+                raise ValueError(f"dataset {name!r}: {exc}") from None
         if self.cart.folds > rows:
             raise ValueError(f"cart.folds must be <= {rows}, the rows of the smallest training "
                              f"split for n = {self.n}, got {self.cart.folds}")

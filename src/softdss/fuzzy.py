@@ -16,10 +16,13 @@ version sorts the knots and pulls the center into range, the gaussian and
 gbell floor their widths).  So a layer's table is where MF parameters are
 read, differentiated and stepped, with no MF object: it moves centers
 (`InputLayer.moved`), steps every parameter (`stepped`) and differentiates
-by either (`center_gradients`, `param_gradients`).
+them in one backward pass (`param_gradients`, summed over `location` by
+`center_gradients`).
 
 Both fuzzy systems share the rule layer: a rule fires with the product of
 its antecedent degrees (`rule_strengths`); `strength_backprop` differentiates it.
+A Mamdani rule's activation, that product times the rule weight
+(`MamdaniModel.activations`), serves inference and the GD surrogate alike.
 
 Mamdani inference uses product implication (activation scales the consequent
 set), pointwise-max aggregation on a uniform discretization of the output
@@ -37,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import is_finite_number, is_range, json_typed
+from .errors import finite_data, is_finite_number, is_range, json_typed
 from .report import rmse
 
 OUTPUT_GRID_POINTS = 201
@@ -95,16 +98,6 @@ class MembershipFunction:
     def center_gradient(self, x):
         """d degree / d center: the parameter gradient summed over `location`."""
         return self.gradient(x)[..., self.location].sum(axis=-1)
-
-    @classmethod
-    def center_gradients(cls, x, *params):
-        """`center_gradient` bit for bit, for scalar or (k, 1) parameters: numpy sums the
-        `location` gradients in order from 0.0, so a lone -0.0 comes out 0.0."""
-        grads = cls.gradients(x, *params)
-        total = 0.0
-        for i in cls.location:
-            total = total + grads[i]
-        return total
 
     @classmethod
     def project(cls, lo, hi, *params):
@@ -545,26 +538,16 @@ class InputLayer:
         Xc = self.clip(X)
         return Xc, self.degrees(Xc)
 
-    def _rows(self, kernel: str, Xc) -> np.ndarray:
-        """(total MFs, P): each shape's `kernel` over a (its MFs, P) gather of the clipped
-        inputs, so numpy's inner loops run over the samples."""
-        rows = np.empty((self.bounds[-1], Xc.shape[0]))
-        for cls, source, at, params in self.kernels:
-            rows[at] = getattr(cls, kernel)(Xc.T[source], *params)
-        return rows
-
     def degrees(self, Xc) -> list[np.ndarray]:
         """Per input its (n_mfs, P) degrees at `Xc`, inputs already clipped by `clip`.
 
         Each input's degrees are a C-contiguous row block of the one (total
         MFs, P) degree matrix: views, not copies.
         """
-        rows = self._rows("degrees", Xc)
+        rows = np.empty((self.bounds[-1], Xc.shape[0]))
+        for cls, source, at, params in self.kernels:
+            rows[at] = cls.degrees(Xc.T[source], *params)  # numpy's inner loops run over P
         return [rows[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
-
-    def center_gradients(self, Xc) -> np.ndarray:
-        """(total MFs, P): each MF's `center_gradient` at its input's column of clipped `Xc`."""
-        return self._rows("center_gradients", Xc)
 
     def centers(self) -> np.ndarray:
         """Every MF's center, in row order."""
@@ -582,6 +565,15 @@ class InputLayer:
         for (cls, source, at, params), index in zip(self.kernels, self.param_index):
             grads = np.stack(cls.gradients(Xc.T[source], *params), axis=-1)  # (k, P, parameters)
             out[index] = np.matmul(grads.transpose(0, 2, 1), d_mu[at][:, :, None])[:, :, 0]
+        return out
+
+    def center_gradients(self, Xc, d_mu) -> np.ndarray:
+        """d E / d center per MF row, in row order: `param_gradients(Xc, d_mu)` summed over
+        each shape's `location`, the parameters a center move shifts."""
+        grads = self.param_gradients(Xc, d_mu)
+        out = np.empty(self.bounds[-1])
+        for (cls, _, at, _), index in zip(self.kernels, self.param_index):
+            out[at] = grads[index[:, cls.location]].sum(axis=1)
         return out
 
     def _with_params(self, params) -> "InputLayer":
@@ -673,21 +665,21 @@ def antecedent_table(antecedents, inputs) -> np.ndarray:
     return table
 
 
-def rule_strengths(memberships, antecedents, start=1.0) -> np.ndarray:
-    """(P, R) strengths: `start` ((R, P) or broadcast) times the rules' degrees, in input order.
+def rule_strengths(memberships, antecedents) -> np.ndarray:
+    """(P, R) strengths: the product of the rules' degrees, in input order.
 
     `memberships[v]` is input v's (n_mfs, P) degrees, `antecedents` is (R, n_inputs).  Row
-    gathers take the product in place, never in `start`.  Row sums need the result's C order.
+    gathers take the product in place.  Row sums need the result's C order.
     """
-    strengths = np.asarray(start, dtype=float)
+    strengths = 1.0
     for v, mu in enumerate(memberships):
         gathered = mu[antecedents[:, v]]
         gathered *= strengths
         strengths = gathered
-    return np.array(strengths.T, order="C")
+    return np.array(np.transpose(strengths), order="C")
 
 
-def strength_backprop(memberships, antecedents, coef, start=1.0) -> list[np.ndarray]:
+def strength_backprop(memberships, antecedents, coef) -> list[np.ndarray]:
     """d sum(coef * rule_strengths(...)) / d degree, one (n_mfs, P) array per input.
 
     A rule's other degrees are multiplied out, never divided out, so a zero degree is safe.
@@ -695,7 +687,7 @@ def strength_backprop(memberships, antecedents, coef, start=1.0) -> list[np.ndar
     grads = []
     for v, mu in enumerate(memberships):
         others = memberships[:v] + memberships[v + 1 :]
-        weighted = coef * rule_strengths(others, np.delete(antecedents, v, axis=1), start)
+        weighted = coef * rule_strengths(others, np.delete(antecedents, v, axis=1))
         uses = antecedents[:, v]
         grads.append(np.stack([weighted[:, uses == j].sum(axis=1) for j in range(mu.shape[0])]))
     return grads
@@ -800,13 +792,19 @@ class MamdaniModel:
         """
         return self.infer_degrees(self.input_layer.fuzzify(X)[1], self.consequent_sets)
 
+    def activations(self, mu) -> np.ndarray:
+        """(P, R) rule activations from the input degrees `mu`, per input (n_mfs, P): the
+        product of each rule's antecedent degrees, times its weight."""
+        acts = rule_strengths(mu, self.antecedent_index)
+        acts *= self.rule_weights
+        return acts
+
     def infer_degrees(self, mu, cons_vals) -> tuple[np.ndarray, np.ndarray]:
         """`infer_batch` from the input degrees `mu`, per input (n_mfs, P), and the output
         sets `cons_vals` on the output grid, through this model's rules: a tuner passes the
         degrees and sets of a moved table."""
         P = mu[0].shape[1]
-        acts = rule_strengths(mu, self.antecedent_index)
-        acts *= self.rule_weights
+        acts = self.activations(mu)
         m_out = self.output.n_mfs
         act_by_cons = np.zeros((P, m_out))
         for j, cols in enumerate(self.consequent_rules):
@@ -832,7 +830,8 @@ class MamdaniModel:
         return out, fired
 
     def rmse(self, X, y) -> float:
-        return rmse(self.infer_batch(X)[0] - np.asarray(y, dtype=float))
+        X, y = finite_data(X, y)
+        return rmse(self.infer_batch(X)[0] - y)
 
     def to_dict(self) -> dict:
         return {

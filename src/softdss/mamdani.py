@@ -10,8 +10,10 @@ Parameters are then tuned two ways:
 
 * `gd_tune` - batch gradient descent with momentum on the MF centers.  The
   max/centroid pipeline is not differentiable, so the training objective uses
-  a differentiable surrogate (activation-weighted average of the consequent
-  centroids); reported RMSE always comes from the full inference pipeline.
+  a differentiable surrogate: the consequent centroids averaged with the
+  inference's own rule activations (`MamdaniModel.activations`), differentiated
+  through the input layer's one table backward pass (`center_gradients`).
+  Reported RMSE always comes from the full inference pipeline.
 * `ga_optimize` - a real-valued genetic algorithm over the same centers with
   tournament selection, one-point crossover, re-initialising mutation and
   elitism, scored by the full pipeline RMSE.
@@ -23,7 +25,6 @@ Both tuners move the centers in the model's input and output layer tables
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrainingDivergedError, finite_data
-from .fuzzy import InputLayer, MamdaniModel, MamdaniRule, rule_strengths, strength_backprop
+from .fuzzy import InputLayer, MamdaniModel, MamdaniRule, strength_backprop
 from .report import TrainReport, rmse
 
 
@@ -110,55 +111,41 @@ def _centroids(output) -> np.ndarray:
     return np.array([mf.centroid() for mf in output.mfs])
 
 
-def _surrogate_forward(model: MamdaniModel, mu, z):
-    """Differentiable stand-in: activation-weighted average of consequent centroids.
+def _surrogate(model: MamdaniModel, layer: InputLayer, z, xc, y):
+    """(outputs, gradient) of the differentiable stand-in, the activation-weighted average
+    of consequent centroids, at clipped inputs `xc`: the gradient of its mean squared error
+    w.r.t. the center vector, inputs then output.
 
-    `mu` are the input degrees and `z` the output sets' centroids, the model's
-    own or those of moved tables; the model gives the rules.
+    `layer` holds the input MFs and `z` the output sets' centroids, the model's own or those
+    of moved tables; the model gives the rules and their activations.
     """
-    acts = rule_strengths(mu, model.antecedent_index, model.rule_weights[:, None])
+    mu = layer.degrees(xc)
+    acts = model.activations(mu)
     z = z[model.consequent_index]
     den = acts.sum(axis=1)
     fired = den > 0
     safe = np.where(fired, den, 1.0)
     yhat = np.where(fired, (acts @ z) / safe, model.midpoint)
-    return yhat, acts, den, fired, mu, z
-
-
-def _surrogate(model: MamdaniModel, X):
-    """(clipped X, `_surrogate_forward` of the model's own tables)."""
-    xc, mu = model.input_layer.fuzzify(X)
-    return xc, _surrogate_forward(model, mu, _centroids(model.output))
+    r_err = (yhat - y) / acts.shape[0]                        # d(mean 1/2 err^2)/d yhat
+    coef = np.where(fired[:, None], r_err[:, None] * (z - yhat[:, None]) / safe[:, None], 0.0)
+    d_mu = strength_backprop(mu, model.antecedent_index, coef * model.rule_weights)
+    # output centers: d yhat / d z_j = sum of activations with consequent j / den
+    share = np.where(fired[:, None], acts / safe[:, None], 0.0)
+    out_grads = [r_err @ share[:, rules].sum(axis=1) for rules in model.consequent_rules]
+    return yhat, np.concatenate([layer.center_gradients(xc, d_mu), out_grads])
 
 
 def surrogate_rmse(model: MamdaniModel, X, y) -> float:
-    return rmse(_surrogate(model, X)[1][0] - np.asarray(y, dtype=float))
+    X, y = finite_data(X, y)
+    layer = model.input_layer
+    return rmse(_surrogate(model, layer, _centroids(model.output), layer.clip(X), y)[0] - y)
 
 
 def surrogate_gradient(model: MamdaniModel, X, y) -> np.ndarray:
     """Gradient of the mean squared surrogate error w.r.t. the center vector."""
-    xc, forward = _surrogate(model, X)
-    return _surrogate_backward(model, y, forward, model.input_layer.center_gradients(xc))
-
-
-def _surrogate_backward(model: MamdaniModel, y, forward, slopes) -> np.ndarray:
-    """`surrogate_gradient` from a `_surrogate_forward` result and the input layer's
-    `center_gradients` at the same clipped X."""
-    y = np.asarray(y, dtype=float)
-    yhat, acts, den, fired, mu, z = forward
-    P = acts.shape[0]
-    safe = np.where(fired, den, 1.0)
-    r_err = (yhat - y) / P                                   # d(mean 1/2 err^2)/d yhat
-    coef = np.where(fired[:, None], r_err[:, None] * (z[None, :] - yhat[:, None]) / safe[:, None], 0.0)
-    d_mu = strength_backprop(mu, model.antecedent_index, coef, model.rule_weights[:, None])
-    # one product per MF row, each summed as the per-MF `center_gradient(x) @ d_mu` was
-    grads = [float(s @ d) for s, d in zip(slopes, itertools.chain.from_iterable(d_mu))]
-    # output centers: d yhat / d z_j = sum of activations with consequent j / den
-    act_over_den = np.where(fired[:, None], acts / safe[:, None], 0.0)
-    for j in range(model.output.n_mfs):
-        share = act_over_den[:, model.consequent_index == j].sum(axis=1)
-        grads.append(float(r_err @ share))
-    return np.array(grads)
+    X, y = finite_data(X, y)
+    layer = model.input_layer
+    return _surrogate(model, layer, _centroids(model.output), layer.clip(X), y)[1]
 
 
 def gd_tune(
@@ -191,15 +178,13 @@ def gd_tune(
     start = time.perf_counter()
     for epoch in range(1, epochs + 1):
         # one surrogate pass gives the epoch's error and its gradient
-        z = _centroids(out_layer.to_variables()[0])
-        forward = _surrogate_forward(model, layer.degrees(xc), z)
-        err = rmse(forward[0] - y)
+        yhat, grad = _surrogate(model, layer, _centroids(out_layer.to_variables()[0]), xc, y)
+        err = rmse(yhat - y)
         curve.append(err)
         if initial is None:
             initial = err
         elif initial > 0 and err > 1e6 * initial:
             raise TrainingDivergedError(epoch, f"gd_tune diverged at epoch {epoch}")
-        grad = _surrogate_backward(model, y, forward, layer.center_gradients(xc))
         velocity = momentum * velocity - learning_rate * grad
         genes = np.clip(genes + velocity, lo, hi)
         layer, out_layer = _moved_layers(layer, out_layer, genes, lo, hi)

@@ -98,13 +98,25 @@ def anchors_dataset() -> Dataset:
     return Dataset(x=_ANCHOR_COLUMNS.T.copy(), y=_ANCHOR_SCORE.copy(), seed=None)
 
 
-def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded uniform shuffle followed by a prefix split."""
+def train_rows(n: int, train_fraction: float) -> int:
+    """The training rows `split` keeps of n: round(n * train_fraction).
+
+    A ValueError when that leaves no training row or no test row.
+    """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    n = len(dataset)
-    perm = np.random.default_rng(seed).permutation(n)
     n_train = int(round(n * train_fraction))
+    if not 0 < n_train < n:
+        raise ValueError(f"train_fraction {train_fraction} of {n} rows leaves {n_train} "
+                         f"training and {n - n_train} test rows; each side needs at least one")
+    return n_train
+
+
+def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Seeded uniform shuffle followed by a prefix split of `train_rows` training rows."""
+    n = len(dataset)
+    n_train = train_rows(n, train_fraction)
+    perm = np.random.default_rng(seed).permutation(n)
     tr, te = perm[:n_train], perm[n_train:]
     make = lambda idx: Dataset(
         dataset.x[idx].copy(), dataset.y[idx].copy(), dataset.seed, dataset.normalized

@@ -284,6 +284,15 @@ class TestBenchConfig:
         ('{"datasets": {"C": 0.5}}', "mlp hidden must map every dataset (C) to an integer >= 1, "
                                      "got {'A': 30, 'B': 32}"),
         ('{"mlp": {"epochs": 2.5}}', "mlp epochs must be an integer >= 1, got 2.5"),
+        ('{"seeds": [1], "n": 20, "datasets": {"A": 0.98}, "mlp": {"hidden": {"A": 3}, '
+         '"epochs": 5}, "anfis": {"epochs": 1, "shapes": ["gaussian"]}, "mamdani": '
+         '{"generations": 1, "population": 4}, "cart": {"folds": 2}}',
+         "dataset 'A': train_fraction 0.98 of 20 rows leaves 20 training and 0 test rows; "
+         "each side needs at least one"),
+        ('{"n": 20, "datasets": {"A": 0.5, "B": 0.02}, "mlp": {"hidden": {"A": 3, "B": 3}}, '
+         '"cart": {"folds": 2}}',
+         "dataset 'B': train_fraction 0.02 of 20 rows leaves 0 training and 20 test rows; "
+         "each side needs at least one"),
     ])
     def test_bad_setting_is_usage_error_before_any_cell(self, config, message, tmp_path, capsys):
         out = tmp_path / "bench"

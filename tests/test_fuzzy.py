@@ -81,26 +81,26 @@ def dense_infer_batch(model, X):
     return np.where(fired, agg @ grid / safe, model.midpoint), fired
 
 
-def reference_strengths(memberships, antecedents, start):
+def reference_strengths(memberships, antecedents):
     """rule_strengths one rule and one input at a time (test oracle)."""
-    out = np.array(start, dtype=float)
+    out = np.ones((memberships[0].shape[0], len(antecedents)))
     for r, antecedent in enumerate(antecedents):
         for v, j in enumerate(antecedent):
             out[:, r] = out[:, r] * memberships[v][:, j]
     return out
 
 
-def reference_backprop(memberships, antecedents, coef, start):
+def reference_backprop(memberships, antecedents, coef):
     """strength_backprop one rule and one input at a time (test oracle).
 
-    A rule adds coef * start * (its degrees on the other inputs) to the row of
-    each MF it uses, in rule order; with fewer than 8 rules per MF that is
-    also the order numpy sums a row in.
+    A rule adds coef * (its degrees on the other inputs) to the row of each
+    MF it uses, in rule order; with fewer than 8 rules per MF that is also
+    the order numpy sums a row in.
     """
-    grads = [np.zeros((mu.shape[1], start.shape[0])) for mu in memberships]
+    grads = [np.zeros((mu.shape[1], coef.shape[0])) for mu in memberships]
     for r, antecedent in enumerate(antecedents):
         for v, j in enumerate(antecedent):
-            others = start[:, r].copy()
+            others = np.ones(coef.shape[0])
             for u, k in enumerate(antecedent):
                 if u != v:
                     others = others * memberships[u][:, k]
@@ -421,11 +421,8 @@ class TestInputLayer:
             assert mu.shape == (var.n_mfs, 161) and mu.flags.c_contiguous
             assert not mu.flags.owndata and mu.base is matrix and np.shares_memory(mu, matrix)
         antecedents = np.array(grid_partition(variables))
-        start = np.random.default_rng(7).uniform(size=(len(antecedents), 161))
-        before = start.copy()
-        w = rule_strengths(memberships, antecedents, start)
+        w = rule_strengths(memberships, antecedents)
         assert w.shape == (161, len(antecedents)) and w.flags.c_contiguous
-        assert np.array_equal(start, before)
 
     @pytest.mark.parametrize("n_rows", [1, 160])
     def test_first_bad_variable_named(self, n_rows):
@@ -498,47 +495,46 @@ def awkward_points(mfs, rng):
 
 
 class TestCenterGradientKernels:
-    """Each shape's static `center_gradients` over (k, 1) parameter arrays, and the input
-    layer's one call per shape, against each MF's own `center_gradient`, bit for bit."""
+    """Each shape's static `gradients` over (k, 1) parameter arrays against each MF's own
+    `gradient`, and the input layer's center gradients against the per-MF products they
+    sum, bit for bit."""
+
+    @staticmethod
+    def _rows(cls, x, mfs):
+        """`cls.gradients` over the MFs' (k, 1) parameter arrays: (k, len(x), parameters)."""
+        params = np.array([mf.params for mf in mfs]).T[:, :, None]
+        return np.stack(cls.gradients(x, *params), axis=-1)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_rows_match_per_mf(self, shape):
         rng = np.random.default_rng(11)
         mfs = awkward_mfs(shape, rng)
         x = awkward_points(mfs, rng)
-        params = np.array([mf.params for mf in mfs]).T[:, :, None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = MF_SHAPES[shape].center_gradients(x, *params)
-        assert rows.shape == (len(mfs), x.size)
+            rows = self._rows(MF_SHAPES[shape], x, mfs)
+        assert rows.shape == (len(mfs), x.size, len(mfs[0].params))
         with np.errstate(all="ignore"):
             for mf, row in zip(mfs, rows):
-                assert same_bits(row, mf.center_gradient(x))
-                # the oracle picks one gradient column of a gaussian or gbell where the base
-                # class sums it, so it may hold a -0.0 for a 0.0: equal values, not bits
-                assert np.array_equal(row, center_gradient_oracle(mf, x), equal_nan=True)
-
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_scalar_parameters(self, shape):
-        rng = np.random.default_rng(12)
-        mfs = awkward_mfs(shape, rng)
-        x = awkward_points(mfs, rng)
-        with np.errstate(all="ignore"):
-            for mf in mfs:
-                assert same_bits(type(mf).center_gradients(x, *mf.params), mf.center_gradient(x))
+                assert same_bits(row, mf.gradient(x))
 
     @pytest.mark.parametrize("n_rows", [1, 161])
     def test_layer_matches_per_mf(self, n_rows):
+        # per MF row, the `location` entries of its own `gradient(x).T @ d`, summed as
+        # numpy sums a row of the layer's (k, len(location)) gather
         variables = mixed_variables()
         layer = InputLayer(variables)
+        rng = np.random.default_rng(n_rows)
         with np.errstate(over="ignore", under="ignore"):
             Xc = layer.clip(awkward_rows(variables, n_rows, seed=3))
-            slopes = layer.center_gradients(Xc)
-        mfs = [(v, mf) for v, var in enumerate(variables) for mf in var.mfs]
-        assert slopes.shape == (len(mfs), n_rows)
-        with np.errstate(all="ignore"):
-            for row, (v, mf) in zip(slopes, mfs):
-                assert same_bits(row, mf.center_gradient(Xc[:, v]))
+        for _ in range(5):
+            d_mu = [rng.normal(size=(var.n_mfs, n_rows)) * (rng.random((var.n_mfs, n_rows)) < 0.8)
+                    for var in variables]
+            with np.errstate(all="ignore"):
+                got = layer.center_gradients(Xc, d_mu)
+                want = [(mf.gradient(Xc[:, v]).T @ d_mu[v][j])[list(mf.location)].sum()
+                        for v, var in enumerate(variables) for j, mf in enumerate(var.mfs)]
+            assert same_bits(got, want)
 
     def test_gaussian_widths_powered_per_row(self):
         # widths whose array square and cube differ in the last bit from the scalar ones
@@ -547,9 +543,8 @@ class TestCenterGradientKernels:
         assert not np.array_equal(widths**3, [np.float64(s) ** 3 for s in widths])
         mfs = [GaussianMF(0.1, s) for s in widths]
         x = np.linspace(-1.0, 1.0, 41)
-        rows = GaussianMF.center_gradients(x, *np.array([mf.params for mf in mfs]).T[:, :, None])
-        for mf, row in zip(mfs, rows):
-            assert same_bits(row, mf.center_gradient(x))
+        for mf, row in zip(mfs, self._rows(GaussianMF, x, mfs)):
+            assert same_bits(row, mf.gradient(x))
 
     def test_gbell_exponents_powered_per_row(self):
         # numpy squares a scalar exponent 2 exactly; an exponent array takes its SIMD pow
@@ -558,8 +553,8 @@ class TestCenterGradientKernels:
         a, b, c = np.array([mf.params for mf in mfs]).T[:, :, None]
         t = GBellMF._t(x, a, c)
         assert not np.array_equal(t**b, np.stack([row**e for row, e in zip(t, b.ravel())]))
-        for mf, row in zip(mfs, GBellMF.center_gradients(x, a, b, c)):
-            assert same_bits(row, mf.center_gradient(x))
+        for mf, row in zip(mfs, self._rows(GBellMF, x, mfs)):
+            assert same_bits(row, mf.gradient(x))
 
 
 class TestMovedLayer:
@@ -576,6 +571,7 @@ class TestMovedLayer:
         layer = InputLayer(variables)
         rng = np.random.default_rng(21)
         X = awkward_rows(variables, 161, seed=4)
+        d_mu = [np.random.default_rng(22).normal(size=(var.n_mfs, 161)) for var in variables]
         before = [tuple(p.copy() for p in kernel[3]) for kernel in layer.kernels]
         for _ in range(20):
             deltas = self._deltas(variables, rng)
@@ -596,7 +592,8 @@ class TestMovedLayer:
             for a, b in zip(mu, want_mu):
                 assert same_bits(a, b)
             with np.errstate(all="ignore"):
-                assert same_bits(moved.center_gradients(Xc), InputLayer(want).center_gradients(Xc))
+                assert same_bits(moved.center_gradients(Xc, d_mu),
+                                 InputLayer(want).center_gradients(Xc, d_mu))
         # the layer moved from is unchanged
         for kernel, params in zip(layer.kernels, before):
             assert all(same_bits(a, b) for a, b in zip(kernel[3], params))
@@ -1261,18 +1258,16 @@ class TestRuleKernels:
         return memberships, antecedents, coef
 
     @staticmethod
-    def _assert_matches(memberships, antecedents, coef, start):
-        """The kernels on (n_mfs, P) degrees and an (R, P) start, the oracles on the transposes."""
-        before = start.copy()
+    def _assert_matches(memberships, antecedents, coef):
+        """The kernels on (n_mfs, P) degrees, the oracles on the transposes."""
         old_layout = [mu.T for mu in memberships]
-        got = rule_strengths(memberships, antecedents, start)
-        assert np.array_equal(got, reference_strengths(old_layout, antecedents, start.T))
-        grads = strength_backprop(memberships, antecedents, coef, start)
-        want = reference_backprop(old_layout, antecedents, coef, start.T)
+        got = rule_strengths(memberships, antecedents)
+        assert np.array_equal(got, reference_strengths(old_layout, antecedents))
+        grads = strength_backprop(memberships, antecedents, coef)
+        want = reference_backprop(old_layout, antecedents, coef)
         assert len(grads) == len(want)
         for g, w in zip(grads, want):
             assert np.array_equal(g, w)
-        assert np.array_equal(start, before)  # start is read, never written
         return got, grads
 
     def test_zero_degree_never_divides(self):
@@ -1280,7 +1275,7 @@ class TestRuleKernels:
         X = np.array([[0.9, 0.3, 0.6], [0.2, 0.5, 1.0], [0.45, 0.0, 0.75]])
         memberships, antecedents, coef = self._case(X)
         assert memberships[0][0, 0] == 0.0
-        got, grads = self._assert_matches(memberships, antecedents, coef, np.ones(coef.T.shape))
+        got, grads = self._assert_matches(memberships, antecedents, coef)
         assert np.all(got[0, antecedents[:, 0] == 0] == 0.0)
         # the rules using that MF still pass the other inputs' degrees back to it
         assert np.all(np.isfinite(grads[0])) and grads[0][0, 0] != 0.0
@@ -1290,17 +1285,10 @@ class TestRuleKernels:
         memberships, _, _ = self._case(X)
         antecedents = np.zeros((0, 3), dtype=int)
         no_rules = np.zeros((5, 0))
-        got, grads = self._assert_matches(memberships, antecedents, no_rules, no_rules.T + 1.0)
+        got, grads = self._assert_matches(memberships, antecedents, no_rules)
         assert got.shape == (5, 0)
         assert [g.shape for g in grads] == [(3, 5), (2, 5), (2, 5)]
         assert not any(g.any() for g in grads)
-
-    def test_weighted_start(self):
-        rng = np.random.default_rng(33)
-        X = rng.uniform(-0.1, 1.1, size=(40, 3))
-        memberships, antecedents, coef = self._case(X)
-        weights = rng.uniform(0.05, 1.0, size=antecedents.shape[0])
-        self._assert_matches(memberships, antecedents, coef, np.tile(weights, (40, 1)).T)
 
 
 def _one_row_models(shape, seed):

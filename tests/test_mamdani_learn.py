@@ -120,10 +120,14 @@ def reference_ga(model, X, y, config, initial_population=None):
 
 
 def reference_surrogate(model, X, y):
-    """The surrogate pass and its center gradient MF by MF, through `center_gradient`
-    (test oracle): (surrogate RMSE, gradient)."""
+    """The surrogate pass and its center gradient MF by MF, through each MF's own
+    `gradient` (test oracle): (surrogate RMSE, gradient).
+
+    The rule weights are multiplied in last, as inference does, and the center gradient
+    sums each MF's `location` entries of `gradient(x).T @ d`.
+    """
     xc, mu = model.input_layer.fuzzify(X)
-    acts = rule_strengths(mu, model.antecedent_index, model.rule_weights[:, None])
+    acts = rule_strengths(mu, model.antecedent_index) * model.rule_weights
     z = np.array([mf.centroid() for mf in model.output.mfs])[model.consequent_index]
     den = acts.sum(axis=1)
     fired = den > 0
@@ -131,8 +135,8 @@ def reference_surrogate(model, X, y):
     yhat = np.where(fired, (acts @ z) / safe, model.midpoint)
     r_err = (yhat - y) / acts.shape[0]
     coef = np.where(fired[:, None], r_err[:, None] * (z[None, :] - yhat[:, None]) / safe[:, None], 0.0)
-    d_mu = strength_backprop(mu, model.antecedent_index, coef, model.rule_weights[:, None])
-    grads = [float(mf.center_gradient(xc[:, v]) @ d_mu[v][j])
+    d_mu = strength_backprop(mu, model.antecedent_index, coef * model.rule_weights)
+    grads = [(mf.gradient(xc[:, v]).T @ d_mu[v][j])[list(mf.location)].sum()
              for v, var in enumerate(model.inputs) for j, mf in enumerate(var.mfs)]
     act_over_den = np.where(fired[:, None], acts / safe[:, None], 0.0)
     for j in range(model.output.n_mfs):
@@ -419,12 +423,14 @@ class TestGaOptimize:
 
 
 class TestNonFiniteData:
-    """Every trainer checks its training data through `errors.finite_data`."""
+    """Every trainer, and every Mamdani scoring entry point, checks its data through
+    `errors.finite_data`."""
 
     @pytest.mark.parametrize("bad", ["X", "y"])
     @pytest.mark.parametrize(
         "trainer",
-        ["wang_mendel", "gd_tune", "ga_optimize", "anfis_train", "scg_train", "cart_grow"],
+        ["wang_mendel", "gd_tune", "ga_optimize", "anfis_train", "scg_train", "cart_grow",
+         "surrogate_rmse", "surrogate_gradient", "mamdani_rmse"],
     )
     def test_rejected_naming_argument(self, trainer, bad):
         rng = np.random.default_rng(15)
@@ -442,16 +448,21 @@ class TestNonFiniteData:
             "anfis_train": lambda: anfis_train(AnfisModel.grid(model.inputs), (X, y), None, 1),
             "scg_train": lambda: scg_train(mlp_init(2, 3), (X, y), None, 2),
             "cart_grow": lambda: grow(X, y),
+            "surrogate_rmse": lambda: surrogate_rmse(model, X, y),
+            "surrogate_gradient": lambda: surrogate_gradient(model, X, y),
+            "mamdani_rmse": lambda: model.rmse(X, y),
         }
         with pytest.raises(ValueError, match=f"^{bad} holds non-finite values"):
             calls[trainer]()
 
 
 class TestRowCounts:
-    """X and y of different row counts are rejected by every trainer family, naming both shapes."""
+    """X and y of different row counts are rejected by every trainer family and every Mamdani
+    scoring entry point, naming both shapes."""
 
     @pytest.mark.parametrize("targets", [59, 1])  # one target must not be broadcast
-    @pytest.mark.parametrize("trainer", ["wang_mendel", "anfis_train", "scg_train", "cart_grow"])
+    @pytest.mark.parametrize("trainer", ["wang_mendel", "anfis_train", "scg_train", "cart_grow",
+                                         "surrogate_rmse", "surrogate_gradient", "mamdani_rmse"])
     def test_mismatched_rows_rejected(self, trainer, targets):
         rng = np.random.default_rng(16)
         model, X, y = tace_style_model(rng)
@@ -461,6 +472,9 @@ class TestRowCounts:
             "anfis_train": lambda: anfis_train(AnfisModel.grid(model.inputs), (X, y), None, 1),
             "scg_train": lambda: scg_train(mlp_init(2, 3), (X, y), None, 2),
             "cart_grow": lambda: grow(X, y),
+            "surrogate_rmse": lambda: surrogate_rmse(model, X, y),
+            "surrogate_gradient": lambda: surrogate_gradient(model, X, y),
+            "mamdani_rmse": lambda: model.rmse(X, y),
         }
         message = rf"^X has shape \(60, 2\) but y has shape \({targets},\): row counts differ$"
         with pytest.raises(ValueError, match=message):
@@ -554,6 +568,25 @@ class TestTableTuning:
             err, grad = reference_surrogate(model, X, y)
             assert surrogate_rmse(model, X, y) == err
             assert np.array_equal(surrogate_gradient(model, X, y), grad)
+
+    def test_surrogate_reads_the_inference_activations(self, monkeypatch):
+        model, X, y = shaped_model("gaussian", np.random.default_rng(49))
+        assert len(set(model.rule_weights.tolist()) - {1.0}) > 1
+        seen = []
+        activations = MamdaniModel.activations
+
+        def recording(self, mu):
+            seen.append(activations(self, mu))
+            return seen[-1]
+
+        monkeypatch.setattr(MamdaniModel, "activations", recording)
+        surrogate_rmse(model, X, y)
+        model.infer_batch(X)
+        assert len(seen) == 2 and np.array_equal(seen[0], seen[1])
+        # the weights multiplied in last
+        mu = model.input_layer.fuzzify(X)[1]
+        want = rule_strengths(mu, model.antecedent_index) * model.rule_weights
+        assert np.array_equal(seen[0], want)
 
     @staticmethod
     def _count_builds(monkeypatch):

@@ -1,5 +1,7 @@
 """Dataset regeneration: anchors, monotonicity, splits, normalization, CSV."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,15 @@ class TestSplit:
         for frac in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 tace.split(data, frac, seed=1)
+
+    @pytest.mark.parametrize("frac,train,test", [(0.98, 20, 0), (0.02, 0, 20)])
+    def test_empty_side_rejected(self, frac, train, test):
+        # 20 rows at 0.98 round to 20 training rows, at 0.02 to none
+        message = (f"train_fraction {frac} of 20 rows leaves {train} training and {test} test "
+                   "rows; each side needs at least one")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tace.split(tace.generate(1, 20), frac, seed=1)
+        assert tace.train_rows(20, 0.96) == 19 and tace.train_rows(20, 0.04) == 1
 
 
 class TestNormalization:
