@@ -265,6 +265,7 @@ def train_paradigm(kind, train, test, settings, seed) -> Trained:
                 base, Xtr, ytr, settings.learning_rate, settings.momentum, settings.gd_epochs
             )
             curve, header = report.rmse_per_epoch, epoch_header
+            train_rmse = report.final_train_rmse
         else:
             ga_cfg = GaConfig(
                 population=settings.population,
@@ -278,8 +279,9 @@ def train_paradigm(kind, train, test, settings, seed) -> Trained:
             model, curve = ga_optimize(base, Xtr, ytr, ga_cfg, evaluations=evaluations)
             header = ("generation", "best_fitness")
             extras["ga_evaluations"] = dict(evaluations)
+            train_rmse = -curve[-1]  # the best genome's fitness, -model.rmse(Xtr, ytr)
         test_rmse = None if test is None else model.rmse(*test)
-        return Trained(model, list(curve), header, model.rmse(Xtr, ytr), test_rmse, extras)
+        return Trained(model, list(curve), header, train_rmse, test_rmse, extras)
     if kind == "mlp":
         model = mlp_init(len(tace.FIELDS), settings.hidden, seed=seed)
         model, report = scg_train(model, train, test, settings.epochs, seed=seed)

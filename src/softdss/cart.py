@@ -10,7 +10,7 @@ minimum-cost subtree is selected regardless of size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,20 +200,21 @@ def grow(X, y, min_leaf: int = 5) -> TreeNode:
 
 
 def predict_batch(tree: TreeNode, X) -> np.ndarray:
+    """Predictions for the rows of X; a 1-D X is one row.
+
+    The first call flattens the tree and keeps the flat form on its root,
+    outside the dataclass fields, so a tree must not change once it has
+    predicted.  Every row then moves down one level per step (`_PruneView.path`).
+    """
+    view = getattr(tree, "_view", None)
+    if view is None:
+        view = tree._view = _PruneView(tree)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    out = np.empty(X.shape[0])
-    stack = [(tree, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.shape[0] == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.prediction
-        else:
-            mask = X[idx, node.split_variable] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-    return out
+    if X.shape[1] < view.n_inputs:
+        raise ValueError(f"X has {X.shape[1]} columns; the tree splits on {view.n_inputs}")
+    for at in view.path(X):
+        pass
+    return view.prediction.take(at)
 
 
 def count_leaves(tree: TreeNode) -> int:
@@ -223,48 +224,75 @@ def count_leaves(tree: TreeNode) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cost-complexity pruning
+# the flat form: prediction and cost-complexity pruning
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PrunedEntry:
-    alpha: float
-    tree: TreeNode
-    terminal_count: int
-    cv_cost: float = field(default=float("nan"))
-
-
 class _PruneView:
-    """Non-destructive weakest-link pruner over a fixed tree, held as flat
-    preorder lists: a node's subtree is the index range [i, end[i]), and a
-    parent's index is below its children's.  Nodes are never detached; a
+    """A tree flattened in preorder, for prediction and non-destructive
+    weakest-link pruning.
+
+    Node i's subtree is the index range [i, end[i]), and a parent's index is
+    below its children's.  Routing reads per-slot arrays: node i owns slots 2i
+    and 2i + 1, which both hold its `var`, `threshold` and `prediction`;
+    `child[2i + 1]` is its left child's slot and `child[2i]` its right
+    child's, so `x <= threshold` adds the 1, and a leaf is its own child.  The
+    view keeps the nodes' field values, not the nodes, so a root can hold its
+    own view without a reference cycle.  Nodes are never detached; a
     collapsed node records in `dead_alpha` the critical alpha at which it
     turned into a leaf, so the subtree at any penalty can be rebuilt
     (`snapshot`) or evaluated (`predict_pruned`) afterwards.
     """
 
     def __init__(self, root: TreeNode):
-        self.nodes: list[TreeNode] = []
+        self.stats: list[tuple] = []  # (prediction, sample_count, sse)
+        self.split: list[tuple] = []  # (split_variable, threshold); (0, 0.0) for a leaf
         self.parent: list[int] = []
         self.left: list[int] = []
         self.right: list[int] = []
         self.end: list[int] = []
+        self.depth = self.n_inputs = 0
 
-        def walk(node, parent):
-            i = len(self.nodes)
-            self.nodes.append(node)
+        def walk(node, parent, level):
+            i = len(self.stats)
+            self.stats.append((node.prediction, node.sample_count, node.sse))
+            self.split.append((0, 0.0))
             self.parent.append(parent)
-            self.left.append(-1)
-            self.right.append(-1)
+            self.left.append(i)
+            self.right.append(i)
             self.end.append(-1)
+            self.depth = max(self.depth, level)
             if not node.is_leaf:
-                self.left[i] = walk(node.left, i)
-                self.right[i] = walk(node.right, i)
-            self.end[i] = len(self.nodes)
+                self.split[i] = (node.split_variable, node.threshold)
+                self.n_inputs = max(self.n_inputs, node.split_variable + 1)
+                self.left[i] = walk(node.left, i, level + 1)
+                self.right[i] = walk(node.right, i, level + 1)
+            self.end[i] = len(self.stats)
             return i
 
-        walk(root, -1)
-        self.dead_alpha = np.full(len(self.nodes), np.inf)
+        walk(root, -1, 0)
+        var, threshold = zip(*self.split)
+        self.var = np.repeat(np.array(var, dtype=np.intp), 2)
+        self.threshold = np.repeat(np.array(threshold, dtype=float), 2)
+        self.prediction = np.repeat(np.array([s[0] for s in self.stats], dtype=float), 2)
+        self.child = 2 * np.column_stack((self.right, self.left)).ravel()
+        self.dead_alpha = np.full(len(self.stats), np.inf)
+
+    def path(self, X):
+        """Each row's slot (twice its node) at depth 0, 1, ..., `depth` of the full
+        tree, as a generator of index arrays; a row that reaches a leaf stays on
+        it.  NaN compares false, so it goes right."""
+        n, d = X.shape
+        x = X.ravel()
+        at = np.zeros(n, dtype=np.intp)
+        yield at
+        if n > 1:  # a one-row batch reads from offset 0
+            offset = np.arange(n) * d
+        for _ in range(self.depth):
+            col = self.var.take(at)
+            if n > 1:
+                col += offset
+            at = self.child.take(at + (x.take(col) <= self.threshold.take(at)))
+            yield at
 
     def alphas(self) -> tuple[list[float], list[int]]:
         """Critical alphas, strictly increasing from 0 for the full tree, and the
@@ -276,17 +304,18 @@ class _PruneView:
         count and leaf SSE, summed as left + right exactly as a fresh walk
         would, so a collapse refreshes only the collapsed nodes' ancestors.
         """
-        nodes, left, right = self.nodes, self.left, self.right
-        leaves = [1] * len(nodes)
-        sse = [node.sse for node in nodes]
-        g = np.full(len(nodes), np.inf)
+        left, right = self.left, self.right
+        own = [s[2] for s in self.stats]  # each node's SSE as a leaf
+        leaves = [1] * len(own)
+        sse = list(own)
+        g = np.full(len(own), np.inf)
 
         def refresh(i):
             leaves[i], sse[i] = leaves[left[i]] + leaves[right[i]], sse[left[i]] + sse[right[i]]
-            g[i] = (nodes[i].sse - sse[i]) / (leaves[i] - 1)
+            g[i] = (own[i] - sse[i]) / (leaves[i] - 1)
 
-        for i in reversed(range(len(nodes))):  # children before parents
-            if left[i] >= 0:
+        for i in reversed(range(len(own))):  # children before parents
+            if left[i] != i:
                 refresh(i)
         seq, counts = [0.0], [leaves[0]]
         while g[0] < np.inf:  # the root is still an internal node
@@ -298,7 +327,7 @@ class _PruneView:
                 for i in hit:  # a collapse, then a walk up its live ancestors
                     self.dead_alpha[i] = alpha
                     g[i:self.end[i]] = np.inf
-                    leaves[i], sse[i] = 1, nodes[i].sse
+                    leaves[i], sse[i] = 1, own[i]
                     p = self.parent[i]
                     while p >= 0 and g[p] < np.inf:
                         refresh(p)
@@ -308,19 +337,12 @@ class _PruneView:
         return seq, counts
 
     def snapshot(self, alpha: float) -> TreeNode:
-        """Deep copy of the subtree surviving at penalty alpha."""
+        """New nodes for the subtree surviving at penalty alpha."""
 
         def walk(i):
-            node = self.nodes[i]
-            if node.is_leaf or self.dead_alpha[i] <= alpha:
-                return TreeNode(node.prediction, node.sample_count, node.sse)
-            out = TreeNode(
-                node.prediction, node.sample_count, node.sse,
-                node.split_variable, node.threshold,
-            )
-            out.left = walk(self.left[i])
-            out.right = walk(self.right[i])
-            return out
+            if self.left[i] == i or self.dead_alpha[i] <= alpha:
+                return TreeNode(*self.stats[i])
+            return TreeNode(*self.stats[i], *self.split[i], walk(self.left[i]), walk(self.right[i]))
 
         return walk(0)
 
@@ -332,22 +354,31 @@ class _PruneView:
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         penalties = np.asarray(penalties, dtype=float)[:, None]
-        n = X.shape[0]
-        left = np.array(self.left)
-        right = np.array(self.right)
-        var = np.array([0 if node.is_leaf else node.split_variable for node in self.nodes])
-        threshold = np.array([0.0 if node.is_leaf else node.threshold for node in self.nodes])
-        prediction = np.array([node.prediction for node in self.nodes])
-        chosen = np.full((penalties.shape[0], n), -1)  # shallowest collapsed node met
-        at = np.zeros(n, dtype=int)  # every sample walks down one level per pass
-        while True:
-            chosen = np.where((chosen < 0) & (self.dead_alpha[at] <= penalties), at, chosen)
-            inner = left[at] >= 0
-            if not inner.any():
-                break
-            go_left = X[np.arange(n), var[at]] <= threshold[at]
-            at = np.where(inner, np.where(go_left, left[at], right[at]), at)
-        return prediction[np.where(chosen < 0, at, chosen)]
+        chosen = np.full((penalties.shape[0], X.shape[0]), -1)  # shallowest collapsed slot met
+        for at in self.path(X):
+            chosen = np.where((chosen < 0) & (self.dead_alpha[at >> 1] <= penalties), at, chosen)
+        return self.prediction[np.where(chosen < 0, at, chosen)]
+
+
+class PrunedEntry:
+    """One subtree of the weakest-link sequence: its critical alpha, the tree,
+    its leaf count and its cross-validated cost.
+
+    `tree` may also be the `_PruneView` the subtree survives in at `alpha`;
+    the entry then builds the tree the first time `.tree` is read, so a ladder
+    shares one view instead of holding a copy of the tree per entry.
+    """
+
+    def __init__(self, alpha: float, tree, terminal_count: int,
+                 cv_cost: float = float("nan")):
+        self.alpha, self.terminal_count, self.cv_cost = alpha, terminal_count, cv_cost
+        self._tree = tree
+
+    @property
+    def tree(self) -> TreeNode:
+        if isinstance(self._tree, _PruneView):
+            self._tree = self._tree.snapshot(self.alpha)
+        return self._tree
 
 
 def prune_sequence(tree: TreeNode, X, y, folds: int = 10, seed: int = 0,
@@ -383,7 +414,7 @@ def prune_sequence(tree: TreeNode, X, y, folds: int = 10, seed: int = 0,
         fold_view.alphas()
         sq = (fold_view.predict_pruned(X[test], reps) - y[test]) ** 2
         cv_sse += np.cumsum(sq, axis=1)[:, -1]  # summed in sample order
-    return [PrunedEntry(alpha, view.snapshot(alpha), count, float(cost / n))
+    return [PrunedEntry(alpha, view, count, float(cost / n))
             for alpha, count, cost in zip(alphas, counts, cv_sse)]
 
 

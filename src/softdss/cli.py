@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -45,8 +46,28 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a word starting "-<digit>" or "-.<digit>" is a value, such as predict's
+        # "-1e9,30,60,4"; argparse's default takes only a bare negative number
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # usage problems exit 1, not argparse's default 2
         raise _UsageError(message)
+
+
+def _integer(minimum: int):
+    """argparse type: an integer >= minimum; argparse names the flag on failure."""
+
+    def parse(text):
+        try:
+            if int(text) >= minimum:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -54,8 +75,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate-data", help="write a seeded decision dataset CSV")
-    gen.add_argument("--seed", type=int, default=1)
-    gen.add_argument("--n", type=int, default=1000)
+    gen.add_argument("--seed", type=_integer(0), default=1)
+    gen.add_argument("--n", type=_integer(1), default=1000)
     gen.add_argument("--out", required=True)
     gen.add_argument("--jitter", choices=("on", "off"), default="on")
     gen.add_argument("--anchors", action="store_true",
@@ -66,9 +87,9 @@ def _build_parser() -> _Parser:
     tr.add_argument("--data", required=True)
     tr.add_argument("--test", default=None, help="optional held-out CSV")
     tr.add_argument("--out", required=True, help="model JSON path")
-    tr.add_argument("--epochs", type=int, default=None)
+    tr.add_argument("--epochs", type=_integer(1), default=None)
     tr.add_argument("--shape", choices=tuple(MF_SHAPES), default="gaussian")
-    tr.add_argument("--seed", type=int, default=1)
+    tr.add_argument("--seed", type=_integer(0), default=1)
     tr.add_argument("--config", default=None, help="JSON file or literal with hyperparameters")
 
     pr = sub.add_parser("predict", help="score a situation with a saved model")

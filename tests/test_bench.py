@@ -23,6 +23,7 @@ from softdss.bench import (
     train_paradigm,
 )
 from softdss.cart import PrunedEntry, TreeNode, write_relative_error_csv
+from softdss.fuzzy import MamdaniModel
 from softdss.mlp import mlp_init
 
 
@@ -344,6 +345,31 @@ class TestFailureIsolation:
         assert failed == {("mlp", "B")}
         finished = {(r["paradigm"], r["dataset"]) for r in report["runs"] if "error" not in r}
         assert ("cart", "B") in finished and ("anfis-gaussian", "B") in finished
+
+
+class TestMamdaniTrainRmse:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("kind", ["mamdani-gd", "mamdani-ga"])
+    def test_tuner_value_is_the_models_rmse(self, kind, seed, monkeypatch):
+        """The tuner's own final error (GD's final_train_rmse, the GA's last best
+        fitness negated) is the tuned model's training RMSE, bit for bit, so the
+        run does not score its training rows again."""
+        tr, te = tace.split(tace.normalize(tace.generate(7, 150)), 0.8, seed)
+        scored = []
+        rmse = MamdaniModel.rmse
+
+        def recording(model, X, y):
+            scored.append("train" if len(X) == len(tr.x) else "test")
+            return rmse(model, X, y)
+
+        monkeypatch.setattr(MamdaniModel, "rmse", recording)
+        run = train_paradigm(kind, (tr.x, tr.y), (te.x, te.y), small_config().mamdani, seed)
+        monkeypatch.undo()
+        tuned = ["train", "test"] if kind == "mamdani-gd" else ["test"]  # gd_tune's final RMSE
+        assert scored == ["train", "test"] + tuned  # the untuned model, then the tuned one
+        assert run.train_rmse == run.model.rmse(tr.x, tr.y)
+        if kind == "mamdani-ga":
+            assert run.train_rmse == -run.curve[-1]
 
 
 class TestTestSplitChecked:

@@ -365,6 +365,51 @@ class TestPredict:
         for i in range(30):
             assert batch[i] == walk_predict(tree, Q[i])
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_flat_descent_matches_walk(self, seed):
+        """Random grown trees, with queries on the thresholds, outside [0, 1], at
+        +-inf and at nan (which goes right, as `<=` is false)."""
+        rng = np.random.default_rng(100 + seed)
+        d = int(rng.integers(1, 5))
+        X = rng.uniform(size=(int(rng.integers(20, 300)), d))
+        y = rng.normal(size=X.shape[0]) + X @ rng.normal(size=d)
+        tree = grow(X, y, min_leaf=int(rng.integers(1, 6)))
+        Q = rng.uniform(-0.5, 1.5, size=(400, d))
+        thresholds = [t for t in cart._PruneView(tree).threshold.tolist() if t != 0.0]
+        specials = np.array([np.inf, -np.inf, np.nan] + thresholds[:8])
+        mask = rng.random(Q.shape) < 0.3
+        Q[mask] = rng.choice(specials, size=int(mask.sum()))
+        want = np.array([walk_predict(tree, q) for q in Q])
+        np.testing.assert_array_equal(predict_batch(tree, Q), want)
+        for q, w in zip(Q[:40], want):
+            (one,) = predict_batch(tree, q[None, :])  # a one-row batch
+            assert one == w
+            (flat,) = predict_batch(tree, q)  # a 1-D input is one row
+            assert flat == w
+        assert predict_batch(tree, Q[:0]).shape == (0,)
+
+    def test_prediction_leaves_tree_fields_unchanged(self):
+        rng = np.random.default_rng(11)
+        X = rng.uniform(size=(80, 3))
+        y = rng.uniform(size=80)
+        tree = grow(X, y, min_leaf=3)
+        before = tree.to_dict()
+        twin = TreeNode.from_dict(before, 3)
+        assert twin == tree
+        Q = rng.uniform(size=(50, 3))
+        got = predict_batch(tree, Q)
+        assert tree.to_dict() == before
+        assert tree == twin  # the cached flat form is not a field
+        np.testing.assert_array_equal(predict_batch(twin, Q), got)
+        np.testing.assert_array_equal(predict_batch(tree, Q), got)  # from the cache
+
+    def test_too_few_columns_rejected(self):
+        """A split on variable 2 must not read the next row's first value."""
+        tree = TreeNode(0.5, 10, 1.0, 2, 0.5, TreeNode(0.0, 5, 0.0), TreeNode(1.0, 5, 0.0))
+        np.testing.assert_array_equal(predict_batch(tree, [[0, 0, 0.4], [0, 0, 0.6]]), [0.0, 1.0])
+        with pytest.raises(ValueError, match="2 columns; the tree splits on 3"):
+            predict_batch(tree, [[0.0, 0.0], [0.9, 0.9]])
+
 
 class TestPruneSequence:
     def _data(self, n=120, seed=8):
@@ -474,6 +519,29 @@ class TestPruneSequence:
         assert entry.terminal_count == 1
         assert entry.tree.is_leaf and entry.tree.to_dict() == tree.to_dict()
         assert np.isfinite(entry.cv_cost)
+
+
+class TestLazyLadderTrees:
+    def test_snapshot_only_for_the_selected_entry(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(size=(150, 2))
+        y = np.sin(5 * X[:, 0]) + rng.normal(scale=0.2, size=150)
+        tree = grow(X, y, min_leaf=3)
+        calls = []
+        snapshot = cart._PruneView.snapshot
+
+        def counting(view, alpha):
+            calls.append(alpha)
+            return snapshot(view, alpha)
+
+        monkeypatch.setattr(cart._PruneView, "snapshot", counting)
+        seq = prune_sequence(tree, X, y, folds=5, seed=3)
+        assert len(seq) > 2 and calls == []
+        best = select_min_cost(seq)
+        assert len(calls) == 1
+        entry = min(seq, key=lambda e: (e.cv_cost, e.terminal_count))
+        assert calls == [entry.alpha] and entry.tree is best  # built once, then kept
+        assert count_leaves(best) == entry.terminal_count
 
 
 class TestSelectMinCost:

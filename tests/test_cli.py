@@ -77,6 +77,15 @@ class TestGenerateData:
         assert code == 2
         assert "/nonexistent-dir/x.csv" in err
 
+    @pytest.mark.parametrize("flag, value, want", [
+        ("--n", "0", ">= 1"), ("--seed", "-1", ">= 0"), ("--n", "ten", ">= 1")])
+    def test_bad_count_is_usage_error_naming_flag(self, tmp_path, capsys, flag, value, want):
+        out = tmp_path / "d.csv"
+        code, _, err = run_cli(capsys, "generate-data", flag, value, "--out", str(out))
+        assert code == 1
+        assert f"argument {flag}: expected an integer {want}, got '{value}'" in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_anfis_curve_rows(self, data_csv, tmp_path, capsys):
@@ -119,6 +128,17 @@ class TestTrain:
             "--out", str(tmp_path / "x.json"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize("model, flag, value, want", [
+        ("cart", "--seed", "-1", ">= 0"), ("mlp", "--epochs", "0", ">= 1")])
+    def test_bad_count_is_usage_error_naming_flag(self, data_csv, tmp_path, capsys,
+                                                  model, flag, value, want):
+        code, _, err = run_cli(
+            capsys, "train", "--model", model, "--data", str(data_csv),
+            "--out", str(tmp_path / "m.json"), flag, value,
+        )
+        assert code == 1
+        assert f"argument {flag}: expected an integer {want}, got '{value}'" in err
 
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -417,6 +437,12 @@ class TestPredict:
         code, _, err = run_cli(capsys, "predict", "--model", str(cart_model), "--", "-5,30,60,4")
         assert code == 2
         assert "fuel" in err
+
+    @pytest.mark.parametrize("values", ["-1e9,30,60,4", "-.5,30,60,4"])
+    def test_negative_first_value_reaches_range_check(self, cart_model, capsys, values):
+        code, _, err = run_cli(capsys, "predict", "--model", str(cart_model), values)
+        assert code == 2
+        assert "fuel=" in err and "outside" in err
 
     def test_wrong_arity_is_usage_error(self, cart_model, capsys):
         code, _, _ = run_cli(capsys, "predict", "--model", str(cart_model), "1,2,3")
