@@ -10,18 +10,16 @@ built only for the consequent solve, which is linear in it.
 
 Hybrid learning alternates, once per epoch:
   * consequent identification by least squares with the premises frozen,
-    which is globally optimal in the consequent subspace, then
+    which is globally optimal in the consequent subspace (the epoch error is
+    measured here, so that optimality is observable per epoch), then
   * steepest descent on the membership parameters with the consequents
     frozen, with step length k along the normalized gradient direction
     (learning rate = k / ||gradient||).
-The premise parameters (set S1) live in one place, the input layer's table
-(`fuzzy.InputLayer`): its per-shape kernels give the gradient
-(`param_gradients`) and take the step, with each shape's `project` (`stepped`).
+Training runs on the input layer (`fuzzy.InputLayer`), whose table holds the
+premise parameters (set S1): its kernels give the gradient (`param_gradients`)
+and take the step (`stepped`).  A fit builds one `AnfisModel`, at the end.
 The step size k adapts by two heuristics: four consecutive error reductions
 grow it by 10%, four strictly alternating changes shrink it by 10%.
-
-The epoch error is measured after the consequent update and before the
-premise update, so the least-squares optimality is observable per epoch.
 
 The consequent solve uses the exact, rank-tested `lse_batch` where it can: a
 realizable target must be fitted to round-off in one epoch (acceptance
@@ -34,15 +32,15 @@ then those with the x_0 columns beside them.  A block that fails the rank
 test proves the whole matrix fails it (`linalg.fails_rank_test`), so the
 solve goes to `ridge_solve` at once.  On the default bench matrix this
 settles all 384 consequent solves of its 24 fits, at a fraction of the cost
-of the full SVD.  `anfis_train` counts the solves that took each path in its
-report's extras.
+of the full SVD.  `anfis_train` counts the solves that took each path, and
+the block that certified each certified one, in its report's extras.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -137,12 +135,12 @@ class AnfisModel:
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate layer of a batch forward pass, kept for backprop.
+    """Every intermediate layer of a batch forward pass, kept for backprop, with the input
+    layer and rule table that produced it.  `regressors` is built on first access, by the
+    consequent solve; a prediction never reads it."""
 
-    `regressors` is built on first access, by the consequent solve; a
-    prediction never reads it.
-    """
-
+    layer: InputLayer
+    antecedents: np.ndarray  # (R, d) MF index of every rule's antecedent
     x: np.ndarray            # clipped inputs (P, d)
     memberships: list        # per variable: (n_mfs, P) degrees (layer 2)
     w: np.ndarray            # firing strengths (P, R) (layer 3)
@@ -155,18 +153,17 @@ class ForwardTrace:
         """(P, R * (d + 1)): wbar outer xa, flattened per rule."""
         return (self.wbar[:, :, None] * self.xa[:, None, :]).reshape(self.wbar.shape[0], -1)
 
+    def outputs(self, consequents) -> tuple[np.ndarray, np.ndarray]:
+        """Layers 5-6: the (P, R) rule outputs f = xa @ consequents.T and y = sum_r wbar_r f_r."""
+        f = self.xa @ consequents.T
+        return f, (self.wbar * f).sum(axis=1)
 
-def _rule_outputs(wbar, xa, consequents) -> tuple[np.ndarray, np.ndarray]:
-    """Layers 5-6: the (P, R) rule outputs f = xa @ consequents.T and y = sum_r wbar_r f_r."""
-    f = xa @ consequents.T
-    return f, (wbar * f).sum(axis=1)
 
-
-def forward_batch(model: AnfisModel, X) -> tuple[np.ndarray, ForwardTrace]:
-    """Outputs and full trace for a batch of samples."""
+def _forward(layer: InputLayer, antecedents, X) -> ForwardTrace:
+    """Layers 2-4 of a batch on `layer` and the (R, d) `antecedents`."""
     # one clip and one fuzzification of all inputs; a nan or inf is rejected by its variable's name
-    Xc, memberships = model.input_layer.fuzzify(np.atleast_2d(np.asarray(X, dtype=float)))
-    w = rule_strengths(memberships, model.antecedent_index)
+    Xc, memberships = layer.fuzzify(np.atleast_2d(np.asarray(X, dtype=float)))
+    w = rule_strengths(memberships, antecedents)
     wsum = w.sum(axis=1)
     dead = wsum <= 0.0
     if np.any(dead):
@@ -175,8 +172,13 @@ def forward_batch(model: AnfisModel, X) -> tuple[np.ndarray, ForwardTrace]:
         )
     wbar = w / wsum[:, None]
     xa = np.column_stack([Xc, np.ones(Xc.shape[0])])
-    _, y = _rule_outputs(wbar, xa, model.consequents)
-    return y, ForwardTrace(Xc, memberships, w, wsum, wbar, xa)
+    return ForwardTrace(layer, antecedents, Xc, memberships, w, wsum, wbar, xa)
+
+
+def forward_batch(model: AnfisModel, X) -> tuple[np.ndarray, ForwardTrace]:
+    """Outputs and full trace for a batch of samples."""
+    trace = _forward(model.input_layer, model.antecedent_index, X)
+    return trace.outputs(model.consequents)[1], trace
 
 
 # ---------------------------------------------------------------------------
@@ -215,39 +217,31 @@ def update_step_size(controller: StepSizeController, new_error: float) -> StepSi
     return StepSizeController(controller.k, hist)
 
 
-def premise_gradient(model: AnfisModel, trace: ForwardTrace, residuals) -> np.ndarray:
-    """Gradient of E = 1/2 sum(residual^2) w.r.t. the premise parameters, flat in the input
-    layer's order (variable, MF, parameter).
+def premise_gradient(trace: ForwardTrace, consequents, residuals) -> np.ndarray:
+    """Gradient of E = 1/2 sum(residual^2) w.r.t. the premise parameters of `trace.layer`,
+    flat in its order (variable, MF, parameter), with the rules' `consequents` frozen.
 
     Backpropagates through the normalization layer here, through the product
     layer with `strength_backprop` and through the MFs with `param_gradients`.
     """
     residuals = np.asarray(residuals, dtype=float)
-    f, y = _rule_outputs(trace.wbar, trace.xa, model.consequents)
+    f, y = trace.outputs(consequents)
     coef = residuals[:, None] * (f - y[:, None]) / trace.wsum[:, None]
-    d_mu = strength_backprop(trace.memberships, model.antecedent_index, coef)
-    return model.input_layer.param_gradients(trace.x, d_mu)
+    d_mu = strength_backprop(trace.memberships, trace.antecedents, coef)
+    return trace.layer.param_gradients(trace.x, d_mu)
 
 
-def _apply_premise_step(model: AnfisModel, grad: np.ndarray, k: float) -> AnfisModel:
-    """Move every premise parameter by -eta * grad, eta = k / ||grad||, on the layer's table."""
-    norm = float(np.sqrt(grad @ grad))
-    if norm == 0.0:
-        return model
-    return replace(model, inputs=model.input_layer.stepped((k / norm) * grad).to_variables())
-
-
-def _certified_rank_deficient(regressors, n_inputs: int) -> bool:
-    """True when a column block proves `lse_batch` would refuse the regressors.
-
-    Tests the constant-term columns (the normalized strengths) and, if they
-    pass, those together with the x_0 columns.
-    """
+def _certified_rank_deficient(regressors, n_inputs: int) -> str | None:
+    """The column block that proves `lse_batch` would refuse the regressors, or None: the
+    constant-term columns ("strengths", the normalized strengths) or, if they pass, those
+    together with the x_0 columns ("strengths_x0")."""
     width = n_inputs + 1
     strengths = regressors[:, n_inputs::width]
     if fails_rank_test(strengths):
-        return True
-    return fails_rank_test(np.hstack([regressors[:, 0::width], strengths]))
+        return "strengths"
+    if fails_rank_test(np.hstack([regressors[:, 0::width], strengths])):
+        return "strengths_x0"
+    return None
 
 
 def _identify_consequents(regressors, y, n_inputs: int, solves: Counter | None = None):
@@ -255,50 +249,52 @@ def _identify_consequents(regressors, y, n_inputs: int, solves: Counter | None =
 
     The paths are "lstsq" (exact), "ridge" (underdetermined, or `lse_batch`
     refused the system) and "certified" (ridge, with `lse_batch` skipped
-    because a column block proved the system rank deficient).
+    because a column block proved the system rank deficient).  A certified
+    solve is also counted under the name of its block.
     """
     if regressors.shape[0] < regressors.shape[1]:
         # an underdetermined batch is always singular; gamma*I regularizes it
-        flat, path = ridge_solve(regressors, y), "ridge"
-    elif _certified_rank_deficient(regressors, n_inputs):
-        flat, path = ridge_solve(regressors, y), "certified"
+        flat, paths = ridge_solve(regressors, y), ("ridge",)
+    elif block := _certified_rank_deficient(regressors, n_inputs):
+        flat, paths = ridge_solve(regressors, y), ("certified", block)
     else:
         try:
-            flat, path = lse_batch(regressors, y), "lstsq"
+            flat, paths = lse_batch(regressors, y), ("lstsq",)
         except SingularSystemError:
-            flat, path = ridge_solve(regressors, y), "ridge"
+            flat, paths = ridge_solve(regressors, y), ("ridge",)
     if solves is not None:
-        solves[path] += 1
+        solves.update(paths)
     return flat
 
 
-def _fit_consequents(model: AnfisModel, X, y, solves: Counter | None):
-    """Consequents by least squares with the premises frozen; (model, trace, residuals).
+def _fit_consequents(layer: InputLayer, antecedents, X, y, solves: Counter | None):
+    """Consequents by least squares with the premises frozen; (trace, consequents, residuals)."""
+    trace = _forward(layer, antecedents, X)
+    flat = _identify_consequents(trace.regressors, y, antecedents.shape[1], solves)
+    return trace, flat.reshape(antecedents.shape[0], -1), trace.regressors @ flat - y
 
-    The returned model keeps the input layer `forward_batch` built: its inputs are the same.
-    """
-    _, trace = forward_batch(model, X)
-    flat = _identify_consequents(trace.regressors, y, model.n_inputs, solves)
-    fitted = replace(model, consequents=flat.reshape(model.n_rules, model.n_inputs + 1))
-    fitted.__dict__["input_layer"] = model.input_layer  # seeds the cached_property
-    return fitted, trace, trace.regressors @ flat - y
+
+def _epoch(layer: InputLayer, antecedents, X, y, k: float, solves: Counter | None):
+    """One hybrid epoch on the input layer's table: (stepped layer, consequents, epoch RMSE).
+    The premise step moves every parameter by -eta * gradient, eta = k / ||gradient||."""
+    if y.shape[0] == 0:
+        raise ValueError("training data must be non-empty")
+    trace, consequents, residuals = _fit_consequents(layer, antecedents, X, y, solves)
+    grad = premise_gradient(trace, consequents, residuals)
+    norm = float(np.sqrt(grad @ grad))
+    if norm != 0.0:
+        layer = layer.stepped((k / norm) * grad)
+    return layer, consequents, rmse(residuals)
 
 
 def hybrid_epoch(
     model: AnfisModel, X, y, controller: StepSizeController, solves: Counter | None = None
 ) -> tuple[AnfisModel, float]:
-    """One forward (consequent LSE) plus one backward (premise descent) pass.
-
-    Returns the updated model and the epoch RMSE, measured after the
-    consequent update and before the premise update.  A given `solves`
-    counter is incremented under the consequent solve's path.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] == 0:
-        raise ValueError("training data must be non-empty")
-    model, trace, residuals = _fit_consequents(model, X, y, solves)
-    grad = premise_gradient(model, trace, residuals)
-    return _apply_premise_step(model, grad, controller.k), rmse(residuals)
+    """One epoch of `anfis_train` on `model`: (updated model, epoch RMSE).  A given `solves`
+    counter counts the consequent solve as the trainer's extras do."""
+    layer, consequents, epoch_rmse = _epoch(model.input_layer, model.antecedent_index, X,
+                                            np.asarray(y, dtype=float), controller.k, solves)
+    return AnfisModel(layer.to_variables(), model.rules, consequents), epoch_rmse
 
 
 def anfis_train(
@@ -312,10 +308,10 @@ def anfis_train(
 ) -> tuple[AnfisModel, TrainReport]:
     """Train by hybrid learning for a fixed number of epochs.
 
-    `mode` must be "hybrid", the only trainer.  The report's extras hold
-    `consequent_solves`, the number of consequent solves that went through
-    `lstsq`, through `ridge` and through `certified` (ridge without the
-    `lstsq` attempt); they sum to epochs + 1.
+    `mode` must be "hybrid", the only trainer.  The report's extras count the
+    consequent solves by path in `consequent_solves` (`lstsq`, `ridge`, and
+    `certified`: ridge without the `lstsq` attempt; they sum to epochs + 1),
+    and the certified ones by the block that proved them in `certified_blocks`.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -324,23 +320,26 @@ def anfis_train(
     if not (np.isfinite(k0) and k0 > 0):
         raise ValueError(f"k0 must be a finite step size > 0, got {k0}")
     X, y = finite_data(*train)
+    layer, antecedents = model.input_layer, model.antecedent_index
     controller = StepSizeController(k0)
     curve = []
-    solves = Counter(lstsq=0, ridge=0, certified=0)
+    solves = Counter()
     start = time.perf_counter()
     for _ in range(epochs):
-        model, epoch_rmse = hybrid_epoch(model, X, y, controller, solves)
+        layer, _, epoch_rmse = _epoch(layer, antecedents, X, y, controller.k, solves)
         curve.append(epoch_rmse)
         controller = update_step_size(controller, epoch_rmse)
     # consequents are defined by least squares given the premises; after the
     # last premise step re-identify them so the returned model is coherent, and
     # report its train RMSE off its own layer-5 output, as `forward_batch` gives it
-    model, trace, _ = _fit_consequents(model, X, y, solves)
-    residuals = _rule_outputs(trace.wbar, trace.xa, model.consequents)[1] - y
+    trace, consequents, _ = _fit_consequents(layer, antecedents, X, y, solves)
+    residuals = trace.outputs(consequents)[1] - y
     final_test = None
     if test is not None:
-        Xt, yt = test
-        final_test = rmse(forward_batch(model, Xt)[0] - np.asarray(yt, dtype=float))
-    extras = {"consequent_solves": dict(solves)}
+        pred = _forward(layer, antecedents, test[0]).outputs(consequents)[1]
+        final_test = rmse(pred - np.asarray(test[1], dtype=float))
+    extras = {"consequent_solves": {p: solves[p] for p in ("lstsq", "ridge", "certified")},
+              "certified_blocks": {b: solves[b] for b in ("strengths", "strengths_x0")}}
+    model = AnfisModel(layer.to_variables(), model.rules, consequents)
     wall = time.perf_counter() - start
     return model, TrainReport(curve, rmse(residuals), final_test, wall, seed, extras)

@@ -8,13 +8,12 @@ A fuzzy model's `InputLayer` holds the parameters of all its input MFs in one
 table, built once per model, and fuzzifies every input of a batch with one
 kernel call per shape present; a lone variable's `fuzzify` is the one-input
 case.  Each class's `location` names the parameters that "moving the
-center" shifts; from it the base class derives `translate` and
-`center_gradient` for all four.  The static `gradients`, `center_of` and
-`project` kernels take the same scalar or (k, 1) parameter arrays as
-`degrees`; `project` repairs raw parameters after a gradient step (the base
-version sorts the knots and pulls the center into range, the gaussian and
-gbell floor their widths).  So a layer's table is where MF parameters are
-read, differentiated and stepped, with no MF object: it moves centers
+center" shifts.  The static `gradients`, `center_of` and `project` kernels
+take the same scalar or (k, 1) parameter arrays as `degrees`; `project`
+repairs raw parameters after a gradient step (the base version sorts the
+knots and pulls the center into range, the gaussian and gbell floor their
+widths).  So a layer's table is where MF parameters are read, differentiated
+and stepped, with no MF object: it moves centers along `location`
 (`InputLayer.moved`), steps every parameter (`stepped`) and differentiates
 them in one backward pass (`param_gradients`, summed over `location` by
 `center_gradients`).
@@ -87,17 +86,6 @@ class MembershipFunction:
 
     def centroid(self) -> float:
         return self.center  # by symmetry; the piecewise-linear shapes override it
-
-    def translate(self, delta: float) -> "MembershipFunction":
-        """The same shape moved by `delta` along the axis."""
-        params = list(self.params)
-        for i in self.location:
-            params[i] += delta
-        return self.with_params(params)
-
-    def center_gradient(self, x):
-        """d degree / d center: the parameter gradient summed over `location`."""
-        return self.gradient(x)[..., self.location].sum(axis=-1)
 
     @classmethod
     def project(cls, lo, hi, *params):
@@ -583,7 +571,7 @@ class InputLayer:
         return layer
 
     def moved(self, deltas) -> "InputLayer":
-        """The layer with MF row r translated by deltas[r], with `translate`'s bits.
+        """The layer with MF row r translated by deltas[r], added to its `location` parameters.
 
         A moved center outside its variable's range (or nan) raises the
         ValueError that the moved MFs and their `LinguisticVariable` raise.
@@ -600,14 +588,26 @@ class InputLayer:
 
     def stepped(self, step) -> "InputLayer":
         """The layer with every parameter moved by -step (flat, in `param_gradients`' order) and
-        repaired by its shape's `project`; a nan width raises its ValueError at `to_variables`."""
+        repaired by its shape's `project`.
+
+        A stepped parameter that is not finite raises the ValueError that the
+        MFs and their `LinguisticVariable` raise (a nan width), or one naming
+        the variable where they accept it (an infinite width).
+        """
         step = np.asarray(step, dtype=float)
         if step.shape != (self.n_params,):
             raise ValueError(f"step of shape {step.shape} for {self.n_params} parameters")
-        return self._with_params(
+        layer = self._with_params(
             cls.project(self.lo[source], self.hi[source],
                         *(p - step[i][:, None] for p, i in zip(params, index.T)))
             for (cls, source, _, params), index in zip(self.kernels, self.param_index))
+        for cls, source, _, params in layer.kernels:
+            finite = np.isfinite(params).all(axis=(0, 2))  # per MF of this shape
+            if not finite.all():
+                layer.to_variables()  # the variables' own check names the first bad MF
+                name = self.names[source[np.argmin(finite)]]
+                raise ValueError(f"variable {name!r}: a stepped {cls.shape} MF is not finite")
+        return layer
 
     def to_variables(self) -> list[LinguisticVariable]:
         """The layer's variables with the MFs its table holds, as `moved` or `stepped` left them."""

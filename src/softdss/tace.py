@@ -169,6 +169,8 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
+    """The dataset a `save_csv` file holds; a ValueError names the line and field of a value
+    that is not a finite number inside its `FIELD_RANGES` or `SCORE_RANGE` range."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -185,9 +187,12 @@ def load_csv(path) -> Dataset:
                 values = [float(v) for v in row]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
-            for name, value in zip(CSV_HEADER, values):
+            for name, value, (lo, hi) in zip(CSV_HEADER, values, (*FIELD_RANGES, SCORE_RANGE)):
                 if not math.isfinite(value):
                     raise ValueError(f"{path}: line {lineno}: {name} is not finite ({value!r})")
+                if not lo <= value <= hi:
+                    raise ValueError(
+                        f"{path}: line {lineno}: {name}={value:g} outside [{lo:g}, {hi:g}]")
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")

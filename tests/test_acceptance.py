@@ -105,7 +105,7 @@ def test_criterion_02_gradient_oracles():
         X = rng.uniform(0.05, 0.95, size=(25, 2))
         y = rng.uniform(0, 1, size=25)
         pred, trace = forward_batch(model, X)
-        grad = premise_gradient(model, trace, pred - y)
+        grad = premise_gradient(trace, model.consequents, pred - y)
         h = 1e-6
         for k in range(grad.shape[0]):
             step = np.zeros(grad.shape[0])

@@ -1,5 +1,6 @@
 """Takagi-Sugeno network: layer math, regressor rows, hybrid learning, step size."""
 
+import dataclasses
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -198,13 +199,14 @@ class TestHybridEpoch:
         rng = np.random.default_rng(8)
         X = rng.uniform(0, 1, size=(40, 2))
         y = rng.uniform(0, 1, size=40)
-        pred, trace = forward_batch(model, X)
-        g = premise_gradient(model, trace, pred - y)
-        stepped = anfis._apply_premise_step(model, g, k)
+        layer, antecedents = model.input_layer, model.antecedent_index
+        trace, consequents, residuals = anfis._fit_consequents(layer, antecedents, X, y, None)
+        g = premise_gradient(trace, consequents, residuals)
+        stepped, _, _ = anfis._epoch(layer, antecedents, X, y, k, None)
         # the gradient's order is the input layer's: variable, MF, parameter
         delta = np.concatenate([np.subtract(new.params, old.params)
                                 for v, var in enumerate(model.inputs)
-                                for new, old in zip(stepped.inputs[v].mfs, var.mfs)])
+                                for new, old in zip(stepped.to_variables()[v].mfs, var.mfs)])
         np.testing.assert_allclose(delta, -(k / np.linalg.norm(g)) * g, atol=1e-12)
 
     def test_premise_gradient_matches_finite_difference(self):
@@ -214,7 +216,7 @@ class TestHybridEpoch:
             X = rng.uniform(0.05, 0.95, size=(30, 2))
             y = rng.uniform(0, 1, size=30)
             pred, trace = forward_batch(model, X)
-            grad = premise_gradient(model, trace, pred - y)
+            grad = premise_gradient(trace, model.consequents, pred - y)
             layer = model.input_layer
             h = 1e-6
             checked = 0
@@ -232,8 +234,7 @@ class TestHybridEpoch:
             assert checked >= 3
 
     def test_one_input_layer_per_epoch(self, monkeypatch):
-        # the consequent step's model keeps the layer forward_batch built, so the premise
-        # gradient and step reuse it: one InputLayer per epoch
+        # each epoch runs on the model's layer, and only the model it returns builds another
         built = []
         init = anfis.InputLayer.__init__
         monkeypatch.setattr(anfis.InputLayer, "__init__",
@@ -275,7 +276,7 @@ class TestHybridEpoch:
         _, trace = forward_batch(model, X)
         solves = Counter()
         trained, rmse = hybrid_epoch(model, X, y, StepSizeController(0.01), solves)
-        assert solves == {"certified": 1}
+        assert solves == {"certified": 1, "strengths": 1}
         expected = trace.regressors @ rls_solve(trace.regressors, y, DEFAULT_GAMMA)
         fitted = trace.regressors @ trained.consequents.ravel()
         np.testing.assert_allclose(fitted, expected, rtol=0, atol=1e-9)
@@ -355,7 +356,8 @@ class TestTraining:
         y = 0.5 * X[:, 0] + 0.25 * X[:, 1]
         _, report = anfis_train(small_model(2, 2), (X, y), None, epochs=4)
         # four epochs plus the final re-identification, all full rank
-        assert report.extras == {"consequent_solves": {"lstsq": 5, "ridge": 0, "certified": 0}}
+        assert report.extras == {"consequent_solves": {"lstsq": 5, "ridge": 0, "certified": 0},
+                                 "certified_blocks": {"strengths": 0, "strengths_x0": 0}}
 
     @pytest.mark.parametrize("mode", ["backprop", "Hybrid", ""])
     def test_hybrid_is_the_only_mode(self, mode):
@@ -368,6 +370,50 @@ class TestTraining:
         X = np.random.default_rng(12).uniform(0, 1, size=(20, 2))
         with pytest.raises(ValueError, match=f"^k0 must be a finite step size > 0, got {k0}$"):
             anfis_train(small_model(2, 2), (X, X[:, 0]), None, epochs=1, k0=k0)
+
+    @pytest.mark.parametrize("shape", ["gaussian", "trapezoid"])
+    @pytest.mark.parametrize("epochs", [1, 15])
+    def test_one_model_per_fit(self, shape, epochs, monkeypatch):
+        # the fit runs on the given model's input layer and rule table and builds one model, at
+        # the end, whatever the epoch count: one rule check and no `dataclasses.replace`
+        rng = np.random.default_rng(19)
+        X = rng.uniform(0, 1, size=(60, 2))
+        y = np.sin(3 * X[:, 0]) * 0.3 + 0.4 * X[:, 1]
+        model = small_model(2, 3, shape=shape)
+        calls = Counter()
+        table, init, post = anfis.antecedent_table, anfis.InputLayer.__init__, AnfisModel.__post_init__
+
+        def spy(name, real):
+            return lambda *args, **kwargs: calls.update([name]) or real(*args, **kwargs)
+
+        monkeypatch.setattr(anfis, "antecedent_table", spy("antecedent_table", table))
+        monkeypatch.setattr(anfis.InputLayer, "__init__", spy("InputLayer", init))
+        monkeypatch.setattr(AnfisModel, "__post_init__", spy("AnfisModel", post))
+        for module in (dataclasses, anfis):
+            monkeypatch.setattr(module, "replace", spy("replace", dataclasses.replace),
+                                raising=False)
+        trained, report = anfis_train(model, (X, y), (X[:20], y[:20]), epochs=epochs)
+        assert len(report.rmse_per_epoch) == epochs
+        # the one InputLayer is the given model's, which had not built it yet
+        assert calls == {"antecedent_table": 1, "InputLayer": 1, "AnfisModel": 1}
+
+    def test_nan_premise_step_raises_in_its_epoch(self, monkeypatch):
+        # a nan in the third epoch's gradient raises the MF's own ValueError at that step
+        rng = np.random.default_rng(20)
+        X = rng.uniform(0, 1, size=(60, 2))
+        y = np.sin(3 * X[:, 0]) * 0.3 + 0.4 * X[:, 1]
+        grads = []
+
+        def gradient(trace, consequents, residuals):
+            grads.append(premise_gradient(trace, consequents, residuals))
+            if len(grads) == 3:
+                grads[-1][1] = np.nan  # the first MF's sigma
+            return grads[-1]
+
+        monkeypatch.setattr(anfis, "premise_gradient", gradient)
+        with pytest.raises(ValueError, match="^sigma must be positive, got nan$"):
+            anfis_train(small_model(2, 3), (X, y), None, epochs=10)
+        assert len(grads) == 3
 
     def test_zero_epochs_rejected(self):
         model = small_model(2, 2)
@@ -451,10 +497,12 @@ class TestCertifiedSolve:
             return model, report, forward_batch(model, test.x)[0]
 
         model, report, pred = fit()
-        assert report.extras == {"consequent_solves": {"lstsq": 0, "ridge": 0, "certified": 16}}
+        solves, blocks = report.extras["consequent_solves"], report.extras["certified_blocks"]
+        assert solves == {"lstsq": 0, "ridge": 0, "certified": 16}
+        assert sum(blocks.values()) == 16
         monkeypatch.setattr(anfis, "_identify_consequents", identify_consequents_oracle)
         want_model, want_report, want_pred = fit()
-        assert want_report.extras == {"consequent_solves": {"lstsq": 0, "ridge": 16, "certified": 0}}
+        assert want_report.extras["consequent_solves"] == {"lstsq": 0, "ridge": 16, "certified": 0}
         assert np.array_equal(report.rmse_per_epoch, want_report.rmse_per_epoch)
         assert np.array_equal(model.consequents, want_model.consequents)
         assert np.array_equal(pred, want_pred)

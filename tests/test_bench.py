@@ -100,8 +100,12 @@ class TestReportStructure:
                 solves = run["extras"]["consequent_solves"]
                 assert set(solves) == {"lstsq", "ridge", "certified"}
                 assert sum(solves.values()) == 3  # 2 epochs + final solve
+                blocks = run["extras"]["certified_blocks"]
+                assert set(blocks) == {"strengths", "strengths_x0"}
+                assert sum(blocks.values()) == solves["certified"]
         for name in ("summary.csv", "sweep.csv"):
             assert "solves" not in (out / name).read_text()
+            assert "strengths" not in (out / name).read_text()
 
     def test_ga_runs_carry_evaluation_counts(self, bench_out):
         out, _ = bench_out

@@ -162,6 +162,17 @@ class TestTrain:
         assert "line 3: fuel is not finite" in err
         assert not out.exists()
 
+    def test_out_of_range_csv_is_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "score.csv"
+        bad.write_text("fuel,intercept_time,weapon,danger,score\n1,2,3,4,5\n1,2,3,4,99\n")
+        out = tmp_path / "m.json"
+        code, _, err = run_cli(
+            capsys, "train", "--model", "cart", "--data", str(bad), "--out", str(out),
+        )
+        assert code == 2
+        assert "line 3: score=99 outside [0, 10]" in err
+        assert not out.exists()
+
     def test_anfis_summary_reports_solver_path(self, data_csv, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys, "train", "--model", "anfis", "--data", str(data_csv),

@@ -558,7 +558,7 @@ class TestCenterGradientKernels:
 
 
 class TestMovedLayer:
-    """`InputLayer.moved`: each MF row translated in the table, with `translate`'s bits."""
+    """`InputLayer.moved`: each MF row translated in the table, with `translate_oracle`'s bits."""
 
     @staticmethod
     def _deltas(variables, rng):
@@ -577,7 +577,8 @@ class TestMovedLayer:
             deltas = self._deltas(variables, rng)
             moved = layer.moved(deltas)
             rows = iter(deltas)
-            want = [var.replace_mfs([mf.translate(next(rows)) for mf in var.mfs]) for var in variables]
+            want = [var.replace_mfs([translate_oracle(mf, next(rows)) for mf in var.mfs])
+                    for var in variables]
             got = moved.to_variables()
             assert [var.name for var in got] == layer.names
             assert [var.labels for var in got] == [var.labels for var in variables]
@@ -613,7 +614,7 @@ class TestMovedLayer:
         first = min(pushed)
         v = int(np.searchsorted(bounds, first, side="right")) - 1
         var = variables[v]
-        moved = [mf.translate(deltas[bounds[v] + j]) for j, mf in enumerate(var.mfs)]
+        moved = [translate_oracle(mf, deltas[bounds[v] + j]) for j, mf in enumerate(var.mfs)]
         with pytest.raises(ValueError) as want:
             var.replace_mfs(moved)
         with pytest.raises(ValueError) as got:
@@ -631,7 +632,7 @@ class TestMovedLayer:
         deltas[row] = np.nan
         var = variables[0 if row < 3 else 2]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            var.replace_mfs([mf.translate(float(deltas[row])) if j == row % 3 else mf
+            var.replace_mfs([translate_oracle(mf, float(deltas[row])) if j == row % 3 else mf
                              for j, mf in enumerate(var.mfs)])
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             InputLayer(variables).moved(deltas)
@@ -729,10 +730,17 @@ class TestParamTable:
         with pytest.raises(ValueError, match=f"for {layer.n_params} parameters"):
             layer.stepped(np.zeros(layer.n_params - 1))
 
-    def test_nan_width_raises_at_to_variables(self):
-        stepped = unit_layer(GaussianMF(0.5, 0.2)).stepped([0.0, np.nan])
-        with pytest.raises(ValueError, match="sigma must be positive, got nan"):
-            stepped.to_variables()
+    def test_nan_width_raises_at_stepped(self):
+        with pytest.raises(ValueError, match="^sigma must be positive, got nan$"):
+            unit_layer(GaussianMF(0.5, 0.2)).stepped([0.0, np.nan])
+
+    def test_infinite_width_raises_naming_the_variable(self):
+        # an MF takes an infinite sigma, so the step names the variable itself
+        layer = InputLayer(mixed_variables())
+        step = np.zeros(layer.n_params)
+        step[-3] = -np.inf  # the last gbell's a
+        with pytest.raises(ValueError, match="^variable 'd': a stepped gbell MF is not finite$"):
+            layer.stepped(step)
 
 
 def triangle_gradient_oracle(mf, x):
@@ -952,14 +960,15 @@ class TestGradients:
                 ) < 1e-3:
                     continue
                 numeric = (
-                    float(mf.translate(h).evaluate(x)) - float(mf.translate(-h).evaluate(x))
+                    float(translate_oracle(mf, h).evaluate(x))
+                    - float(translate_oracle(mf, -h).evaluate(x))
                 ) / (2 * h)
-                assert float(mf.center_gradient(x)) == pytest.approx(numeric, abs=2e-4)
+                assert float(center_gradient_oracle(mf, x)) == pytest.approx(numeric, abs=2e-4)
 
 
 class TestShapeLocation:
-    """`location` and the base-class `translate`, `center_gradient` and
-    `project` against the per-shape code they replaced."""
+    """`location`, as the input layer's `moved` and `center_gradients` read it, and the
+    base-class `project` against the per-shape code they replaced."""
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_translate_and_center_gradient_match_oracles(self, shape):
@@ -967,13 +976,21 @@ class TestShapeLocation:
         degenerate = [TriangleMF(0.2, 0.2, 0.2), TriangleMF(0.0, 0.0, 1.0), TrapezoidMF(0, 0, 1, 1)]
         mfs = [random_mf(shape, rng) for _ in range(300)]
         mfs += [mf for mf in degenerate if mf.shape == shape]
-        for mf in mfs:
-            delta = rng.uniform(-2, 2)
-            assert mf.translate(delta).params == translate_oracle(mf, delta).params
-            # random points plus every knot, where the one-sided branches meet
-            x = np.concatenate([rng.uniform(-4, 4, size=40), mf.params])
-            assert np.array_equal(mf.center_gradient(x), center_gradient_oracle(mf, x))
-            assert np.array_equal(mf.center_gradient(x[0]), center_gradient_oracle(mf, x[0]))
+        # one variable per MF, so each MF row has its own input column
+        layer = InputLayer([LinguisticVariable(f"v{i}", -10.0, 10.0, [mf])
+                            for i, mf in enumerate(mfs)])
+        deltas = rng.uniform(-2, 2, size=len(mfs))
+        moved = [var.mfs[0] for var in layer.moved(deltas).to_variables()]
+        assert [mf.params for mf in moved] == [
+            translate_oracle(mf, delta).params for mf, delta in zip(mfs, deltas)]
+        # random points plus every knot, where the one-sided branches meet, one row at a time
+        X = np.column_stack([np.concatenate([rng.uniform(-4, 4, size=40), mf.params])
+                             for mf in mfs])
+        ones = [np.ones((1, 1))] * len(mfs)
+        for p in range(X.shape[0]):
+            row = X[p:p + 1]
+            want = [center_gradient_oracle(mf, row[:, j])[0] for j, mf in enumerate(mfs)]
+            assert np.array_equal(layer.center_gradients(row, ones), want)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_project_matches_oracle(self, shape):

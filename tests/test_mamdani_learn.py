@@ -14,7 +14,6 @@ from softdss.fuzzy import (
     MF_SHAPES,
     LinguisticVariable,
     MamdaniModel,
-    MembershipFunction,
     TrapezoidMF,
     TriangleMF,
     rule_strengths,
@@ -621,7 +620,6 @@ class TestTableTuning:
         def per_mf(self, x):
             raise AssertionError("gd_tune differentiated MF by MF")
 
-        monkeypatch.setattr(MembershipFunction, "center_gradient", per_mf)
         for cls in MF_SHAPES.values():
             monkeypatch.setattr(cls, "gradient", per_mf)
         monkeypatch.setattr(mamdani, "decode_centers", per_mf)

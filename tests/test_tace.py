@@ -167,6 +167,20 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 3"):
             tace.load_csv(path)
 
+    @pytest.mark.parametrize("row,message", [
+        ("1,2,3,4,99", "score=99 outside [0, 10]"),
+        ("1,2,3,4,-0.5", "score=-0.5 outside [0, 10]"),
+        ("1000.5,2,3,4,5", "fuel=1000.5 outside [0, 1000]"),
+        ("1,-1,3,4,5", "intercept_time=-1 outside [0, 60]"),
+        ("1,2,101,4,5", "weapon=101 outside [0, 100]"),
+        ("1,2,3,10.01,5", "danger=10.01 outside [0, 10]"),
+    ])
+    def test_out_of_range_reports_line_and_field(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"fuel,intercept_time,weapon,danger,score\n0,60,100,0,10\n{row}\n")
+        with pytest.raises(ValueError, match=f"line 3: {re.escape(message)}$"):
+            tace.load_csv(path)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_reports_line_and_field(self, tmp_path, value):
         path = tmp_path / "bad.csv"
