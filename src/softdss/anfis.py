@@ -291,9 +291,11 @@ def hybrid_epoch(
     model: AnfisModel, X, y, controller: StepSizeController, solves: Counter | None = None
 ) -> tuple[AnfisModel, float]:
     """One epoch of `anfis_train` on `model`: (updated model, epoch RMSE).  A given `solves`
-    counter counts the consequent solve as the trainer's extras do."""
-    layer, consequents, epoch_rmse = _epoch(model.input_layer, model.antecedent_index, X,
-                                            np.asarray(y, dtype=float), controller.k, solves)
+    counter counts the consequent solve as the trainer's extras do.  The data are checked as
+    `anfis_train` checks them."""
+    X, y = finite_data(X, y)
+    layer, consequents, epoch_rmse = _epoch(model.input_layer, model.antecedent_index, X, y,
+                                            controller.k, solves)
     return AnfisModel(layer.to_variables(), model.rules, consequents), epoch_rmse
 
 

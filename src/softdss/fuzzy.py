@@ -8,12 +8,13 @@ A fuzzy model's `InputLayer` holds the parameters of all its input MFs in one
 table, built once per model, and fuzzifies every input of a batch with one
 kernel call per shape present; a lone variable's `fuzzify` is the one-input
 case.  Each class's `location` names the parameters that "moving the
-center" shifts.  The static `gradients`, `center_of` and `project` kernels
-take the same scalar or (k, 1) parameter arrays as `degrees`; `project`
-repairs raw parameters after a gradient step (the base version sorts the
-knots and pulls the center into range, the gaussian and gbell floor their
-widths).  So a layer's table is where MF parameters are read, differentiated
-and stepped, with no MF object: it moves centers along `location`
+center" shifts.  The static `gradients`, `center_of`, `centroid_of` and
+`project` kernels take the same scalar or (k, 1) parameter arrays as
+`degrees`; `project` repairs raw parameters after a gradient step (the base
+version sorts the knots and pulls the center into range, the gaussian and
+gbell floor their widths).  So a layer's table is where MF parameters are
+read, differentiated and stepped, with no MF object: it reads centers and
+centroids (`InputLayer.centers`, `centroids`), moves centers along `location`
 (`InputLayer.moved`), steps every parameter (`stepped`) and differentiates
 them in one backward pass (`param_gradients`, summed over `location` by
 `center_gradients`).
@@ -61,7 +62,7 @@ class MembershipFunction:
     and `location` holds the indices of those a center move shifts.  Each shape's static
     kernels broadcast `x` against scalar or (k, 1) array parameters: `degrees(x, *params)`
     evaluates it, `gradients(x, *params)` gives d degree / d parameter, one array per
-    parameter, and `center_of(*params)` its center."""
+    parameter, `center_of(*params)` its center and `centroid_of(*params)` its centroid."""
 
     __slots__ = ()
     location: tuple[int, ...] = ()
@@ -84,8 +85,12 @@ class MembershipFunction:
     def center(self) -> float:
         return self.center_of(*self.params)
 
+    @classmethod
+    def centroid_of(cls, *params):
+        return cls.center_of(*params)  # by symmetry; the piecewise-linear shapes override it
+
     def centroid(self) -> float:
-        return self.center  # by symmetry; the piecewise-linear shapes override it
+        return float(self.centroid_of(*self.params))
 
     @classmethod
     def project(cls, lo, hi, *params):
@@ -284,15 +289,17 @@ class TrapezoidMF(MembershipFunction):
     def center_of(a, b, c, d):
         return 0.5 * (b + c)
 
-    def centroid(self) -> float:
-        den = 3.0 * ((self.d + self.c) - (self.a + self.b))
-        if den == 0:  # degenerate spike
-            return self.center
-        a, b, c, d = map(np.float64, self.params)
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = float(((d**2 + c**2 + c * d) - (a**2 + b**2 + a * b)) / den)
-        if not math.isfinite(value):  # knots so far apart that the squares overflow
-            raise ValueError(f"trapezoid {self.params} has no finite centroid")
+    @staticmethod
+    def centroid_of(a, b, c, d):
+        den = 3.0 * ((d + c) - (a + b))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            sa, sb, sc, sd = (_powers(k, 2) for k in (a, b, c, d))
+            value = np.where(den == 0, 0.5 * (b + c),  # a degenerate spike: its center
+                             ((sd + sc + c * d) - (sa + sb + a * b)) / den)
+        bad = np.flatnonzero(~np.isfinite(value))
+        if bad.size:  # knots so far apart that the squares overflow
+            knots = tuple(float(np.ravel(k)[bad[0]]) for k in (a, b, c, d))
+            raise ValueError(f"trapezoid {knots} has no finite centroid")
         return value
 
 
@@ -325,8 +332,9 @@ class TriangleMF(MembershipFunction):
     def center_of(a, b, c):
         return b
 
-    def centroid(self) -> float:
-        return (self.a + self.b + self.c) / 3.0
+    @staticmethod
+    def centroid_of(a, b, c):
+        return (a + b + c) / 3.0
 
 
 MF_SHAPES = {
@@ -537,12 +545,16 @@ class InputLayer:
             rows[at] = cls.degrees(Xc.T[source], *params)  # numpy's inner loops run over P
         return [rows[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
 
-    def centers(self) -> np.ndarray:
-        """Every MF's center, in row order."""
+    def centers(self, kernel="center_of") -> np.ndarray:
+        """Every MF's center, or its shape's other per-MF `kernel`, in row order."""
         out = np.empty(self.bounds[-1])
         for cls, _, at, params in self.kernels:
-            out[at] = np.ravel(cls.center_of(*params))
+            out[at] = np.ravel(getattr(cls, kernel)(*params))
         return out
+
+    def centroids(self) -> np.ndarray:
+        """Every MF's centroid, in row order."""
+        return self.centers("centroid_of")
 
     def param_gradients(self, Xc, d_mu) -> np.ndarray:
         """d E / d parameter, flat in variable, MF, parameter order, at clipped `Xc`, from

@@ -18,7 +18,9 @@ Parameters are then tuned two ways:
   tournament selection, one-point crossover, re-initialising mutation and
   elitism, scored by the full pipeline RMSE.
 
-Both tuners move the centers in the model's input and output layer tables
+Wang-Mendel fuzzifies its inputs and its output through layer tables, and both
+tuners read the centers, their ranges and the output centroids from the
+model's input and output layer tables, move the centers there
 (`InputLayer.moved`) and build a model only for the result, as
 `decode_centers` does from the base model's tables.
 """
@@ -48,13 +50,13 @@ def wang_mendel(X, y, inputs, output) -> MamdaniModel:
         raise ValueError("wang_mendel needs at least one sample")
     mu_in = InputLayer(inputs).fuzzify(X)[1]  # per input, (n_mfs, P)
     in_idx, in_deg = [mu.argmax(axis=0) for mu in mu_in], [mu.max(axis=0) for mu in mu_in]
-    mu_out = output.fuzzify(y)
-    out_idx = mu_out.argmax(axis=1)
+    mu_out = InputLayer([output]).fuzzify(y[:, None])[1][0]  # (n_mfs, P), as the inputs'
+    out_idx = mu_out.argmax(axis=0)
     # degree = product over inputs in variable order, then the output degree
     degree = in_deg[0].copy()
     for d in in_deg[1:]:
         degree = degree * d
-    degree = degree * mu_out.max(axis=1)
+    degree = degree * mu_out.max(axis=0)
     # rows by antecedent, then by falling degree; the sort is stable, so among rows of one
     # antecedent and the maximal degree the first row leads its group
     order = np.lexsort([-degree] + in_idx[::-1])
@@ -75,16 +77,14 @@ def wang_mendel(X, y, inputs, output) -> MamdaniModel:
 def encode_centers(model: MamdaniModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flatten all tunable MF centers: inputs then output, variable then MF order.
 
-    Returns (genes, lower_bounds, upper_bounds); the bounds are each gene's
-    owning variable range.
+    Returns (genes, lower_bounds, upper_bounds) from the input and output layer tables; the
+    bounds are each gene's owning variable range.
     """
-    genes, lo, hi = [], [], []
-    for var in list(model.inputs) + [model.output]:
-        for mf in var.mfs:
-            genes.append(mf.center)
-            lo.append(var.lo)
-            hi.append(var.hi)
-    return np.array(genes), np.array(lo), np.array(hi)
+    layers = (model.input_layer, model.output_layer)
+    ranges = [np.repeat(np.hstack([layer.lo, layer.hi]), np.diff(layer.bounds), axis=0)
+              for layer in layers]
+    lo, hi = np.concatenate(ranges).T.copy()
+    return np.concatenate([layer.centers() for layer in layers]), lo, hi
 
 
 def decode_centers(model: MamdaniModel, genes) -> MamdaniModel:
@@ -106,10 +106,6 @@ def _moved_layers(layer, out_layer, genes, lo, hi):
 # ---------------------------------------------------------------------------
 # gradient-descent tuning
 # ---------------------------------------------------------------------------
-
-def _centroids(output) -> np.ndarray:
-    return np.array([mf.centroid() for mf in output.mfs])
-
 
 def _surrogate(model: MamdaniModel, layer: InputLayer, z, xc, y):
     """(outputs, gradient) of the differentiable stand-in, the activation-weighted average
@@ -138,14 +134,14 @@ def _surrogate(model: MamdaniModel, layer: InputLayer, z, xc, y):
 def surrogate_rmse(model: MamdaniModel, X, y) -> float:
     X, y = finite_data(X, y)
     layer = model.input_layer
-    return rmse(_surrogate(model, layer, _centroids(model.output), layer.clip(X), y)[0] - y)
+    return rmse(_surrogate(model, layer, model.output_layer.centroids(), layer.clip(X), y)[0] - y)
 
 
 def surrogate_gradient(model: MamdaniModel, X, y) -> np.ndarray:
     """Gradient of the mean squared surrogate error w.r.t. the center vector."""
     X, y = finite_data(X, y)
     layer = model.input_layer
-    return _surrogate(model, layer, _centroids(model.output), layer.clip(X), y)[1]
+    return _surrogate(model, layer, model.output_layer.centroids(), layer.clip(X), y)[1]
 
 
 def gd_tune(
@@ -178,7 +174,7 @@ def gd_tune(
     start = time.perf_counter()
     for epoch in range(1, epochs + 1):
         # one surrogate pass gives the epoch's error and its gradient
-        yhat, grad = _surrogate(model, layer, _centroids(out_layer.to_variables()[0]), xc, y)
+        yhat, grad = _surrogate(model, layer, out_layer.centroids(), xc, y)
         err = rmse(yhat - y)
         curve.append(err)
         if initial is None:

@@ -72,17 +72,27 @@ class LoadedModel:
     output_range: tuple
 
     def predict_normalized(self, X) -> np.ndarray:
+        """`predict_normalized` of the model; ValueError for rows not one value per input."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.ndim != 2 or X.shape[1] != len(self.input_ranges):
+            raise ValueError(f"expected (rows, {len(self.input_ranges)}) inputs, got shape {X.shape}")
         return predict_normalized(self.model, X)
 
     def predict_score(self, x_physical) -> float:
         """Crisp decision score in physical units, clipped into the output range.
 
-        Inputs are normalized with the file's own `input_ranges`.
+        `x_physical` is one situation, one value per input, of shape (n,) or
+        (1, n); inputs are normalized with the file's own `input_ranges`.
 
-        Raises ValueError for a non-finite input value, naming its field, and
+        Raises ValueError for any other shape, naming the expected count and
+        the shape it got, for a non-finite input value, naming its field, and
         for a model that yields a non-finite score.
         """
-        x = np.atleast_2d(np.asarray(x_physical, dtype=float))
+        x = np.asarray(x_physical, dtype=float)
+        n = len(self.input_ranges)
+        if x.shape not in ((n,), (1, n)):
+            raise ValueError(f"expected one situation of {n} values, got shape {x.shape}")
+        x = x.reshape(1, n)
         finite = np.isfinite(x)
         if not finite.all():
             field = tace.FIELDS[int(np.argmin(finite.all(axis=0)))]

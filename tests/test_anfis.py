@@ -1,6 +1,7 @@
 """Takagi-Sugeno network: layer math, regressor rows, hybrid learning, step size."""
 
 import dataclasses
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -246,6 +247,20 @@ class TestHybridEpoch:
         for epoch in range(1, 4):
             model, _ = hybrid_epoch(model, X, y, StepSizeController(0.05))
             assert len(built) == epoch
+
+    def test_data_checked_as_anfis_train_checks_them(self):
+        rng = np.random.default_rng(19)
+        X = rng.uniform(0, 1, size=(30, 2))
+        y = rng.uniform(0, 1, size=30)
+        model = small_model(2, 2)
+        y[3] = np.nan
+        with pytest.raises(ValueError, match=r"^y holds non-finite values$"):
+            hybrid_epoch(model, X, y, StepSizeController(0.01))
+        with pytest.raises(ValueError, match=re.escape(
+                "X has shape (30, 2) but y has shape (20,): row counts differ")):
+            hybrid_epoch(model, X, y[10:], StepSizeController(0.01))
+        with pytest.raises(ValueError, match="training data must be non-empty"):
+            hybrid_epoch(model, X[:0], y[:0], StepSizeController(0.01))
 
     def test_lse_is_optimal_in_consequent_space(self):
         rng = np.random.default_rng(10)

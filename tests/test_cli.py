@@ -653,6 +653,30 @@ class TestPredict:
         assert field in str(info.value)
         assert not path.exists()
 
+    @pytest.mark.parametrize("make", [small_anfis, small_mamdani, small_mlp, small_tree],
+                             ids=["anfis", "mamdani", "mlp", "cart"])
+    def test_score_takes_exactly_one_situation(self, tmp_path, monkeypatch, make):
+        path = tmp_path / "model.json"
+        save_model(make(), path)
+        loaded = load_model(path)
+        want = loaded.predict_score([500, 30, 50, 5])
+        assert loaded.predict_score(np.array([[500, 30, 50, 5]])) == want
+
+        def no_normalization(*args):
+            raise AssertionError("a malformed situation was normalized")
+
+        monkeypatch.setattr(tace, "normalize_inputs", no_normalization)
+        for bad, shape in [([500, 30, 50, 5, 99], "(5,)"), ([500, 30, 50], "(3,)"),
+                           (7.0, "()"), ([[500, 30, 50, 5], [0, 60, 0, 10]], "(2, 4)"),
+                           ([[[500, 30, 50, 5]]], "(1, 1, 4)")]:
+            with pytest.raises(ValueError) as info:
+                loaded.predict_score(bad)
+            assert str(info.value) == f"expected one situation of 4 values, got shape {shape}"
+        for bad, shape in [(np.full((3, 5), 0.5), "(3, 5)"), (np.full(3, 0.5), "(1, 3)")]:
+            with pytest.raises(ValueError) as info:
+                loaded.predict_normalized(bad)
+            assert str(info.value) == f"expected (rows, 4) inputs, got shape {shape}"
+
 
 def random_model(kind, shape, rng):
     """A model of `kind` with random parameters; `shape` is the fuzzy kinds' MF shape."""

@@ -587,6 +587,7 @@ class TestMovedLayer:
                 assert [mf.params for mf in g.mfs] == [mf.params for mf in w.mfs]
                 assert [type(mf) for mf in g.mfs] == [type(mf) for mf in w.mfs]
             assert same_bits(moved.centers(), [mf.center for var in want for mf in var.mfs])
+            assert same_bits(moved.centroids(), [mf.centroid() for var in want for mf in var.mfs])
             with np.errstate(over="ignore", under="ignore"):
                 Xc, mu = moved.fuzzify(X)
                 _, want_mu = InputLayer(want).fuzzify(X)
@@ -603,6 +604,29 @@ class TestMovedLayer:
         variables = mixed_variables()
         assert InputLayer(variables).centers().tolist() == [
             mf.center for var in variables for mf in var.mfs]
+
+    @settings(max_examples=300, deadline=None)
+    @given(variables=st.lists(variables(), min_size=1, max_size=3))
+    def test_centroids_are_the_stacked_mf_centroids(self, variables):
+        want = [mf.centroid() for var in variables for mf in var.mfs]
+        assert same_bits(InputLayer(variables).centroids(), want)
+
+    def test_centroid_spike_and_overflow_through_the_table(self):
+        spike = [TrapezoidMF(0.1, 0.2, 0.3, 0.5), TrapezoidMF(0.5, 0.5, 0.5, 0.5),
+                 GaussianMF(0.25, 0.1), TriangleMF(0.0, 0.0, 1.0)]
+        layer = InputLayer([LinguisticVariable("v", 0.0, 1.0, spike)])
+        assert same_bits(layer.centroids(), [mf.centroid() for mf in spike])
+        assert layer.centroids()[1] == 0.5
+        # squares past the float range in the second trapezoid row: the message names its knots
+        wide = [TrapezoidMF(0.1, 0.2, 0.3, 0.5), GaussianMF(0.25, 0.1),
+                TrapezoidMF(-1e200, 0.0, 1.0, 1e200)]
+        layer = InputLayer([LinguisticVariable("w", 0.0, 1.0, wide)])
+        with pytest.raises(ValueError) as info:
+            layer.centroids()
+        assert str(info.value) == "trapezoid (-1e+200, 0.0, 1.0, 1e+200) has no finite centroid"
+        with pytest.raises(ValueError) as own:
+            wide[2].centroid()
+        assert str(own.value) == str(info.value)
 
     @pytest.mark.parametrize("pushed", [[1], [4, 10], [10, 4, 0], [7]])
     def test_center_outside_range_named_as_the_variable_names_it(self, pushed):

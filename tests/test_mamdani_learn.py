@@ -12,6 +12,7 @@ from softdss.cart import grow
 from softdss.errors import TrainingDivergedError
 from softdss.fuzzy import (
     MF_SHAPES,
+    InputLayer,
     LinguisticVariable,
     MamdaniModel,
     TrapezoidMF,
@@ -157,6 +158,17 @@ def reference_gd(model, X, y, learning_rate, momentum, epochs):
     return model, curve
 
 
+def encode_centers_oracle(model):
+    """The center vector and its bounds MF by MF, inputs then output (test oracle)."""
+    genes, lo, hi = [], [], []
+    for var in list(model.inputs) + [model.output]:
+        for mf in var.mfs:
+            genes.append(mf.center)
+            lo.append(var.lo)
+            hi.append(var.hi)
+    return np.array(genes), np.array(lo), np.array(hi)
+
+
 def mf_params(model):
     return [mf.params for var in list(model.inputs) + [model.output] for mf in var.mfs]
 
@@ -235,6 +247,26 @@ class TestWangMendel:
                 degree, cons = oracle[rule.antecedent]
                 assert rule.weight == pytest.approx(degree, abs=1e-12)
                 assert rule.consequent == cons
+
+    def test_output_fuzzified_through_a_layer_table(self, monkeypatch):
+        def per_variable(self, x):
+            raise AssertionError("wang_mendel fuzzified a variable on its own")
+
+        monkeypatch.setattr(LinguisticVariable, "fuzzify", per_variable)
+        rng = np.random.default_rng(2)
+        inputs = [LinguisticVariable.uniform(f"x{i}", 0.0, 1.0, 3) for i in range(2)]
+        output = LinguisticVariable.uniform("y", -1.0, 2.0, 4, shape="trapezoid")
+        X, y = rng.uniform(0, 1, size=(80, 2)), rng.uniform(-1.5, 2.5, size=80)
+        model = wang_mendel(X, y, inputs, output)
+        oracle = brute_force_rules(X, y, inputs, output)
+        assert {r.antecedent: (r.weight, r.consequent) for r in model.rules} == oracle
+
+    def test_wrong_width_reported_against_the_inputs(self):
+        inputs = [LinguisticVariable.uniform(f"x{i}", 0.0, 1.0, 3) for i in range(4)]
+        output = LinguisticVariable.uniform("y", 0.0, 1.0, 3, shape="triangle")
+        X = np.random.default_rng(3).uniform(0, 1, size=(10, 3))
+        with pytest.raises(ValueError, match=re.escape("expected (rows, 4) inputs, got shape (10, 3)")):
+            wang_mendel(X, np.full(10, 0.5), inputs, output)
 
 
 class TestGdTune:
@@ -509,6 +541,16 @@ class TestTableTuning:
     """Both tuners on the base model's layer tables: the bits of a model decoded per step."""
 
     @pytest.mark.parametrize("shape", ["gaussian", "gbell", "trapezoid", "triangle"])
+    def test_encode_centers_reads_the_tables(self, shape):
+        rng = np.random.default_rng(30)
+        model, _, _ = shaped_model(shape, rng, output_shape="trapezoid")
+        _, lo, hi = encode_centers(model)
+        for m in (model, decode_centers(model, rng.uniform(lo, hi))):
+            for got, want in zip(encode_centers(m), encode_centers_oracle(m)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("shape", ["gaussian", "gbell", "trapezoid", "triangle"])
     def test_fitness_is_decoded_rmse(self, shape):
         rng = np.random.default_rng(31)
         model, X, y = shaped_model(shape, rng, output_shape="trapezoid" if shape == "gbell" else "triangle")
@@ -625,3 +667,13 @@ class TestTableTuning:
         monkeypatch.setattr(mamdani, "decode_centers", per_mf)
         tuned, _ = gd_tune(model, X, y, epochs=5)
         assert built == [tuned]
+
+    def test_gd_builds_variables_only_for_its_result(self, monkeypatch):
+        # one `to_variables` per layer, for the returned model; no epoch builds an output variable
+        model, X, y = tace_style_model(np.random.default_rng(53))
+        built = []
+        to_variables = InputLayer.to_variables
+        monkeypatch.setattr(InputLayer, "to_variables",
+                            lambda layer: built.append(layer.names) or to_variables(layer))
+        gd_tune(model, X, y)
+        assert built == [["x0", "x1"], ["y"]]
