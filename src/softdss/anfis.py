@@ -171,7 +171,9 @@ def _forward(layer: InputLayer, antecedents, X) -> ForwardTrace:
             f"no rule fires for sample {int(np.argmax(dead))}; cannot normalize"
         )
     wbar = w / wsum[:, None]
-    xa = np.column_stack([Xc, np.ones(Xc.shape[0])])
+    xa = np.empty((Xc.shape[0], Xc.shape[1] + 1))
+    xa[:, :-1] = Xc
+    xa[:, -1] = 1.0
     return ForwardTrace(layer, antecedents, Xc, memberships, w, wsum, wbar, xa)
 
 

@@ -65,7 +65,8 @@ class AnfisSettings:
     def __post_init__(self):
         _check_ints("anfis", self, {"epochs": 1, "mf_count": 1})
         shapes = self.shapes
-        if not (isinstance(shapes, (list, tuple)) and all(s in MF_SHAPES for s in shapes)
+        if not (isinstance(shapes, (list, tuple))
+                and all(isinstance(s, str) and s in MF_SHAPES for s in shapes)  # hash strings only
                 and len(set(shapes)) == len(shapes)):
             raise ValueError(f"anfis shapes must be distinct names from {sorted(MF_SHAPES)}, "
                              f"got {shapes!r}")

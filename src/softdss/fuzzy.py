@@ -669,7 +669,10 @@ def antecedent_table(antecedents, inputs) -> np.ndarray:
             raise ValueError(f"antecedent {tuple(ant)} does not match input count {len(n_mfs)}")
         if not all(map(_is_index, ant)):
             raise ValueError(f"antecedent indices must be integers, got {tuple(ant)}")
-    table = np.array(antecedents, dtype=int).reshape(len(antecedents), len(n_mfs))
+    try:
+        table = np.array(antecedents, dtype=int).reshape(len(antecedents), len(n_mfs))
+    except OverflowError:  # an index past the C long range, which the check below reports
+        table = np.array(antecedents, dtype=object).reshape(len(antecedents), len(n_mfs))
     bad = np.argwhere((table < 0) | (table >= n_mfs))
     if bad.size:
         r, v = bad[0]
@@ -738,9 +741,9 @@ class MamdaniModel:
 
     def __post_init__(self):
         self.antecedent_index  # checks every antecedent
-        cons = self.consequent_index
-        bad = cons[(cons < 0) | (cons >= self.output.n_mfs)]
-        if bad.size:
+        # Python ints, checked before `consequent_index` casts them to C longs
+        bad = [r.consequent for r in self.rules if not 0 <= r.consequent < self.output.n_mfs]
+        if bad:
             raise ValueError(f"consequent index {bad[0]} out of range")
 
     @cached_property

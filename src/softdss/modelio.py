@@ -71,6 +71,10 @@ class LoadedModel:
     input_ranges: tuple
     output_range: tuple
 
+    def __post_init__(self):
+        # predict_score normalizes with this (d, 2) array; built once, not per query
+        self._range_table = np.array(self.input_ranges, dtype=float)
+
     def predict_normalized(self, X) -> np.ndarray:
         """`predict_normalized` of the model; ValueError for rows not one value per input."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -81,15 +85,22 @@ class LoadedModel:
     def predict_score(self, x_physical) -> float:
         """Crisp decision score in physical units, clipped into the output range.
 
-        `x_physical` is one situation, one value per input, of shape (n,) or
-        (1, n); inputs are normalized with the file's own `input_ranges`.
+        `x_physical` is one situation, one real number per input, of shape (n,)
+        or (1, n); inputs are normalized with the file's own `input_ranges`.
 
-        Raises ValueError for any other shape, naming the expected count and
-        the shape it got, for a non-finite input value, naming its field, and
-        for a model that yields a non-finite score.
+        Raises ValueError for a value that is not a real number, for any other
+        shape, naming the expected count and the shape it got, for a non-finite
+        input value, naming its field, and for a model that yields a non-finite
+        score.
         """
-        x = np.asarray(x_physical, dtype=float)
         n = len(self.input_ranges)
+        try:
+            if isinstance(x_physical, np.ndarray) and x_physical.dtype.kind == "c":
+                raise TypeError  # the cast would drop the imaginary part with only a warning
+            x = np.asarray(x_physical, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"a situation must hold {n} real numbers, "
+                             f"got {x_physical!r}") from None
         if x.shape not in ((n,), (1, n)):
             raise ValueError(f"expected one situation of {n} values, got shape {x.shape}")
         x = x.reshape(1, n)
@@ -97,11 +108,13 @@ class LoadedModel:
         if not finite.all():
             field = tace.FIELDS[int(np.argmin(finite.all(axis=0)))]
             raise ValueError(f"{field} is not finite")
-        yn = float(self.predict_normalized(tace.normalize_inputs(x, self.input_ranges))[0])
+        # one (1, n) row, already checked: straight to the module-level predictor
+        yn = float(predict_normalized(self.model, tace.normalize_inputs(x, self._range_table))[0])
         if not math.isfinite(yn):
             raise ValueError(f"{self.kind} model yields a non-finite score ({yn!r})")
         lo, hi = self.output_range
-        return float(np.clip(yn * (hi - lo) + lo, lo, hi))
+        # np.clip's comparisons: a tie at a signed-zero bound keeps the score, NaN passes
+        return float(min(max(yn * (hi - lo) + lo, lo), hi))
 
 
 def save_model(model, path, input_ranges=tace.FIELD_RANGES, output_range=tace.SCORE_RANGE) -> None:

@@ -149,11 +149,16 @@ def denormalize(dataset: Dataset) -> Dataset:
 
 
 def normalize_inputs(x, ranges=FIELD_RANGES) -> np.ndarray:
-    """Physical input row(s) -> [0, 1] coordinates of the given (lo, hi) field ranges."""
-    x = np.atleast_2d(np.asarray(x, dtype=float)).copy()
-    for j, (lo, hi) in enumerate(ranges):
-        x[:, j] = (x[:, j] - lo) / (hi - lo)
-    return x
+    """Physical input row(s) -> [0, 1] coordinates of the given (lo, hi) field ranges.
+
+    `ranges` holds one (lo, hi) pair per column: pairs, or a (d, 2) float array that a
+    caller scoring many rows builds once.  ValueError for rows that are not d wide.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    lo, hi = np.asarray(ranges, dtype=float).T
+    if x.ndim != 2 or x.shape[1] != lo.shape[0]:
+        raise ValueError(f"expected (rows, {lo.shape[0]}) inputs, got shape {x.shape}")
+    return (x - lo) / (hi - lo)
 
 
 def denormalize_score(y):

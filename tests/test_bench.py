@@ -279,6 +279,11 @@ class TestReproducibility:
                                            "got -0.5"),
         ("mamdani", "momentum", float("nan"), "mamdani momentum must be a finite number, got nan"),
         ("mamdani", "mutation_rate", 1.5, "mamdani mutation_rate must be a number in [0, 1], got 1.5"),
+        ("anfis", "shapes", [[]], "anfis shapes must be distinct names from "
+                                  "['gaussian', 'gbell', 'trapezoid', 'triangle'], got [[]]"),
+        ("anfis", "shapes", [{"gaussian": 1}], "anfis shapes must be distinct names from "
+                                               "['gaussian', 'gbell', 'trapezoid', 'triangle'], "
+                                               "got [{'gaussian': 1}]"),
     ])
     def test_fuzzy_settings_checked(self, section, key, value, message):
         settings = {"anfis": AnfisSettings, "mamdani": MamdaniSettings}[section]

@@ -1,6 +1,8 @@
 """CLI contracts: subcommands, exit codes, file formats, model round-trips."""
 
 import json
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +35,8 @@ from softdss.modelio import (
     predict_normalized,
     save_model,
 )
+
+from test_tace import normalize_inputs_oracle
 
 
 def run_cli(capsys, *argv):
@@ -315,6 +319,8 @@ class TestBenchConfig:
         ('{"datasets": {"C": 0.5}}', "mlp hidden must map every dataset (C) to an integer >= 1, "
                                      "got {'A': 30, 'B': 32}"),
         ('{"mlp": {"epochs": 2.5}}', "mlp epochs must be an integer >= 1, got 2.5"),
+        ('{"anfis": {"shapes": [[]]}}', "anfis shapes must be distinct names from "
+                                        "['gaussian', 'gbell', 'trapezoid', 'triangle'], got [[]]"),
         ('{"seeds": [1], "n": 20, "datasets": {"A": 0.98}, "mlp": {"hidden": {"A": 3}, '
          '"epochs": 5}, "anfis": {"epochs": 1, "shapes": ["gaussian"]}, "mamdani": '
          '{"generations": 1, "population": 4}, "cart": {"folds": 2}}',
@@ -365,6 +371,14 @@ def small_anfis():
     return AnfisModel.grid(unit_variables(2, "gaussian"))
 
 
+def load_model_of(model, **ranges):
+    """`model` as `load_model` reads it back from a `save_model` file with `ranges`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(model, path, **ranges)
+        return load_model(path)
+
+
 RULE = ("model", "rules", 0)
 # model maker, (payload key path, new value) or None for the unedited payload,
 # and the field the message names
@@ -375,6 +389,15 @@ BAD_MODEL_FILES = [
     pytest.param(small_mamdani, (RULE + ("antecedent", 1), True), "antecedent", id="bool-antecedent"),
     pytest.param(small_anfis, (("model", "rules", 3, 1), True), "antecedent",
                  id="bool-anfis-antecedent"),
+    # rule indices past the C long range: once an OverflowError from the int cast
+    pytest.param(small_anfis, (("model", "rules", 3, 1), 10**30),
+                 f"antecedent index {10**30} out of range for 'intercept_time'",
+                 id="huge-anfis-antecedent"),
+    pytest.param(small_mamdani, (RULE + ("antecedent", 2), -10**30),
+                 f"antecedent index {-10**30} out of range for 'weapon'",
+                 id="huge-negative-antecedent"),
+    pytest.param(small_mamdani, (RULE + ("consequent",), 10**30),
+                 f"consequent index {10**30} out of range", id="huge-consequent"),
     pytest.param(small_mamdani, (RULE + ("weight",), "0.5"), "weight", id="string-weight"),
     pytest.param(small_mamdani, (RULE + ("weight",), None), "weight", id="null-weight"),
     pytest.param(small_mamdani, (("model", "rules"), []), "rules", id="no-mamdani-rules"),
@@ -638,6 +661,7 @@ class TestPredict:
         assert code == 2
         assert out == ""
         assert field in err
+        assert err.startswith("softdss: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("make,ranges,field", [
         (lambda: mlp_init(3, 3, seed=1), {}, "input_dim is 3, not 4"),
@@ -676,6 +700,47 @@ class TestPredict:
             with pytest.raises(ValueError) as info:
                 loaded.predict_normalized(bad)
             assert str(info.value) == f"expected (rows, 4) inputs, got shape {shape}"
+
+    @pytest.mark.parametrize("bad", [[1j, 2, 3, 4], np.array([500, 30, 50, 5 + 1j]), {"a": 1},
+                                     ["fuel", 30, 50, 5], [[500, 30], [50]]],
+                             ids=["complex-value", "complex-array", "object", "word", "ragged"])
+    def test_score_refuses_what_is_not_real_numbers(self, bad):
+        loaded = load_model_of(small_tree())
+        with pytest.raises(ValueError, match="^a situation must hold 4 real numbers, got "):
+            loaded.predict_score(bad)
+
+    @pytest.mark.parametrize("case", [(kind, shape) for kind in ("anfis", "mamdani")
+                                      for shape in MF_SHAPES] + [("mlp", None), ("cart", None)],
+                             ids=lambda case: "-".join(filter(None, case)))
+    def test_score_equals_the_per_column_chain_bit_for_bit(self, case):
+        """predict_score against the chain it replaced: the per-column normalize, the
+        checked wrapper and np.clip, at, inside and beyond the field ranges."""
+        bounds = np.array(tace.FIELD_RANGES)
+        span = bounds[:, 1] - bounds[:, 0]
+        rng = np.random.default_rng(0)
+        rows = [bounds[:, 0], bounds[:, 1], bounds[:, 0] - span, bounds[:, 1] + 10 * span,
+                np.where(np.arange(4) % 2, bounds[:, 0], bounds[:, 1]),
+                *rng.uniform(bounds[:, 0] - span, bounds[:, 1] + span, size=(20, 4))]
+        for seed in range(3):
+            model = random_model(*case, np.random.default_rng(seed))
+            for output_range in [tace.SCORE_RANGE, (-0.0, 1.0), (-5.0, 5.0)]:
+                loaded = load_model_of(model, output_range=output_range)
+                lo, hi = output_range
+                for x in rows:
+                    yn = float(loaded.predict_normalized(normalize_inputs_oracle(x))[0])
+                    want = float(np.clip(yn * (hi - lo) + lo, lo, hi))
+                    assert np.float64(loaded.predict_score(x)).tobytes() == np.float64(want).tobytes()
+
+    def test_score_keeps_a_signed_zero_tie_as_np_clip_does(self):
+        # leaves at 0 and 1: a score of exactly lo or hi, where a clip could pick either zero
+        tree = TreeNode(0.5, 2, 0.5, split_variable=0, threshold=0.4,
+                        left=TreeNode(0.0, 1, 0.0), right=TreeNode(1.0, 1, 0.0))
+        for lo, hi in [(-0.0, 10.0), (-10.0, -0.0), (0.0, 10.0)]:
+            loaded = load_model_of(tree, output_range=(lo, hi))
+            for x in ([0, 30, 50, 5], [500, 30, 50, 5]):  # the 0 leaf, the 1 leaf
+                yn = float(loaded.predict_normalized(normalize_inputs_oracle(x))[0])
+                want = np.clip(yn * (hi - lo) + lo, lo, hi)
+                assert np.float64(loaded.predict_score(x)).tobytes() == want.tobytes()
 
 
 def random_model(kind, shape, rng):

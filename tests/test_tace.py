@@ -4,6 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from softdss import tace
 
@@ -135,6 +138,55 @@ class TestNormalization:
         back = tace.denormalize(tace.normalize(data))
         assert np.abs(back.x - data.x).max() < 1e-12
         assert np.abs(back.y - data.y).max() < 1e-12
+
+
+def normalize_inputs_oracle(x, ranges=tace.FIELD_RANGES):
+    """The per-column loop that `normalize_inputs`'s one broadcast replaced (test oracle)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float)).copy()
+    for j, (lo, hi) in enumerate(ranges):
+        x[:, j] = (x[:, j] - lo) / (hi - lo)
+    return x
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def rows_and_ranges(draw):
+    """(x, ranges): 1-5 rows of any floats, nan and inf too, and one finite lo < hi per column."""
+    d = draw(st.integers(1, 6))
+    ranges = []
+    for _ in range(d):
+        lo, hi = sorted(draw(st.lists(finite_floats, min_size=2, max_size=2, unique=True)))
+        ranges.append((lo, hi))
+    shape = draw(st.sampled_from([(d,), (draw(st.integers(1, 5)), d)]))
+    return draw(arrays(np.float64, shape, elements=st.floats(width=64))), tuple(ranges)
+
+
+class TestNormalizeInputs:
+    @settings(max_examples=300, deadline=None)
+    @given(case=rows_and_ranges(), as_array=st.booleans())
+    def test_equals_the_per_column_loop_bit_for_bit(self, case, as_array):
+        x, ranges = case
+        with np.errstate(all="ignore"):  # a span past the float range, an inf minus an inf
+            want = normalize_inputs_oracle(x, ranges)
+            got = tace.normalize_inputs(x, np.array(ranges) if as_array else ranges)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_default_ranges_are_the_fields(self):
+        got = tace.normalize_inputs([500, 30, 60, 4])
+        assert got.tolist() == [[0.5, 0.5, 0.6, 0.4]]
+
+    @pytest.mark.parametrize("x,shape", [
+        (np.full((2, 5), 1.0), "(2, 5)"),   # the fifth column used to pass through as it was
+        (np.full((2, 3), 1.0), "(2, 3)"),   # used to raise IndexError
+        (np.full(3, 1.0), "(1, 3)"),
+        (np.full((1, 1, 4), 1.0), "(1, 1, 4)"),
+    ], ids=["five-columns", "three-columns", "three-values", "three-dims"])
+    def test_width_mismatch_is_value_error(self, x, shape):
+        with pytest.raises(ValueError, match=rf"^expected \(rows, 4\) inputs, got shape {re.escape(shape)}$"):
+            tace.normalize_inputs(x)
 
 
 class TestCsv:
