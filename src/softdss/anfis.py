@@ -6,7 +6,8 @@ firing strengths (layer 3), normalizes them (layer 4), weights the linear
 rule outputs (layer 5) and sums (layer 6): y = sum_r wbar_r * f_r with
 f_r = p_r . x + q_r, from the (P, R) rule outputs `xa @ consequents.T`.
 The flattened (P, R * (d + 1)) regressor matrix, wbar outer [x, 1], is
-built only for the consequent solve, which is linear in it.
+built only for the consequent solve, which is linear in it, and only over
+the rules that fire.
 
 Hybrid learning alternates, once per epoch:
   * consequent identification by least squares with the premises frozen,
@@ -32,8 +33,18 @@ then those with the x_0 columns beside them.  A block that fails the rank
 test proves the whole matrix fails it (`linalg.fails_rank_test`), so the
 solve goes to `ridge_solve` at once.  On the default bench matrix this
 settles all 384 consequent solves of its 24 fits, at a fraction of the cost
-of the full SVD.  `anfis_train` counts the solves that took each path, and
-the block that certified each certified one, in its report's extras.
+of the full SVD.
+
+The solve runs over the rules that fire: those with a nonzero normalized
+strength on some sample.  An unfired rule's regressor columns are zero, so
+the regularized normal equations decouple; its consequents are exactly 0 and
+the fired rules' ridge solve is the ridge minimizer of the full system.  Its
+zero strength column is itself the rank certificate, so such a solve runs no
+SVD.  Compact-support MFs (trapezoid, triangle) leave 29-50 of the 81 grid
+rules unfired on the TACE data, which lie near a curve; gaussian and gbell
+MFs fire every rule, and their solve is the full one.  `anfis_train` counts
+the solves that took each path, the block that certified each certified one
+and the rules that fired in the final solve in its report's extras.
 """
 
 from __future__ import annotations
@@ -136,8 +147,9 @@ class AnfisModel:
 @dataclass
 class ForwardTrace:
     """Every intermediate layer of a batch forward pass, kept for backprop, with the input
-    layer and rule table that produced it.  `regressors` is built on first access, by the
-    consequent solve; a prediction never reads it."""
+    layer and rule table that produced it.  The full `regressors` matrix is built on first
+    access; neither a prediction nor the consequent solve, which builds the fired rules'
+    columns alone, reads it."""
 
     layer: InputLayer
     antecedents: np.ndarray  # (R, d) MF index of every rule's antecedent
@@ -151,12 +163,17 @@ class ForwardTrace:
     @cached_property
     def regressors(self) -> np.ndarray:
         """(P, R * (d + 1)): wbar outer xa, flattened per rule."""
-        return (self.wbar[:, :, None] * self.xa[:, None, :]).reshape(self.wbar.shape[0], -1)
+        return _regressors(self.wbar, self.xa)
 
     def outputs(self, consequents) -> tuple[np.ndarray, np.ndarray]:
         """Layers 5-6: the (P, R) rule outputs f = xa @ consequents.T and y = sum_r wbar_r f_r."""
         f = self.xa @ consequents.T
         return f, (self.wbar * f).sum(axis=1)
+
+
+def _regressors(wbar, xa) -> np.ndarray:
+    """(P, R' * (d + 1)) regressors of the rules whose (P, R') strengths `wbar` holds."""
+    return (wbar[:, :, None] * xa[:, None, :]).reshape(wbar.shape[0], -1)
 
 
 def _forward(layer: InputLayer, antecedents, X) -> ForwardTrace:
@@ -246,34 +263,53 @@ def _certified_rank_deficient(regressors, n_inputs: int) -> str | None:
     return None
 
 
-def _identify_consequents(regressors, y, n_inputs: int, solves: Counter | None = None):
-    """Least-squares consequents; `solves` counts the path taken.
+def _identify_consequents(wbar, xa, y, solves: Counter | None = None):
+    """Least-squares consequents (R, d + 1) and residuals from layer 4's (P, R) normalized
+    strengths `wbar` and the (P, d + 1) inputs `xa`; `solves` counts the path taken.
+
+    Only the rules that fire (a nonzero `wbar` column) enter the solve.  An unfired rule's
+    regressor columns and right-hand side are zero, so the ridge normal equations decouple:
+    its consequents are exactly 0.0, and the fired rules' solve gives the ridge minimizer of
+    the full system.  Its zero strength column also fails the rank test, so that solve is
+    certified by the "strengths" block without an SVD.
 
     The paths are "lstsq" (exact), "ridge" (underdetermined, or `lse_batch`
     refused the system) and "certified" (ridge, with `lse_batch` skipped
     because a column block proved the system rank deficient).  A certified
     solve is also counted under the name of its block.
     """
-    if regressors.shape[0] < regressors.shape[1]:
+    (n_samples, n_rules), width = wbar.shape, xa.shape[1]
+    fired = wbar.any(axis=0)
+    all_fired = bool(fired.all())
+    regressors = _regressors(wbar if all_fired else wbar[:, fired], xa)
+    if n_samples < n_rules * width:
         # an underdetermined batch is always singular; gamma*I regularizes it
-        flat, paths = ridge_solve(regressors, y), ("ridge",)
-    elif block := _certified_rank_deficient(regressors, n_inputs):
-        flat, paths = ridge_solve(regressors, y), ("certified", block)
+        paths = ("ridge",)
+    elif not all_fired:
+        paths = ("certified", "strengths")  # a zero strength column fails the rank test
+    elif block := _certified_rank_deficient(regressors, width - 1):
+        paths = ("certified", block)
     else:
         try:
             flat, paths = lse_batch(regressors, y), ("lstsq",)
         except SingularSystemError:
-            flat, paths = ridge_solve(regressors, y), ("ridge",)
+            paths = ("ridge",)
+    if paths != ("lstsq",):
+        flat = ridge_solve(regressors, y)
     if solves is not None:
         solves.update(paths)
-    return flat
+    residuals = regressors @ flat - y
+    if all_fired:
+        return flat.reshape(n_rules, width), residuals
+    consequents = np.zeros((n_rules, width))
+    consequents[fired] = flat.reshape(-1, width)
+    return consequents, residuals
 
 
 def _fit_consequents(layer: InputLayer, antecedents, X, y, solves: Counter | None):
     """Consequents by least squares with the premises frozen; (trace, consequents, residuals)."""
     trace = _forward(layer, antecedents, X)
-    flat = _identify_consequents(trace.regressors, y, antecedents.shape[1], solves)
-    return trace, flat.reshape(antecedents.shape[0], -1), trace.regressors @ flat - y
+    return trace, *_identify_consequents(trace.wbar, trace.xa, y, solves)
 
 
 def _epoch(layer: InputLayer, antecedents, X, y, k: float, solves: Counter | None):
@@ -315,7 +351,8 @@ def anfis_train(
     `mode` must be "hybrid", the only trainer.  The report's extras count the
     consequent solves by path in `consequent_solves` (`lstsq`, `ridge`, and
     `certified`: ridge without the `lstsq` attempt; they sum to epochs + 1),
-    and the certified ones by the block that proved them in `certified_blocks`.
+    the certified ones by the block that proved them in `certified_blocks`, and
+    the rules that fire on the training data in the final solve in `fired_rules`.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -343,7 +380,8 @@ def anfis_train(
         pred = _forward(layer, antecedents, test[0]).outputs(consequents)[1]
         final_test = rmse(pred - np.asarray(test[1], dtype=float))
     extras = {"consequent_solves": {p: solves[p] for p in ("lstsq", "ridge", "certified")},
-              "certified_blocks": {b: solves[b] for b in ("strengths", "strengths_x0")}}
+              "certified_blocks": {b: solves[b] for b in ("strengths", "strengths_x0")},
+              "fired_rules": int(np.count_nonzero(trace.wbar.any(axis=0)))}
     model = AnfisModel(layer.to_variables(), model.rules, consequents)
     wall = time.perf_counter() - start
     return model, TrainReport(curve, rmse(residuals), final_test, wall, seed, extras)

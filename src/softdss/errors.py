@@ -33,9 +33,11 @@ def json_typed(v, want: type, name: str):
 
 
 def is_range(r) -> bool:
-    """r is a [lo, hi] list or tuple of finite numbers with lo < hi."""
+    """r is a [lo, hi] list or tuple of finite numbers with lo < hi and a finite span hi - lo,
+    so that normalizing onto it cannot divide by inf."""
     return (isinstance(r, (list, tuple)) and len(r) == 2
-            and all(map(is_finite_number, r)) and r[0] < r[1])
+            and all(map(is_finite_number, r)) and r[0] < r[1]
+            and math.isfinite(float(r[1]) - float(r[0])))
 
 
 def finite_data(X, y) -> tuple[np.ndarray, np.ndarray]:

@@ -462,7 +462,8 @@ class LinguisticVariable:
     def from_dict(cls, d: dict, field: str = "variable") -> "LinguisticVariable":
         """The variable a `to_dict` body describes; `field` names it in a ValueError."""
         if not is_range(json_typed(d, dict, field)["range"]):
-            raise ValueError(f"variable {d['name']!r} range {d['range']!r} is not a finite lo < hi")
+            raise ValueError(f"variable {d['name']!r} range {d['range']!r} is not a finite lo < hi "
+                             "with a finite span")
         entries = json_typed(d["mfs"], list, f"{field} mfs")
         mfs = [mf_from_dict(m, f"{field} mfs[{j}]") for j, m in enumerate(entries)]
         labels = [m.get("label", f"mf{j}") for j, m in enumerate(entries)]

@@ -143,15 +143,15 @@ def _decode_payload(payload, path) -> LoadedModel:
     if not (isinstance(payload, dict) and payload.get("format") == FORMAT_TAG):
         raise ValueError(f"{path}: not a {FORMAT_TAG} file")
     try:
-        # predict_score normalizes with these, so each field needs a finite lo < hi
+        # predict_score normalizes with these, so each field needs a finite lo < hi and span
         ranges, out = payload["input_ranges"], payload["output_range"]
         if not (isinstance(ranges, list) and len(ranges) == len(tace.FIELDS)
                 and all(map(is_range, ranges))):
-            raise ValueError(
-                f"input_ranges must hold {len(tace.FIELDS)} finite [lo, hi] pairs, lo < hi"
-            )
+            raise ValueError(f"input_ranges must hold {len(tace.FIELDS)} finite [lo, hi] pairs, "
+                             "lo < hi, with a finite span hi - lo")
         if not is_range(out):
-            raise ValueError(f"output_range is {out!r}, not a finite [lo, hi] pair, lo < hi")
+            raise ValueError(f"output_range is {out!r}, not a finite [lo, hi] pair, lo < hi, "
+                             "with a finite span hi - lo")
         body = json_typed(payload["model"], dict, "model")
         kind = KINDS.get(body["kind"]) if isinstance(body["kind"], str) else None
         if kind is None:

@@ -128,9 +128,8 @@ def normalize(dataset: Dataset) -> Dataset:
     """Affine map of every field onto [0, 1] using the declared physical ranges."""
     if dataset.normalized:
         return dataset
-    x = dataset.x.copy()
-    for j, (lo, hi) in enumerate(FIELD_RANGES):
-        x[:, j] = (x[:, j] - lo) / (hi - lo)
+    lo, hi = np.array(FIELD_RANGES).T
+    x = (dataset.x - lo) / (hi - lo)
     lo, hi = SCORE_RANGE
     y = (dataset.y - lo) / (hi - lo)
     return Dataset(x, y, dataset.seed, normalized=True)
@@ -140,9 +139,8 @@ def denormalize(dataset: Dataset) -> Dataset:
     """Inverse of normalize; roundtrips to within float round-off."""
     if not dataset.normalized:
         return dataset
-    x = dataset.x.copy()
-    for j, (lo, hi) in enumerate(FIELD_RANGES):
-        x[:, j] = x[:, j] * (hi - lo) + lo
+    lo, hi = np.array(FIELD_RANGES).T
+    x = dataset.x * (hi - lo) + lo
     lo, hi = SCORE_RANGE
     y = dataset.y * (hi - lo) + lo
     return Dataset(x, y, dataset.seed, normalized=False)

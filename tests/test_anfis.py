@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softdss import anfis, tace
 from softdss.anfis import (
@@ -372,7 +374,8 @@ class TestTraining:
         _, report = anfis_train(small_model(2, 2), (X, y), None, epochs=4)
         # four epochs plus the final re-identification, all full rank
         assert report.extras == {"consequent_solves": {"lstsq": 5, "ridge": 0, "certified": 0},
-                                 "certified_blocks": {"strengths": 0, "strengths_x0": 0}}
+                                 "certified_blocks": {"strengths": 0, "strengths_x0": 0},
+                                 "fired_rules": 4}
 
     @pytest.mark.parametrize("mode", ["backprop", "Hybrid", ""])
     def test_hybrid_is_the_only_mode(self, mode):
@@ -493,6 +496,29 @@ def identify_consequents_oracle(regressors, y, n_inputs, solves=None):
     return flat
 
 
+def fired_columns_oracle(wbar, xa, y, solves=None):
+    """`_identify_consequents` as `identify_consequents_oracle` on the full regressors, except
+    that where some rule never fires, the ridge solve runs over the fired rules' columns
+    alone, gathered from the full matrix, and every unfired rule gets consequents of 0.0
+    (test oracle)."""
+    full, width = anfis._regressors(wbar, xa), xa.shape[1]
+    paths = Counter()
+    flat = identify_consequents_oracle(full, y, width - 1, paths)
+    fired = wbar.any(axis=0)
+    if fired.all():
+        consequents, regressors = flat.reshape(wbar.shape[1], width), full
+    else:
+        # the zero columns make the full system rank deficient, so `flat` is its ridge
+        # solve; solve again on the fired columns, row-major as the solver builds them, so
+        # that BLAS sums in the same order
+        regressors = np.ascontiguousarray(full[:, np.repeat(fired, width)])
+        consequents = np.zeros((wbar.shape[1], width))
+        consequents[fired] = ridge_solve(regressors, y).reshape(-1, width)
+    if solves is not None:
+        solves.update(paths)
+    return consequents, regressors @ consequents[fired].ravel() - y
+
+
 class TestCertifiedSolve:
     @pytest.fixture(scope="class")
     def split_a(self):
@@ -502,8 +528,10 @@ class TestCertifiedSolve:
 
     @pytest.mark.parametrize("shape", ["gaussian", "gbell", "trapezoid", "triangle"])
     def test_bench_fit_bit_identical_to_lstsq_first(self, split_a, shape, monkeypatch):
-        # bench split A, seed 1, 15 epochs: every solve is certified, and the
-        # certificate changes nothing against trying lstsq first
+        # bench split A, seed 1, 15 epochs: every solve is certified, and the certificate
+        # changes nothing against trying lstsq first.  Where every rule fires (gaussian,
+        # gbell) the oracle is `identify_consequents_oracle` on the full regressors; where
+        # some rule never fires (trapezoid, triangle) it solves the fired rules' columns alone
         train, test = split_a
 
         def fit():
@@ -515,9 +543,91 @@ class TestCertifiedSolve:
         solves, blocks = report.extras["consequent_solves"], report.extras["certified_blocks"]
         assert solves == {"lstsq": 0, "ridge": 0, "certified": 16}
         assert sum(blocks.values()) == 16
-        monkeypatch.setattr(anfis, "_identify_consequents", identify_consequents_oracle)
+        assert report.extras["fired_rules"] == {"gaussian": 81, "gbell": 81,
+                                                "trapezoid": 31, "triangle": 52}[shape]
+        monkeypatch.setattr(anfis, "_identify_consequents", fired_columns_oracle)
         want_model, want_report, want_pred = fit()
         assert want_report.extras["consequent_solves"] == {"lstsq": 0, "ridge": 16, "certified": 0}
         assert np.array_equal(report.rmse_per_epoch, want_report.rmse_per_epoch)
         assert np.array_equal(model.consequents, want_model.consequents)
         assert np.array_equal(pred, want_pred)
+
+
+@st.composite
+def systems_with_unfired_rules(draw):
+    """(wbar, xa, y): a tall system whose (P, R) strengths have 1 to R - 1 zero columns, rows
+    normalized over the fired rules as layer 4 gives them, and xa = [x, 1]."""
+    n_rules, n_inputs = draw(st.integers(2, 9)), draw(st.integers(1, 3))
+    fired = draw(st.lists(st.booleans(), min_size=n_rules, max_size=n_rules)
+                 .filter(lambda f: 0 < sum(f) < n_rules))
+    n_samples = draw(st.integers(n_rules * (n_inputs + 1), 2 * n_rules * (n_inputs + 1) + 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.0, 1.0, size=(n_samples, n_rules)) ** draw(st.sampled_from([1, 4]))
+    w[:, ~np.array(fired)] = 0.0
+    w[w.sum(axis=1) == 0.0, int(np.argmax(fired))] = 1.0
+    xa = np.column_stack([rng.uniform(0.0, 1.0, size=(n_samples, n_inputs)), np.ones(n_samples)])
+    return w / w.sum(axis=1)[:, None], xa, rng.normal(size=n_samples)
+
+
+class TestFiredRuleSolve:
+    """The consequent solve runs over the rules that fire; the others get consequents 0.0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(system=systems_with_unfired_rules())
+    def test_equals_the_full_ridge_solve(self, system):
+        wbar, xa, y = system
+        solves = Counter()
+        consequents, residuals = anfis._identify_consequents(wbar, xa, y, solves)
+        assert solves == {"certified": 1, "strengths": 1}
+        unfired = ~wbar.any(axis=0)
+        assert np.all(consequents[unfired] == 0.0)
+        full = anfis._regressors(wbar, xa)
+        want = full @ ridge_solve(full, y)
+        fitted = full @ consequents.ravel()
+        assert np.linalg.norm(fitted - want) <= 1e-9 * np.linalg.norm(want)
+        np.testing.assert_allclose(residuals, fitted - y, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def diagonal_data():
+        t = np.random.default_rng(17).uniform(0, 1, size=60)
+        return np.column_stack([t, t]), np.sin(3 * t)
+
+    @staticmethod
+    def forbid_rank_tests(monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a rank test ran")
+
+        monkeypatch.setattr(anfis, "fails_rank_test", boom)
+        monkeypatch.setattr(np.linalg, "svd", boom)
+
+    @pytest.mark.parametrize("shape", ["trapezoid", "triangle"])
+    def test_unfired_rule_runs_no_rank_test_or_svd(self, shape, monkeypatch):
+        # on the line x1 = x0 rules (0, 2) and (2, 0) of a 3 x 3 compact-support grid never
+        # fire: their zero strength columns certify the solve, with no SVD taken
+        self.forbid_rank_tests(monkeypatch)
+        X, y = self.diagonal_data()
+        solves = Counter()
+        trained, _ = hybrid_epoch(small_model(2, 3, shape=shape), X, y,
+                                  StepSizeController(0.01), solves)
+        assert solves == {"certified": 1, "strengths": 1}
+        assert np.all(trained.consequents[[2, 6]] == 0.0)
+
+    def test_fit_reports_its_fired_rules(self, monkeypatch):
+        # the trapezoids' flat tops keep rules (0, 2) and (2, 0) unfired in every epoch
+        self.forbid_rank_tests(monkeypatch)
+        X, y = self.diagonal_data()
+        trained, report = anfis_train(small_model(2, 3, shape="trapezoid"), (X, y), None, epochs=3)
+        assert report.extras["consequent_solves"] == {"lstsq": 0, "ridge": 0, "certified": 4}
+        assert report.extras["certified_blocks"] == {"strengths": 4, "strengths_x0": 0}
+        assert report.extras["fired_rules"] == 7
+        assert np.all(trained.consequents[[2, 6]] == 0.0)
+
+    def test_every_rule_fired_keeps_the_rank_test(self, monkeypatch):
+        # where every rule fires the certificate still takes its SVD
+        calls = Counter()
+        real = anfis.fails_rank_test
+        monkeypatch.setattr(anfis, "fails_rank_test",
+                            lambda block: calls.update(["svd"]) or real(block))
+        solves = Counter()
+        hybrid_epoch(small_model(2, 3), *self.diagonal_data(), StepSizeController(0.01), solves)
+        assert solves == {"certified": 1, "strengths": 1} and calls == {"svd": 1}

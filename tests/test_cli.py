@@ -415,6 +415,10 @@ BAD_MODEL_FILES = [
     pytest.param(small_tree, (("model", "tree"), []), "tree", id="list-tree"),
     pytest.param(small_tree, (("output_range",), [10.0, 0.0]), "output_range",
                  id="reversed-output-range"),
+    pytest.param(small_tree, (("output_range",), [-1e308, 1e308]), "output_range",
+                 id="overflowing-output-span"),
+    pytest.param(small_mamdani, (("model", "inputs", 0, "range"), [-1e308, 1e308]), "range",
+                 id="overflowing-variable-span"),
     # fields of the wrong JSON type
     pytest.param(small_tree, (("model",), []), "model is [], not an object", id="list-model"),
     pytest.param(small_tree, (("model", "kind"), ["cart"]), "unknown model kind", id="list-kind"),
@@ -633,7 +637,8 @@ class TestPredict:
         [[0, 1000], [0, 60], [0, 100]],
         [[0, 1000], [0, 60], [0, 100], [10, 0]],
         [[0, 1000], [0, 60], [0, 100], [0, "x"]],
-    ], ids=["three-fields", "reversed", "non-numeric"])
+        [[0, 1000], [0, 60], [0, 100], [-1e308, 1e308]],
+    ], ids=["three-fields", "reversed", "non-numeric", "overflowing-span"])
     def test_bad_input_ranges_rejected(self, cart_model, tmp_path, ranges):
         payload = json.loads(cart_model.read_text())
         payload["input_ranges"] = ranges
@@ -668,7 +673,11 @@ class TestPredict:
         (lambda: small_mamdani(3), {}, "mamdani inputs hold 3 variables, not 4"),
         (small_tree, {"output_range": (10.0, 0.0)}, "output_range"),
         (small_tree, {"input_ranges": tace.FIELD_RANGES[:3]}, "input_ranges"),
-    ], ids=["3-input-mlp", "3-input-mamdani", "reversed-output-range", "three-input-ranges"])
+        (small_tree, {"output_range": (-1e308, 1e308)}, "output_range"),
+        (small_tree, {"input_ranges": tace.FIELD_RANGES[:3] + ((-1e308, 1e308),)},
+         "input_ranges"),
+    ], ids=["3-input-mlp", "3-input-mamdani", "reversed-output-range", "three-input-ranges",
+            "overflowing-output-span", "overflowing-input-span"])
     def test_save_refuses_what_load_refuses(self, tmp_path, make, ranges, field):
         path = tmp_path / "model.json"
         with pytest.raises(ValueError) as info:

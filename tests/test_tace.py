@@ -140,6 +140,54 @@ class TestNormalization:
         assert np.abs(back.y - data.y).max() < 1e-12
 
 
+def normalize_oracle(dataset):
+    """The per-column loop that `normalize`'s one broadcast replaced (test oracle)."""
+    if dataset.normalized:
+        return dataset
+    x = dataset.x.copy()
+    for j, (lo, hi) in enumerate(tace.FIELD_RANGES):
+        x[:, j] = (x[:, j] - lo) / (hi - lo)
+    lo, hi = tace.SCORE_RANGE
+    y = (dataset.y - lo) / (hi - lo)
+    return tace.Dataset(x, y, dataset.seed, normalized=True)
+
+
+def denormalize_oracle(dataset):
+    """The per-column loop that `denormalize`'s one broadcast replaced (test oracle)."""
+    if not dataset.normalized:
+        return dataset
+    x = dataset.x.copy()
+    for j, (lo, hi) in enumerate(tace.FIELD_RANGES):
+        x[:, j] = x[:, j] * (hi - lo) + lo
+    lo, hi = tace.SCORE_RANGE
+    y = dataset.y * (hi - lo) + lo
+    return tace.Dataset(x, y, dataset.seed, normalized=False)
+
+
+@st.composite
+def datasets(draw):
+    """A Dataset of 0-6 rows of any floats, nan and inf too, either normalized or not."""
+    n = draw(st.integers(0, 6))
+    x = draw(arrays(np.float64, (n, len(tace.FIELDS)), elements=st.floats(width=64)))
+    y = draw(arrays(np.float64, (n,), elements=st.floats(width=64)))
+    return tace.Dataset(x, y, draw(st.integers(0, 9)), normalized=draw(st.booleans()))
+
+
+class TestNormalizeBroadcast:
+    @settings(max_examples=300, deadline=None)
+    @given(data=datasets())
+    def test_equals_the_per_column_loops_bit_for_bit(self, data):
+        for got_of, want_of in ((tace.normalize, normalize_oracle),
+                                (tace.denormalize, denormalize_oracle)):
+            with np.errstate(all="ignore"):  # inf - inf, inf * 0
+                got, want = got_of(data), want_of(data)
+            assert (got.seed, got.normalized) == (want.seed, want.normalized)
+            for a, b in ((got.x, want.x), (got.y, want.y)):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+            assert got.x is not data.x or got is data  # a new matrix, or the dataset as it was
+
+
 def normalize_inputs_oracle(x, ranges=tace.FIELD_RANGES):
     """The per-column loop that `normalize_inputs`'s one broadcast replaced (test oracle)."""
     x = np.atleast_2d(np.asarray(x, dtype=float)).copy()
